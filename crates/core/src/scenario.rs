@@ -58,6 +58,7 @@ use pdn_circuit::{SimulateCircuitError, TransientPlan, Waveform};
 use pdn_extract::NodeSelection;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A decoupling-capacitor value to populate at a mounting site: a
 /// [`DecapSpec`] minus the location (the site supplies that).
@@ -272,10 +273,14 @@ impl Error for ScenarioBatchError {
 /// [`run`](ScenarioBatch::run) then wires and simulates each scenario
 /// against the shared [`ExtractedModel`]. See the [module
 /// docs](self) for the exactness and determinism guarantees.
+///
+/// The model is held behind an [`Arc`], so any number of batches (and
+/// clones of a batch) can share one extraction without copying its
+/// matrices.
 #[derive(Debug, Clone)]
 pub struct ScenarioBatch {
     board: BoardSpec,
-    model: ExtractedModel,
+    model: Arc<ExtractedModel>,
 }
 
 impl ScenarioBatch {
@@ -294,12 +299,18 @@ impl ScenarioBatch {
         let model = board
             .extract_model(selection)
             .map_err(ScenarioBatchError::Extraction)?;
-        Ok(ScenarioBatch { board, model })
+        Ok(ScenarioBatch {
+            board,
+            model: Arc::new(model),
+        })
     }
 
     /// Builds a batch around an already-extracted model — the cache-hit
     /// path of `pdn-service`: a model restored from disk (or shared by
     /// another batch) skips the mesh → BEM → reduction flow entirely.
+    ///
+    /// The model may be passed owned or as an `Arc<ExtractedModel>`; an
+    /// `Arc` is adopted as is, so a cached model is shared, never copied.
     ///
     /// The board's [site plan](BoardSpec::site_plan) is pinned exactly as
     /// [`new`](ScenarioBatch::new) would, then the model's port layout is
@@ -312,8 +323,9 @@ impl ScenarioBatch {
     /// supply point, chip locations, or sites differ from the board's.
     pub fn with_model(
         board: &BoardSpec,
-        model: ExtractedModel,
+        model: impl Into<Arc<ExtractedModel>>,
     ) -> Result<Self, ScenarioBatchError> {
+        let model = model.into();
         let mut board = board.clone();
         board.decap_sites = board.site_plan();
         let mismatch = |what: &str| {
@@ -508,6 +520,46 @@ mod tests {
                 assert!(msg.contains("site plans"), "got: {msg}");
             }
             other => panic!("expected InvalidInput, got {other}"),
+        }
+    }
+
+    #[test]
+    fn batches_adopted_from_one_arc_share_it_and_match_new() {
+        let board = base_board();
+        let fresh = ScenarioBatch::new(&board, &sel()).unwrap();
+        let shared = Arc::new(board.extract_model(&sel()).unwrap());
+        let a = ScenarioBatch::with_model(&board, Arc::clone(&shared)).unwrap();
+        let b = ScenarioBatch::with_model(&board, Arc::clone(&shared)).unwrap();
+        assert!(std::ptr::eq(a.model(), b.model()), "one model, not copies");
+        assert!(std::ptr::eq(a.model(), &*shared));
+        let scenarios = [
+            Scenario::switching(3),
+            Scenario::switching(1).with_decaps(vec![(1, DecapValue::ceramic_100nf())]),
+        ];
+        let bits = |outs: &[SsnOutcome]| -> Vec<u64> {
+            outs.iter()
+                .flat_map(|o| {
+                    [
+                        &o.time,
+                        &o.rail_noise,
+                        &o.per_chip_peak,
+                        &o.driver_output,
+                        &o.supply_current,
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .chain([&o.peak_noise, &o.plane_noise_peak])
+                    .map(|x| x.to_bits())
+                })
+                .collect()
+        };
+        let want = bits(&fresh.run(&scenarios, 5e-9, 0.1e-9).unwrap());
+        for batch in [&a, &b] {
+            let got = bits(&batch.run(&scenarios, 5e-9, 0.1e-9).unwrap());
+            assert_eq!(
+                got, want,
+                "adopted batch bit-identical to ScenarioBatch::new"
+            );
         }
     }
 

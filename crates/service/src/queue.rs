@@ -10,9 +10,10 @@
 //!
 //! Submitting returns a [`JobId`] and a channel of [`JobEvent`]s —
 //! `Queued`, then exactly one of `ExtractionCacheHit` / ­`Miss`, then
-//! `Progress` lines, then `Done` or `Failed`. Malformed requests (empty
-//! scenario/count/candidate lists) are rejected *at submission*, before
-//! any queueing or extraction.
+//! `Progress` lines, then `Done` or `Failed`. [`JobQueue::submit_to`]
+//! sends them into a caller's channel instead, so one consumer can follow
+//! many jobs. Malformed requests (empty scenario/count/candidate lists)
+//! are rejected *at submission*, before any queueing or extraction.
 //!
 //! Set `PDN_SERVICE_STATS=1` for one stderr line per completed job
 //! (client, cache outcome, queue wait, run time).
@@ -236,7 +237,8 @@ struct Job {
     id: JobId,
     client: String,
     request: AnalysisRequest,
-    events: Sender<JobEvent>,
+    /// Delivers one event to the submitter's channel.
+    events: Box<dyn Fn(JobEvent) + Send>,
     queued_at: Instant,
 }
 
@@ -325,8 +327,27 @@ impl JobQueue {
         client: &str,
         request: AnalysisRequest,
     ) -> Result<(JobId, Receiver<JobEvent>), SubmitError> {
-        request.validate().map_err(SubmitError::InvalidInput)?;
         let (tx, rx) = mpsc::channel();
+        let id = self.submit_to(client, request, tx)?;
+        Ok((id, rx))
+    }
+
+    /// [`submit`](Self::submit) into the caller's channel: the job's
+    /// events arrive on `events` (converted by `From<JobEvent>`), so one
+    /// receiver can follow every job of a connection without a thread per
+    /// job. `Queued` is sent before this returns and before any worker
+    /// can start the job; events of one job arrive in lifecycle order.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Self::submit); nothing is sent on rejection.
+    pub fn submit_to<T: From<JobEvent> + Send + 'static>(
+        &self,
+        client: &str,
+        request: AnalysisRequest,
+        events: Sender<T>,
+    ) -> Result<JobId, SubmitError> {
+        request.validate().map_err(SubmitError::InvalidInput)?;
         let id = {
             let mut st = self.inner.state.lock().unwrap();
             if st.shutdown {
@@ -334,15 +355,17 @@ impl JobQueue {
             }
             let id = JobId(st.next_id);
             st.next_id += 1;
-            let _ = tx.send(JobEvent::Queued {
+            let _ = events.send(T::from(JobEvent::Queued {
                 job: id,
                 client: client.to_string(),
-            });
+            }));
             let job = Job {
                 id,
                 client: client.to_string(),
                 request,
-                events: tx,
+                events: Box::new(move |event| {
+                    let _ = events.send(T::from(event));
+                }),
                 queued_at: Instant::now(),
             };
             match st.clients.iter_mut().find(|c| c.name == client) {
@@ -356,7 +379,7 @@ impl JobQueue {
             id
         };
         self.inner.wake.notify_one();
-        Ok((id, rx))
+        Ok(id)
     }
 
     /// Stops accepting jobs, drains what is queued, and joins the
@@ -444,10 +467,8 @@ fn error_chain(e: &dyn std::error::Error) -> String {
 fn run_job(inner: &Inner, job: Job) {
     let waited = job.queued_at.elapsed();
     let started = Instant::now();
-    let send = |event: JobEvent| {
-        let _ = job.events.send(event);
-    };
-    let outcome = execute(inner, &job, &send);
+    let send = &job.events;
+    let outcome = execute(inner, &job, send);
     let stats_on = std::env::var("PDN_SERVICE_STATS").as_deref() == Ok("1");
     match outcome {
         Ok((result, cache)) => {
@@ -521,7 +542,7 @@ fn execute(
         CacheOutcome::Extracted => send(JobEvent::ExtractionCacheMiss { job: job.id }),
         tier => send(JobEvent::ExtractionCacheHit { job: job.id, tier }),
     }
-    let batch = ScenarioBatch::with_model(&board, (*model).clone()).map_err(|e| error_chain(&e))?;
+    let batch = ScenarioBatch::with_model(&board, model).map_err(|e| error_chain(&e))?;
 
     let result = match &job.request {
         AnalysisRequest::SwitchingSweep {

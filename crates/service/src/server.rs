@@ -26,16 +26,33 @@
 //! `ports` | `grid:<stride>` | `all`. A `SWEEP` `DONE` payload is
 //! `count:peak_noise` pairs. Each connection is one fair-queueing client
 //! (keyed by peer address), so a busy neighbor cannot starve you.
+//!
+//! A request line longer than 4096 bytes is answered with
+//! `ERR request line exceeds 4096 bytes` and the connection is closed.
+//!
+//! Each connection has two threads. The reader parses requests and
+//! submits jobs with [`JobQueue::submit_to`] into one per-connection
+//! channel; the writer owns the socket's write half and drains that
+//! channel, writing every line whole (several queued lines may share one
+//! write) on a `TCP_NODELAY` socket. A line split over two writes would
+//! leave its tail behind Nagle's algorithm until the client's delayed ACK,
+//! about 40 ms per reply on Linux.
 
 use crate::queue::{AnalysisRequest, JobEvent, JobQueue};
 use crate::store::CacheOutcome;
 use pdn_core::{boards, BoardSpec};
 use pdn_extract::NodeSelection;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread;
+
+/// Longest accepted request line in bytes, excluding its newline. The
+/// longest valid request is under 100 bytes; the cap stops a peer from
+/// growing the read buffer without limit.
+const MAX_LINE: usize = 4096;
 
 /// A listening analysis server. Dropping it stops accepting connections
 /// (jobs already queued still drain through the [`JobQueue`]).
@@ -48,7 +65,8 @@ pub struct PdnServer {
 
 impl PdnServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts accepting
-    /// connections, each served by its own thread against `queue`.
+    /// connections, each served by a reader and a writer thread against
+    /// `queue`.
     ///
     /// # Errors
     ///
@@ -181,9 +199,35 @@ fn parse_request(line: &str) -> Result<AnalysisRequest, String> {
     }
 }
 
+/// What the writer thread sends: job events, and the reader's replies
+/// (`STATS …`, `ERR …`) in request order.
+enum Outgoing {
+    Event(JobEvent),
+    Reply(String),
+}
+
+impl From<JobEvent> for Outgoing {
+    fn from(event: JobEvent) -> Self {
+        Outgoing::Event(event)
+    }
+}
+
+/// Appends `out` to `buf` as whole protocol lines.
+fn render(out: &Outgoing, buf: &mut String) {
+    match out {
+        Outgoing::Event(event) => buf.push_str(&render_event(event)),
+        Outgoing::Reply(line) => buf.push_str(line),
+    }
+    buf.push('\n');
+}
+
+/// A job's `Queued` event renders as two lines, `JOB <id>` and its
+/// `QUEUED` line, so `JOB` is always the job's first line.
 fn render_event(event: &JobEvent) -> String {
     match event {
-        JobEvent::Queued { job, client } => format!("EVENT {} QUEUED {client}", job.0),
+        JobEvent::Queued { job, client } => {
+            format!("JOB {}\nEVENT {} QUEUED {client}", job.0, job.0)
+        }
         JobEvent::ExtractionCacheHit { job, tier } => {
             let tier = match tier {
                 CacheOutcome::MemoryHit => "memory",
@@ -224,63 +268,92 @@ fn render_event(event: &JobEvent) -> String {
     }
 }
 
-fn serve_connection(stream: TcpStream, queue: &Arc<JobQueue>) {
+/// Serves one connection: spawns its writer, reads requests until
+/// `QUIT`, end of stream or an oversized line, then waits for the writer
+/// to deliver every in-flight job's remaining events.
+fn serve_connection(stream: TcpStream, queue: &JobQueue) {
     let client = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "unknown".into());
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
+    let Ok(write_half) = stream.try_clone() else {
+        return;
     };
-    // Event-forwarding threads interleave with command responses, one
-    // line at a time.
-    let writer = Arc::new(Mutex::new(stream));
-    let write_line = |w: &Arc<Mutex<TcpStream>>, line: &str| {
-        let mut w = w.lock().unwrap();
-        let _ = writeln!(w, "{line}");
+    let (tx, rx) = mpsc::channel();
+    let Ok(writer) = thread::Builder::new()
+        .name("pdn-service-writer".into())
+        .spawn(move || write_lines(write_half, &rx))
+    else {
+        return;
     };
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+    read_requests(BufReader::new(stream), &client, queue, &tx);
+    // The writer stops once this sender and every in-flight job's clone
+    // of it are gone, i.e. after the last `DONE`/`FAILED` line.
+    drop(tx);
+    let _ = writer.join();
+}
+
+/// The writer thread: drains `lines` into the socket, one `write_all`
+/// per batch of whole lines, until every sender is gone or the peer stops
+/// reading. Then shuts the socket down, which also ends a reader still
+/// blocked on a dead peer.
+fn write_lines(mut stream: TcpStream, lines: &Receiver<Outgoing>) {
+    let _ = stream.set_nodelay(true);
+    let mut buf = String::new();
+    while let Ok(first) = lines.recv() {
+        buf.clear();
+        render(&first, &mut buf);
+        for next in lines.try_iter() {
+            render(&next, &mut buf);
         }
-        if trimmed == "QUIT" {
+        if stream.write_all(buf.as_bytes()).is_err() {
             break;
         }
-        if trimmed == "STATS" {
-            let s = queue.cache().stats();
-            write_line(
-                &writer,
-                &format!(
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The reader: one request per line, at most [`MAX_LINE`] bytes each.
+/// Replies and job events go to the writer through `out`, in order.
+fn read_requests(mut reader: impl BufRead, client: &str, queue: &JobQueue, out: &Sender<Outgoing>) {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if line.len() > MAX_LINE && line.last() != Some(&b'\n') {
+            let _ = out.send(Outgoing::Reply(format!(
+                "ERR request line exceeds {MAX_LINE} bytes"
+            )));
+            return;
+        }
+        let text = String::from_utf8_lossy(&line);
+        let reply = match text.trim() {
+            "" => continue,
+            "QUIT" => return,
+            "STATS" => {
+                let s = queue.cache().stats();
+                format!(
                     "STATS memory_hits {} disk_hits {} extractions {} coalesced {} \
                      load_failures {}",
                     s.memory_hits, s.disk_hits, s.extractions, s.coalesced, s.load_failures
-                ),
-            );
-            continue;
-        }
-        match parse_request(trimmed).map_err(|e| e.to_string()) {
-            Err(msg) => write_line(&writer, &format!("ERR {msg}")),
-            Ok(request) => match queue.submit(&client, request) {
-                Err(e) => write_line(&writer, &format!("ERR {e}")),
-                Ok((id, events)) => {
-                    write_line(&writer, &format!("JOB {}", id.0));
-                    let writer = Arc::clone(&writer);
-                    let _ = thread::Builder::new()
-                        .name("pdn-service-events".into())
-                        .spawn(move || {
-                            for event in events {
-                                let line = render_event(&event);
-                                let mut w = writer.lock().unwrap();
-                                if writeln!(w, "{line}").is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                }
+                )
+            }
+            request => match parse_request(request) {
+                Err(msg) => format!("ERR {msg}"),
+                // `JOB <id>` is rendered by the writer from the job's
+                // `Queued` event.
+                Ok(request) => match queue.submit_to(client, request, out.clone()) {
+                    Ok(_) => continue,
+                    Err(e) => format!("ERR {e}"),
+                },
             },
+        };
+        if out.send(Outgoing::Reply(reply)).is_err() {
+            return;
         }
     }
 }

@@ -125,7 +125,7 @@ fn warm_hits_match_cold_extraction_across_thread_counts() {
                 "restored models carry no BEM system"
             );
         }
-        let batch = ScenarioBatch::with_model(&board, (*model).clone()).unwrap();
+        let batch = ScenarioBatch::with_model(&board, model).unwrap();
         let outs = batch.run(&scenarios, 4e-9, 0.1e-9).unwrap();
         match &reference {
             None => reference = Some(outs),
@@ -364,11 +364,11 @@ fn ssn_study_a_warm_cache_bit_identity() {
     assert_eq!(o2, CacheOutcome::DiskHit);
     assert_eq!(warm_cache.stats().extractions, 0, "warm path runs no BEM");
     let scenarios = [Scenario::switching(4)];
-    let cold_out = ScenarioBatch::with_model(&board, (*cold).clone())
+    let cold_out = ScenarioBatch::with_model(&board, cold)
         .unwrap()
         .run(&scenarios, 5e-9, 0.05e-9)
         .unwrap();
-    let warm_out = ScenarioBatch::with_model(&board, (*warm).clone())
+    let warm_out = ScenarioBatch::with_model(&board, warm)
         .unwrap()
         .run(&scenarios, 5e-9, 0.05e-9)
         .unwrap();
