@@ -28,10 +28,9 @@
 //! accounting. Assembly fans the fixed block list across
 //! [`pdn_num::parallel`] workers and every per-block computation is
 //! serial and deterministically pivoted, so compressed kernels are
-//! bit-identical for any `PDN_THREADS`.
-//!
-//! Set `PDN_ACA_STATS=1` to print per-kernel block/rank/byte diagnostics
-//! to stderr at assembly time.
+//! bit-identical for any `PDN_THREADS`. Each kernel reports its block,
+//! rank and byte accounting through [`CompressedKernel::stats`] and
+//! [`CompressedLinkKernel::stats`].
 
 use crate::assembly::{kernel_row, scalar_kernel, AssembleBemError, BemOptions, Testing};
 use pdn_geom::mesh::LinkDirection;
@@ -84,6 +83,13 @@ pub(crate) const RECOMPRESS_MARGIN: f64 = 4.0;
 /// Certified rows sampled per low-rank block.
 pub(crate) const CERT_ROWS: usize = 2;
 
+/// Columns solved together per block-CG panel on the
+/// [`SolverSpec::BlockCg`] route: wide enough to amortize one
+/// compressed-operator sweep over many right-hand sides, narrow enough
+/// that the panel Gram matrix stays cheap (the fastest width measured on
+/// the benchmark boards).
+pub const BLOCK_CG_PANEL: usize = 48;
+
 /// Iterative-solver strategy for the compressed extraction path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverSpec {
@@ -91,40 +97,29 @@ pub enum SolverSpec {
     /// preconditioner — the original compressed path, kept as the
     /// default so existing results stay byte-stable.
     ScalarJacobi,
-    /// Multi-RHS block CG ([`pdn_num::cg::solve_spd_block`]) with a
-    /// hierarchical block-Jacobi preconditioner built from the kernel's
-    /// own cluster tree (exact Cholesky factors over leaf clusters).
+    /// Multi-RHS block CG ([`pdn_num::cg::solve_spd_block`]) over panels
+    /// of [`BLOCK_CG_PANEL`] columns with a hierarchical block-Jacobi
+    /// preconditioner built from the kernel's own cluster tree (exact
+    /// Cholesky factors over leaf clusters coarsened one tree level).
     /// One compressed-operator sweep per iteration serves the whole
     /// column panel, so total kernel matvecs drop sharply — see
     /// `docs/COMPRESSION.md` for the measured contract.
-    BlockCg {
-        /// Columns solved per block-CG panel. Must be at least 1;
-        /// 32–64 balances amortization against panel Gram-matrix cost.
-        panel: usize,
-        /// Coarsen the preconditioner one tree level: merge sibling
-        /// leaves into their parent cluster (stronger, costlier
-        /// factors).
-        coarsen: bool,
-    },
+    BlockCg,
 }
 
 impl SolverSpec {
     /// Whether this strategy uses the block solver.
     pub fn is_block(&self) -> bool {
-        matches!(self, SolverSpec::BlockCg { .. })
+        *self == SolverSpec::BlockCg
     }
 
     /// Appends a canonical byte encoding of the solver strategy to `w`
     /// (part of the `pdn-service` content hash).
     pub fn write_canonical(&self, w: &mut pdn_num::ByteWriter) {
-        match self {
-            SolverSpec::ScalarJacobi => w.put_u8(0),
-            SolverSpec::BlockCg { panel, coarsen } => {
-                w.put_u8(1);
-                w.put_usize(*panel);
-                w.put_u8(*coarsen as u8);
-            }
-        }
+        w.put_u8(match self {
+            SolverSpec::ScalarJacobi => 0,
+            SolverSpec::BlockCg => 1,
+        });
     }
 }
 
@@ -180,20 +175,9 @@ impl CompressionSpec {
     }
 
     /// Switches the compressed extraction path to block CG with the
-    /// hierarchical preconditioner ([`SolverSpec::BlockCg`]) at the
-    /// default panel width (48 columns) and coarsened preconditioner
-    /// clusters — the fastest measured configuration.
+    /// hierarchical preconditioner ([`SolverSpec::BlockCg`]).
     pub fn with_block_solver(mut self) -> Self {
-        self.solver = SolverSpec::BlockCg {
-            panel: 48,
-            coarsen: true,
-        };
-        self
-    }
-
-    /// Sets an explicit solver strategy.
-    pub fn with_solver(mut self, solver: SolverSpec) -> Self {
-        self.solver = solver;
+        self.solver = SolverSpec::BlockCg;
         self
     }
 
@@ -202,9 +186,8 @@ impl CompressionSpec {
     ///
     /// # Errors
     ///
-    /// `tol` outside `(0, 1)` or non-finite, `leaf_size == 0`, a
-    /// non-finite/non-positive `eta`, or a zero block-CG panel width are
-    /// rejected.
+    /// `tol` outside `(0, 1)` or non-finite, `leaf_size == 0`, or a
+    /// non-finite/non-positive `eta` are rejected.
     pub fn validate(&self) -> Result<(), AssembleBemError> {
         if !(self.tol.is_finite() && self.tol > 0.0 && self.tol < 1.0) {
             return Err(AssembleBemError::InvalidInput(format!(
@@ -222,13 +205,6 @@ impl CompressionSpec {
                 "compression eta must be finite and positive, got {}",
                 self.eta
             )));
-        }
-        if let SolverSpec::BlockCg { panel, .. } = self.solver {
-            if panel == 0 {
-                return Err(AssembleBemError::InvalidInput(
-                    "block-CG panel width must be at least 1".into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -1336,23 +1312,6 @@ impl CompressedKernels {
     }
 }
 
-/// Whether `PDN_ACA_STATS=1` diagnostics are enabled.
-fn aca_stats_enabled() -> bool {
-    std::env::var("PDN_ACA_STATS").as_deref() == Ok("1")
-}
-
-fn emit_kernel_stats(label: &str, n: usize, s: CompressionStats) {
-    eprintln!(
-        "[pdn-aca] {label}: n={n} blocks={} low_rank={} max_rank={} stored={:.2} MB dense={:.2} MB ({:.1}x)",
-        s.blocks,
-        s.low_rank_blocks,
-        s.max_rank,
-        s.stored_bytes as f64 / 1e6,
-        s.dense_bytes as f64 / 1e6,
-        s.dense_bytes as f64 / s.stored_bytes.max(1) as f64,
-    );
-}
-
 /// Assembles the compressed `P` and `L` kernels plus the link
 /// resistances for a meshed plane — the compressed counterpart of
 /// [`crate::assembly::assemble_matrices`], entry-compatible with it: the
@@ -1446,13 +1405,6 @@ pub fn assemble_compressed(
             LinkDirection::Y => r_dc * mesh.dy() / mesh.dx(),
         })
         .collect();
-
-    if aca_stats_enabled() {
-        emit_kernel_stats("P", n, p.stats());
-        let (sx, sy) = l.stats();
-        emit_kernel_stats("L/x", l.x_idx.len(), sx);
-        emit_kernel_stats("L/y", l.y_idx.len(), sy);
-    }
     Ok((CompressedKernels { p, l, spec: *spec }, r_link))
 }
 
@@ -1540,11 +1492,6 @@ pub fn compress_link_matrices(
             LinkDirection::Y => r_dc * dy / dx,
         })
         .collect();
-    if aca_stats_enabled() {
-        let (sx, sy) = l.stats();
-        emit_kernel_stats("L/stitch-x", l.x_idx.len(), sx);
-        emit_kernel_stats("L/stitch-y", l.y_idx.len(), sy);
-    }
     Ok((l, r_link))
 }
 
@@ -1737,14 +1684,6 @@ mod tests {
 
     #[test]
     fn spec_validation_rejects_zero_block_panel() {
-        let bad = CompressionSpec::default().with_solver(SolverSpec::BlockCg {
-            panel: 0,
-            coarsen: false,
-        });
-        assert!(matches!(
-            bad.validate(),
-            Err(AssembleBemError::InvalidInput(_))
-        ));
         assert!(CompressionSpec::default()
             .with_block_solver()
             .validate()

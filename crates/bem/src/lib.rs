@@ -60,6 +60,6 @@ pub use columns::CompressedColumns;
 pub use compress::{
     assemble_compressed, compress_link_matrices, kernel_matvec_count, reset_kernel_matvec_count,
     CompressedKernel, CompressedKernels, CompressedLinkKernel, CompressionSpec, CompressionStats,
-    SolverSpec,
+    SolverSpec, BLOCK_CG_PANEL,
 };
 pub use system::BemSystem;

@@ -429,10 +429,7 @@ impl BemSystem {
         freqs: &[f64],
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, AssembleBemError> {
-        rational::sweep("bem.admittance", freqs, accuracy, |f| {
-            self.nodal_admittance(f)
-        })
-        .map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.nodal_admittance(f)).map_err(from_sweep_err)
     }
 
     /// Batched [`port_impedance`](Self::port_impedance): one port
@@ -489,7 +486,7 @@ impl BemSystem {
         freqs: &[f64],
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, AssembleBemError> {
-        rational::sweep("bem.impedance", freqs, accuracy, |f| {
+        rational::sweep(freqs, accuracy, |f| {
             let y = self.nodal_admittance(f)?;
             self.port_impedance_from_admittance(y)
         })
@@ -504,10 +501,10 @@ impl BemSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`AssembleBemError::InvalidInput`] unless `points >= 2`,
-    /// `f_start > 0`, and `f_stop > f_start` (the same contract as the
-    /// `AcSweep` constructors); otherwise propagates solve errors from
-    /// [`port_impedance`](Self::port_impedance).
+    /// Returns [`AssembleBemError::InvalidInput`] unless `port` is a
+    /// bound port, `points >= 2`, and `0 < f_start < f_stop` (the same
+    /// contract as the `AcSweep` constructors); otherwise propagates
+    /// solve errors from [`port_impedance`](Self::port_impedance).
     pub fn find_resonances(
         &self,
         port: usize,
@@ -536,32 +533,15 @@ impl BemSystem {
         points: usize,
         accuracy: SweepAccuracy,
     ) -> Result<Vec<f64>, AssembleBemError> {
-        if points < 2 {
-            return Err(AssembleBemError::InvalidInput(format!(
-                "resonance scan needs at least two sweep points, got {points}"
-            )));
-        }
-        if !(f_start > 0.0 && f_stop > f_start) {
-            return Err(AssembleBemError::InvalidInput(format!(
-                "invalid resonance scan range [{f_start}, {f_stop}]: \
-                 need 0 < f_start < f_stop"
-            )));
-        }
-        let freqs: Vec<f64> = (0..points)
-            .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
-            .collect();
-        let outcome = self.impedance_sweep_detailed(&freqs, accuracy)?;
-        let mags: Vec<f64> = outcome
-            .values
-            .iter()
-            .map(|zk| zk[(port, port)].norm())
-            .collect();
-        Ok(match &outcome.model {
-            Some(model) => {
-                rational::pole_seeded_peaks(&freqs, &mags, model, &|z| z[(port, port)].norm())
-            }
-            None => rational::peaks_on_grid(&freqs, &mags),
-        })
+        rational::scan_resonances(
+            port,
+            self.mesh.ports().len(),
+            f_start,
+            f_stop,
+            points,
+            AssembleBemError::InvalidInput,
+            |freqs| self.impedance_sweep_detailed(freqs, accuracy),
+        )
     }
 }
 

@@ -22,7 +22,7 @@
 //! summary is written to `BENCH_extract.json` in the crate directory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdn_bem::{kernel_matvec_count, SolverSpec};
+use pdn_bem::{kernel_matvec_count, SolverSpec, BLOCK_CG_PANEL};
 use pdn_core::prelude::*;
 use pdn_extract::EquivalentCircuit;
 use pdn_num::cg::cg_iteration_count;
@@ -115,11 +115,6 @@ fn extract_iter_bench(c: &mut Criterion) {
     let scalar_opts = BemOptions::default().with_compression(CompressionSpec::with_tol(TOL));
     let block_opts =
         BemOptions::default().with_compression(CompressionSpec::with_tol(TOL).with_block_solver());
-    let SolverSpec::BlockCg { panel, coarsen } =
-        CompressionSpec::with_tol(TOL).with_block_solver().solver
-    else {
-        unreachable!("with_block_solver selects BlockCg")
-    };
 
     println!(
         "--- block-CG vs scalar-CG compressed extraction: 10x7 in plane, tol = {TOL:.0e} \
@@ -206,11 +201,12 @@ fn extract_iter_bench(c: &mut Criterion) {
         assert_eq!(cols.len(), SAMPLE_COLS);
         let scale = n as f64 / cols.len() as f64;
 
-        // Block route: hierarchical preconditioner, panels of `panel`.
-        let l_pc = ck.l.block_jacobi(coarsen).expect("preconditioner");
+        // Block route: coarsened hierarchical preconditioner, panels of
+        // `BLOCK_CG_PANEL` — the settings the block extraction uses.
+        let l_pc = ck.l.block_jacobi(true).expect("preconditioner");
         let (mv0, it0) = (kernel_matvec_count(), cg_iteration_count());
         let (t_block, ()) = timed(|| {
-            for chunk in cols.chunks(panel) {
+            for chunk in cols.chunks(BLOCK_CG_PANEL) {
                 let rhs: Vec<Vec<f64>> = chunk.iter().map(|&j| a_column(&links, m, j)).collect();
                 black_box(
                     ck.l.solve_block(&rhs, &l_pc, cg_tol, max_iter)
@@ -266,10 +262,10 @@ fn extract_iter_bench(c: &mut Criterion) {
     let sel = NodeSelection::PortsAndGrid { stride: 2 };
     let sys_scalar = BemSystem::assemble(mesh.clone(), &p, &z, &scalar_opts).expect("assemblable");
     let sys_block = BemSystem::assemble(mesh, &p, &z, &block_opts).expect("assemblable");
-    assert!(matches!(
+    assert_eq!(
         sys_block.compressed().expect("compressed").spec.solver,
-        SolverSpec::BlockCg { .. }
-    ));
+        SolverSpec::BlockCg
+    );
     let mut g = c.benchmark_group("extract_iter");
     g.sample_size(10);
     g.bench_with_input(BenchmarkId::new("extract", "scalar"), &(), |b, ()| {

@@ -7,8 +7,7 @@
 //! to the cold one and that the warm phase performed **zero** extractions;
 //! the acceptance target is ≥ 4× aggregate throughput over the cold
 //! baseline. The measured summary is written to `BENCH_service.json` in
-//! the crate directory, and `PDN_SERVICE_STATS=1` is set so per-job
-//! timings land on stderr.
+//! the crate directory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdn_core::boards;
@@ -52,7 +51,6 @@ fn wait_done(rx: Receiver<JobEvent>) -> SsnOutcome {
 }
 
 fn service_throughput_bench(c: &mut Criterion) {
-    std::env::set_var("PDN_SERVICE_STATS", "1");
     let root = std::env::temp_dir().join(format!("pdn-service-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let board = boards::ssn_study_a_board(0.25).expect("1120-cell study-A board");
@@ -131,7 +129,6 @@ fn service_throughput_bench(c: &mut Criterion) {
 
     queue.shutdown();
     std::fs::remove_dir_all(&root).ok();
-    std::env::remove_var("PDN_SERVICE_STATS");
 }
 
 criterion_group!(benches, service_throughput_bench);

@@ -242,7 +242,7 @@ impl Circuit {
     ) -> Result<AcResult, SimulateCircuitError> {
         let n = self.n_nodes;
         let dim = n + self.n_vsources;
-        let outcome = rational::sweep("circuit.ac", &sweep.freqs, accuracy, |f| {
+        let outcome = rational::sweep(&sweep.freqs, accuracy, |f| {
             let omega = 2.0 * PI * f;
             let a = self.ac_matrix(omega);
             let mut rhs = vec![c64::ZERO; dim];
@@ -371,10 +371,8 @@ impl Circuit {
         ports: &[NodeId],
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, SimulateCircuitError> {
-        rational::sweep("circuit.impedance", freqs, accuracy, |f| {
-            self.impedance_matrix(f, ports)
-        })
-        .map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.impedance_matrix(f, ports))
+            .map_err(from_sweep_err)
     }
 }
 

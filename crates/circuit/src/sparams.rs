@@ -128,7 +128,7 @@ impl Circuit {
         z0: f64,
         accuracy: SweepAccuracy,
     ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        rational::sweep("circuit.sparams", freqs, accuracy, |f| {
+        rational::sweep(freqs, accuracy, |f| {
             let z = self.impedance_matrix(f, ports)?;
             s_from_z(&z, z0).map_err(|e| SimulateCircuitError::Singular(format!("f = {f}: {e}")))
         })

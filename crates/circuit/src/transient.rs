@@ -1402,12 +1402,9 @@ mod reduced_order_tests {
         let grid: Vec<f64> = (0..50)
             .map(|k| 1e6 * (5e9f64 / 1e6).powf(k as f64 / 49.0))
             .collect();
-        let outcome = sweep(
-            "circuit.rom_test",
-            &grid,
-            SweepAccuracy::Rational { rel_tol: 1e-8 },
-            |f| Ok::<_, std::convert::Infallible>(analytic_y(g, c, r2, l, f)),
-        )
+        let outcome = sweep(&grid, SweepAccuracy::Rational { rel_tol: 1e-8 }, |f| {
+            Ok::<_, std::convert::Infallible>(analytic_y(g, c, r2, l, f))
+        })
         .unwrap();
         let model = outcome.model.expect("rational fit certified");
         let holdout: Vec<f64> = (0..6)
@@ -1419,7 +1416,6 @@ mod reduced_order_tests {
             .collect();
         Arc::new(
             PoleResidueModel::from_rational(
-                "circuit.rom_test",
                 &model,
                 &grid,
                 &outcome.values,

@@ -12,7 +12,6 @@ use pdn_shard::{
 };
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Error from the end-to-end extraction flow.
 #[derive(Debug)]
@@ -304,28 +303,16 @@ impl PlaneSpec {
 
     /// Builds the mesh, runs the BEM, and extracts the macromodel.
     ///
-    /// Set `PDN_EXTRACT_STATS=1` to print a one-line stderr summary
-    /// (cells, dense matrix dimensions, ports, wall time).
-    ///
     /// # Errors
     ///
     /// Returns [`ExtractPlaneError`] describing which stage failed.
     pub fn extract(&self, selection: &NodeSelection) -> Result<ExtractedPlane, ExtractPlaneError> {
-        let t0 = Instant::now();
         let mut mesh = PlaneMesh::build_multi(&self.shapes, self.cell_size)?;
         for (name, p) in &self.ports {
             mesh.bind_port(name.clone(), *p)?;
         }
-        let (cells, links, nports) = (mesh.cell_count(), mesh.link_count(), mesh.ports().len());
         let bem = BemSystem::assemble(mesh, &self.pair, &self.loop_impedance(), &self.options)?;
         let equivalent = EquivalentCircuit::from_bem(&bem, selection)?;
-        pdn_shard::emit_extract_stats(
-            "plane",
-            cells,
-            links,
-            nports,
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
         Ok(ExtractedPlane { bem, equivalent })
     }
 
@@ -362,9 +349,8 @@ impl PlaneSpec {
 
     /// Validation mode: extracts this plane both monolithically and under
     /// `plan`, and returns the maximum relative port-impedance deviation
-    /// over `freqs` (see
-    /// [`max_port_impedance_deviation`](pdn_shard::max_port_impedance_deviation)
-    /// for the metric). Use on a small representative board to check a
+    /// over `freqs` (see [`max_port_impedance_deviation`] for the metric).
+    /// Use on a small representative board to check a
     /// shard plan against the documented tolerance before trusting it on
     /// the full-size layout.
     ///

@@ -531,7 +531,8 @@ impl EquivalentCircuit {
 
     /// The block-iterative compressed extraction path
     /// ([`pdn_bem::SolverSpec::BlockCg`]): right-hand sides are solved in
-    /// panels by [`pdn_num::cg::solve_spd_block`] under hierarchical
+    /// panels of [`pdn_bem::BLOCK_CG_PANEL`] columns by
+    /// [`pdn_num::cg::solve_spd_block`] under hierarchical
     /// block-Jacobi preconditioners built from the kernels' ACA cluster
     /// trees, and the eliminated B-block — the dense `e²` working set of
     /// the scalar path — is assembled as a certified
@@ -549,9 +550,7 @@ impl EquivalentCircuit {
         use crate::reduce::kron_reduce_operator;
 
         let ck = sys.compressed().expect("compressed extraction path");
-        let pdn_bem::SolverSpec::BlockCg { panel, coarsen } = ck.spec.solver else {
-            unreachable!("block extraction path requires SolverSpec::BlockCg");
-        };
+        let panel = pdn_bem::BLOCK_CG_PANEL;
         let mesh = sys.mesh();
         let n = mesh.cell_count();
         let links = mesh.links();
@@ -565,9 +564,10 @@ impl EquivalentCircuit {
         let breakdown =
             |e: pdn_bem::AssembleBemError| ExtractCircuitError::NumericalBreakdown(e.to_string());
 
-        // Hierarchical preconditioners over the kernels' cluster trees.
-        let l_pc = ck.l.block_jacobi(coarsen).map_err(breakdown)?;
-        let p_pc = ck.p.block_jacobi(coarsen).map_err(breakdown)?;
+        // Hierarchical preconditioners over the kernels' coarsened
+        // cluster trees.
+        let l_pc = ck.l.block_jacobi(true).map_err(breakdown)?;
+        let p_pc = ck.p.block_jacobi(true).map_err(breakdown)?;
 
         // Kept/eliminated index maps.
         let mut kept_pos = vec![usize::MAX; n];
@@ -685,7 +685,7 @@ impl EquivalentCircuit {
                 },
             )
             .map_err(breakdown)?;
-            let elim_clusters = bee.leaf_clusters(coarsen);
+            let elim_clusters = bee.leaf_clusters(true);
             let mats = bee.cluster_restrictions(&elim_clusters);
             let bee_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
                 e,
@@ -1192,8 +1192,7 @@ impl EquivalentCircuit {
         freqs: &[f64],
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
-        rational::sweep("extract.impedance", freqs, accuracy, |f| self.impedance(f))
-            .map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.impedance(f)).map_err(from_sweep_err)
     }
 
     /// Batched [`s_parameters`](Self::s_parameters) over a frequency
@@ -1243,10 +1242,7 @@ impl EquivalentCircuit {
         z0: f64,
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
-        rational::sweep("extract.sparams", freqs, accuracy, |f| {
-            self.s_parameters(f, z0)
-        })
-        .map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.s_parameters(f, z0)).map_err(from_sweep_err)
     }
 
     /// Finds the input-impedance resonances at a port, **ascending** with
@@ -1256,12 +1252,9 @@ impl EquivalentCircuit {
     ///
     /// # Errors
     ///
-    /// Propagates solve failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `points >= 3` and `0 < f_start < f_stop` (the
-    /// [`crate::resonance::linear_grid`] contract).
+    /// Returns [`ExtractCircuitError::InvalidInput`] unless `port` is a
+    /// port of the model, `points >= 2`, and `0 < f_start < f_stop`;
+    /// otherwise propagates solve failures.
     pub fn find_resonances(
         &self,
         port: usize,
@@ -1281,10 +1274,6 @@ impl EquivalentCircuit {
     /// # Errors
     ///
     /// Same contract as [`find_resonances`](Self::find_resonances).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `points >= 3` and `0 < f_start < f_stop`.
     pub fn find_resonances_with(
         &self,
         port: usize,
@@ -1293,19 +1282,15 @@ impl EquivalentCircuit {
         points: usize,
         accuracy: SweepAccuracy,
     ) -> Result<Vec<f64>, ExtractCircuitError> {
-        let freqs = crate::resonance::linear_grid(f_start, f_stop, points);
-        let outcome = self.impedance_sweep_detailed(&freqs, accuracy)?;
-        let mags: Vec<f64> = outcome
-            .values
-            .iter()
-            .map(|zk| zk[(port, port)].norm())
-            .collect();
-        Ok(match &outcome.model {
-            Some(model) => {
-                rational::pole_seeded_peaks(&freqs, &mags, model, &|z| z[(port, port)].norm())
-            }
-            None => rational::peaks_on_grid(&freqs, &mags),
-        })
+        rational::scan_resonances(
+            port,
+            self.port_count(),
+            f_start,
+            f_stop,
+            points,
+            ExtractCircuitError::InvalidInput,
+            |freqs| self.impedance_sweep_detailed(freqs, accuracy),
+        )
     }
 
     /// Exports the macromodel into a [`pdn_circuit::Circuit`] with the
@@ -1377,8 +1362,9 @@ impl EquivalentCircuit {
         nodes
     }
 
-    /// Average link-direction resistance of a lossy branch circuit — a
-    /// quick sanity metric exposed for diagnostics.
+    /// Whether the macromodel carries conductor loss: `true` when the
+    /// reduced DC conductance matrix `G` has a nonzero entry (the links
+    /// have resistance), `false` for a lossless extraction.
     pub fn has_loss(&self) -> bool {
         self.g.max_abs() > 0.0
     }
@@ -1408,8 +1394,8 @@ impl EquivalentCircuit {
     /// converts the barycentric model to pole–residue form, enforces
     /// passivity, and certifies the result against exact solves at
     /// geometric-midpoint frequencies never seen by the fit (tolerance
-    /// `spec.cert_tol`). Set `PDN_ROM_STATS=1` for a fitting report on
-    /// stderr.
+    /// `spec.cert_tol`). The returned model's accessors report its size
+    /// and fit quality.
     ///
     /// # Errors
     ///
@@ -1450,7 +1436,6 @@ impl EquivalentCircuit {
             })
             .collect();
         let outcome = rational::sweep(
-            "extract.rom",
             &grid,
             SweepAccuracy::Rational {
                 rel_tol: spec.rel_tol,
@@ -1474,7 +1459,6 @@ impl EquivalentCircuit {
             holdout.push(f);
         }
         PoleResidueModel::from_rational(
-            "extract.rom",
             &model,
             &grid,
             &outcome.values,
@@ -1778,29 +1762,24 @@ mod tests {
         // NodeSelection::All leaves e == 0: the block route must skip the
         // compressed-columns machinery entirely and still agree with the
         // scalar compressed route bit-for-bit in structure.
-        let build = |solver: pdn_bem::SolverSpec| {
+        let build = |spec: pdn_bem::CompressionSpec| {
             let mut mesh =
                 PlaneMesh::build(&Polygon::rectangle(mm(12.0), mm(8.0)), mm(1.0)).unwrap();
             mesh.bind_port("P1", Point::new(mm(2.0), mm(4.0))).unwrap();
             let pair = PlanePair::new(0.3e-3, 4.2).unwrap();
             let zs = SurfaceImpedance::from_sheet_resistance(5e-3);
             let opts = BemOptions {
-                compression: Some(
-                    pdn_bem::CompressionSpec {
-                        leaf_size: 8,
-                        ..pdn_bem::CompressionSpec::default()
-                    }
-                    .with_solver(solver),
-                ),
+                compression: Some(spec),
                 ..BemOptions::default()
             };
             BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap()
         };
-        let scalar = build(pdn_bem::SolverSpec::ScalarJacobi);
-        let block = build(pdn_bem::SolverSpec::BlockCg {
-            panel: 16,
-            coarsen: false,
-        });
+        let spec = pdn_bem::CompressionSpec {
+            leaf_size: 8,
+            ..pdn_bem::CompressionSpec::default()
+        };
+        let scalar = build(spec);
+        let block = build(spec.with_block_solver());
         let (eq_s, _) = EquivalentCircuit::from_bem_detailed(&scalar, &NodeSelection::All).unwrap();
         let (eq_b, _) = EquivalentCircuit::from_bem_detailed(&block, &NodeSelection::All).unwrap();
         assert_eq!(eq_s.node_count(), eq_b.node_count());

@@ -20,8 +20,8 @@
 //!
 //! All drivers are serial in their recurrences (the only parallelism is
 //! whatever the caller's `apply` closure does internally), so solutions
-//! are bit-identical for any `PDN_THREADS`. Set `PDN_CG_STATS=1` to
-//! print per-solve iteration/deflation/residual diagnostics to stderr.
+//! are bit-identical for any `PDN_THREADS`. [`cg_iteration_count`]
+//! attributes iteration cost to a workload.
 
 use crate::precond::{JacobiPreconditioner, Preconditioner};
 use crate::{Matrix, Vector};
@@ -92,11 +92,6 @@ impl fmt::Display for IterativeSolveError {
 }
 
 impl Error for IterativeSolveError {}
-
-/// Whether `PDN_CG_STATS=1` per-solve diagnostics are enabled.
-fn cg_stats_enabled() -> bool {
-    std::env::var("PDN_CG_STATS").as_deref() == Ok("1")
-}
 
 /// Global CG iteration counter — every completed solver iteration
 /// (scalar, or one panel iteration of the block driver) adds one.
@@ -228,14 +223,6 @@ pub fn solve_spd_pc(
         }
         let r_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         if r_norm <= tol * b_norm {
-            if cg_stats_enabled() {
-                eprintln!(
-                    "[pdn-cg] scalar: n={n} iters={} relres={:.3e} jacobi={}",
-                    it + 1,
-                    r_norm / b_norm,
-                    pc.is_jacobi(),
-                );
-            }
             return Ok(x);
         }
         if it + 1 == max_iter {
@@ -437,11 +424,7 @@ pub fn solve_spd_block(
     let mut r: Vec<Vec<f64>> = active.iter().map(|&j| b[j].clone()).collect();
     let mut p: Vec<Vec<f64>> = vec![vec![0.0; n]; r.len()];
     pc.apply_panel_into(&r, &mut p);
-    let initial_rhs = active.len();
-    let mut matvecs = 0usize;
-    let mut deflations = 0usize;
     let mut iters = 0usize;
-    let mut final_res = 0.0f64;
     while !active.is_empty() {
         if iters == max_iter {
             let worst = active
@@ -462,7 +445,6 @@ pub fn solve_spd_block(
         if q.len() != p.len() || q.iter().any(|col| col.len() != n) {
             return Err(IterativeSolveError::BadShape);
         }
-        matvecs += p.len();
         // Direction Gram matrix S = PᵀQ (= PᵀAP), symmetrized.
         let sa = p.len();
         let q_all: Vec<&Vec<f64>> = q.iter().collect();
@@ -491,7 +473,6 @@ pub fn solve_spd_block(
         if rank == 0 {
             return Err(IterativeSolveError::Breakdown { index: None });
         }
-        deflations += sa - rank;
         // Galerkin step on the retained directions: α = S_r⁻¹ · P_rᵀR.
         let p_piv: Vec<&Vec<f64>> = piv.iter().map(|&d| &p[d]).collect();
         let q_piv: Vec<&Vec<f64>> = piv.iter().map(|&d| &q[d]).collect();
@@ -522,11 +503,10 @@ pub fn solve_spd_block(
         for (c, &j) in active.iter().enumerate() {
             let res = r[c].iter().map(|v| v * v).sum::<f64>().sqrt() / b_norm[j];
             if res <= tol {
-                final_res = final_res.max(res);
-            } else {
-                keep_active.push(j);
-                keep_r.push(std::mem::take(&mut r[c]));
+                continue;
             }
+            keep_active.push(j);
+            keep_r.push(std::mem::take(&mut r[c]));
         }
         active = keep_active;
         r = keep_r;
@@ -551,13 +531,6 @@ pub fn solve_spd_block(
             p_next.push(zc);
         }
         p = p_next;
-    }
-    if cg_stats_enabled() {
-        eprintln!(
-            "[pdn-cg] block: n={n} rhs={initial_rhs} iters={iters} deflations={deflations} \
-             matvecs={matvecs} relres={final_res:.3e} jacobi={}",
-            pc.is_jacobi(),
-        );
     }
     Ok(x)
 }

@@ -57,13 +57,6 @@ pub const ROW_TILE: usize = 32;
 /// arithmetic for the full-width and zero-held tail paths, and independent
 /// of how callers tile the row range.
 pub trait GemmScalar: Scalar {
-    /// Real flops per scalar multiply-accumulate, used by the
-    /// `PDN_LU_STATS` GFLOP/s report (2 for `f64`, 8 for [`c64`]).
-    const FLOPS_PER_MAC: f64;
-
-    /// Short type label used by the `PDN_LU_STATS` report.
-    const LABEL: &'static str;
-
     /// The rank-1 pivot-row update of the panel factorization, applied to
     /// every row strictly below the pivot.
     ///
@@ -123,9 +116,6 @@ fn check_operands<T>(
 }
 
 impl GemmScalar for f64 {
-    const FLOPS_PER_MAC: f64 = 2.0;
-    const LABEL: &'static str = "f64";
-
     #[inline]
     fn panel_rank1(rows: &mut [Self], ld: usize, col: usize, end: usize, pivot: Self, u: &[Self]) {
         debug_assert_eq!(u.len(), end - col - 1, "pivot-row segment mismatch");
@@ -276,9 +266,6 @@ unsafe fn gemm_sub_f64_avx2(
 }
 
 impl GemmScalar for c64 {
-    const FLOPS_PER_MAC: f64 = 8.0;
-    const LABEL: &'static str = "c64";
-
     #[inline]
     fn panel_rank1(rows: &mut [Self], ld: usize, col: usize, end: usize, pivot: Self, u: &[Self]) {
         debug_assert_eq!(u.len(), end - col - 1, "pivot-row segment mismatch");

@@ -10,23 +10,18 @@
 //! recurrence, the matching `U` row block is obtained by a lane-group
 //! triangular solve, and the trailing matrix is updated through the
 //! cache-tiled [`gemm`] microkernel — fanned out over
-//! [`parallel`](crate::parallel) row tiles when the update is large enough
+//! [`parallel`] row tiles when the update is large enough
 //! to pay for the threads. Tile and block sizes are fixed constants, never
 //! derived from the worker count, so factors and solves are **bit-identical
 //! for any `PDN_THREADS`**. For matrices up to one block (`n ≤ 64`) the
 //! blocked loop degenerates to exactly the scalar elimination, so small
 //! systems (ports, MNA stamps, transmission lines) keep their historical
 //! bit patterns.
-//!
-//! Set `PDN_LU_STATS=1` to print a per-factorization stderr line with the
-//! matrix dimension, block size, panel/solve/update time split, and the
-//! effective GFLOP/s (matrices of at least one block only).
 
 use crate::gemm::{self, GemmScalar, BLOCK, ROW_TILE};
 use crate::{parallel, Matrix, Vector};
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Minimum multiply-accumulate count before a trailing update is fanned
 /// out over worker threads; below this the spawn cost dominates. The
@@ -89,10 +84,6 @@ impl fmt::Display for SolveMatrixError {
 }
 
 impl Error for SolveMatrixError {}
-
-fn stats_enabled() -> bool {
-    std::env::var("PDN_LU_STATS").as_deref() == Ok("1")
-}
 
 /// An LU factorization `P·A = L·U` with partial (row) pivoting.
 ///
@@ -159,17 +150,10 @@ impl<T: GemmScalar> LuDecomposition<T> {
         let scale = lu.max_abs().max(1.0);
         let tiny = scale * 1e-300;
 
-        let stats = stats_enabled() && n >= BLOCK;
-        let t_start = stats.then(Instant::now);
-        let mut panel_s = 0.0f64;
-        let mut trsm_s = 0.0f64;
-        let mut update_s = 0.0f64;
-
         let mut k0 = 0;
         while k0 < n {
             let k1 = (k0 + BLOCK).min(n);
             let kb = k1 - k0;
-            let t0 = stats.then(Instant::now);
 
             // --- Panel factorization: columns k0..k1, rows k0..n ---------
             // Classical partial-pivot elimination restricted to the panel
@@ -207,9 +191,6 @@ impl<T: GemmScalar> LuDecomposition<T> {
                     T::panel_rank1(rest, n, j, k1, pivot, urow);
                 }
             }
-            if let Some(t0) = t0 {
-                panel_s += t0.elapsed().as_secs_f64();
-            }
 
             if k1 < n {
                 let nc = n - k1;
@@ -218,19 +199,14 @@ impl<T: GemmScalar> LuDecomposition<T> {
                 let (top, bottom) = data.split_at_mut(k1 * n);
 
                 // --- U12 := L11⁻¹ · A12 -----------------------------------
-                let t1 = stats.then(Instant::now);
                 let mut l11 = vec![T::zero(); kb * kb];
                 for r in 0..kb {
                     l11[r * kb..(r + 1) * kb]
                         .copy_from_slice(&top[(k0 + r) * n + k0..(k0 + r) * n + k1]);
                 }
                 gemm::trsm_lower_unit(&l11, kb, &mut top[k0 * n + k1..], n, nc);
-                if let Some(t1) = t1 {
-                    trsm_s += t1.elapsed().as_secs_f64();
-                }
 
                 // --- Trailing update A22 -= L21 · U12 ---------------------
-                let t2 = stats.then(Instant::now);
                 // Pack L21 contiguously before C is mutated (the multiplier
                 // columns live in the same rows as the update target).
                 let mut l21 = Vec::with_capacity(nr * kb);
@@ -259,21 +235,8 @@ impl<T: GemmScalar> LuDecomposition<T> {
                         tile(ci, chunk);
                     }
                 }
-                if let Some(t2) = t2 {
-                    update_s += t2.elapsed().as_secs_f64();
-                }
             }
             k0 = k1;
-        }
-        if let Some(t_start) = t_start {
-            let total = t_start.elapsed().as_secs_f64();
-            let flops = T::FLOPS_PER_MAC * (n as f64).powi(3) / 3.0;
-            eprintln!(
-                "[pdn-lu] factor {} n={n} nb={BLOCK} panel={panel_s:.3}s trsm={trsm_s:.3}s \
-                 update={update_s:.3}s total={total:.3}s {:.2} GFLOP/s",
-                T::LABEL,
-                flops / total.max(1e-12) / 1e9,
-            );
         }
         Ok(LuDecomposition { lu, perm, sign })
     }
@@ -338,9 +301,6 @@ impl<T: GemmScalar> LuDecomposition<T> {
         if n == 0 || nrhs == 0 {
             return Ok(Matrix::zeros(n, nrhs));
         }
-        let stats = stats_enabled() && n >= BLOCK;
-        let t_start = stats.then(Instant::now);
-
         let mut x = Matrix::zeros(n, nrhs);
         for i in 0..n {
             x.row_mut(i).copy_from_slice(b.row(self.perm[i]));
@@ -405,15 +365,6 @@ impl<T: GemmScalar> LuDecomposition<T> {
                     }
                 }
             }
-        }
-        if let Some(t_start) = t_start {
-            let total = t_start.elapsed().as_secs_f64();
-            let flops = T::FLOPS_PER_MAC * (n as f64) * (n as f64) * nrhs as f64;
-            eprintln!(
-                "[pdn-lu] solve {} n={n} rhs={nrhs} nb={BLOCK} total={total:.3}s {:.2} GFLOP/s",
-                T::LABEL,
-                flops / total.max(1e-12) / 1e9,
-            );
         }
         Ok(x)
     }

@@ -34,8 +34,10 @@
 //!
 //! All per-step pole fan-out goes through [`crate::parallel`] with
 //! results reduced in pole-index order, so transient waveforms are
-//! **bit-identical for every `PDN_THREADS` setting**. Setting
-//! `PDN_ROM_STATS=1` prints one stderr line per built model.
+//! **bit-identical for every `PDN_THREADS` setting**. A built model
+//! reports its own size and fit quality through its accessors
+//! ([`PoleResidueModel::state_count`], [`PoleResidueModel::fit_residual`],
+//! [`PoleResidueModel::passivity_shift`], …).
 
 use crate::complex::c64;
 use crate::eigen::symmetric_eigen;
@@ -145,8 +147,6 @@ impl PoleResidueModel {
     ///   never entered the fit; the enforced model must match them
     ///   within `options.cert_tol`.
     ///
-    /// `label` names the model in `PDN_ROM_STATS=1` stderr lines.
-    ///
     /// # Errors
     ///
     /// [`PromError::InvalidInput`] for inconsistent shapes/grids,
@@ -154,7 +154,6 @@ impl PoleResidueModel {
     /// fail, and [`PromError::CertificationFailed`] when the enforced
     /// model misses `cert_tol` on the held-out solves.
     pub fn from_rational(
-        label: &str,
         model: &RationalModel,
         grid: &[f64],
         grid_values: &[Matrix<c64>],
@@ -162,7 +161,6 @@ impl PoleResidueModel {
         holdout_values: &[Matrix<c64>],
         options: &PromOptions,
     ) -> Result<Self, PromError> {
-        let t0 = std::time::Instant::now();
         if !(options.cert_tol.is_finite() && options.cert_tol > 0.0) {
             return Err(PromError::InvalidInput(format!(
                 "cert_tol must be positive and finite, got {}",
@@ -275,23 +273,6 @@ impl PoleResidueModel {
 
         out.fit_residual = worst_residual(&out, grid, grid_values);
         out.holdout_residual = worst_residual(&out, holdout, holdout_values);
-
-        if std::env::var("PDN_ROM_STATS").as_deref() == Ok("1") {
-            eprintln!(
-                "pdn rom[{label}]: {} ports, {} real + {} pair poles ({} states), \
-                 fit {:.3e}, holdout {:.3e}, passivity shift {:.3e} S, \
-                 ~{} mul-adds/step, {:.3} ms",
-                out.ports,
-                out.real_poles.len(),
-                out.pair_poles.len(),
-                out.state_count(),
-                out.fit_residual,
-                out.holdout_residual,
-                out.passivity_shift,
-                out.per_step_cost(),
-                t0.elapsed().as_secs_f64() * 1e3,
-            );
-        }
 
         // NaN-safe: a NaN residual must fail certification.
         let certified = out.holdout_residual <= options.cert_tol;
@@ -1207,12 +1188,9 @@ mod tests {
         let grid: Vec<f64> = (0..60)
             .map(|k| 1e6 * (3e9f64 / 1e6).powf(k as f64 / 59.0))
             .collect();
-        let outcome = sweep(
-            "prom.test",
-            &grid,
-            SweepAccuracy::Rational { rel_tol: 1e-6 },
-            |f| Ok::<_, std::convert::Infallible>(analytic_y(f)),
-        )
+        let outcome = sweep(&grid, SweepAccuracy::Rational { rel_tol: 1e-6 }, |f| {
+            Ok::<_, std::convert::Infallible>(analytic_y(f))
+        })
         .unwrap();
         let model = outcome.model.expect("rational fit certified");
         let holdout: Vec<f64> = (0..8)
@@ -1220,7 +1198,6 @@ mod tests {
             .collect();
         let holdout_values: Vec<Matrix<c64>> = holdout.iter().map(|&f| analytic_y(f)).collect();
         PoleResidueModel::from_rational(
-            "test",
             &model,
             &grid,
             &outcome.values,
@@ -1357,7 +1334,7 @@ mod tests {
     fn rejects_bad_inputs() {
         let grid = [1e6, 2e6, 3e6, 4e6];
         let vals: Vec<Matrix<c64>> = grid.iter().map(|&f| analytic_y(f)).collect();
-        let outcome = sweep("prom.badinput", &grid, SweepAccuracy::Exact, |f| {
+        let outcome = sweep(&grid, SweepAccuracy::Exact, |f| {
             Ok::<_, std::convert::Infallible>(analytic_y(f))
         })
         .unwrap();
@@ -1369,17 +1346,13 @@ mod tests {
         let grid2: Vec<f64> = (0..60)
             .map(|k| 1e6 * (3e9f64 / 1e6).powf(k as f64 / 59.0))
             .collect();
-        let outcome2 = sweep(
-            "prom.badinput2",
-            &grid2,
-            SweepAccuracy::Rational { rel_tol: 1e-6 },
-            |f| Ok::<_, std::convert::Infallible>(analytic_y(f)),
-        )
+        let outcome2 = sweep(&grid2, SweepAccuracy::Rational { rel_tol: 1e-6 }, |f| {
+            Ok::<_, std::convert::Infallible>(analytic_y(f))
+        })
         .unwrap();
         let model = outcome2.model.unwrap();
         // Mismatched sample count.
         let err = PoleResidueModel::from_rational(
-            "bad",
             &model,
             &grid2,
             &vals,
@@ -1391,7 +1364,6 @@ mod tests {
         assert!(matches!(err, PromError::InvalidInput(_)));
         // Bad tolerance.
         let err = PoleResidueModel::from_rational(
-            "bad",
             &model,
             &grid2,
             &outcome2.values,

@@ -39,8 +39,8 @@
 //!
 //! Every decision depends only on solved values, never on timing or
 //! scheduling, so results are **bit-identical for every `PDN_THREADS`
-//! setting**. Setting `PDN_SWEEP_STATS=1` prints one stats line per
-//! sweep to stderr.
+//! setting**. Each sweep returns its own accounting in
+//! [`SweepOutcome::stats`].
 //!
 //! # Examples
 //!
@@ -54,7 +54,7 @@
 //!     let y = (c64::from_re(f) - c64::new(4.0, 0.3)).recip();
 //!     Ok(Matrix::from_rows(&[&[y]]))
 //! };
-//! let out = sweep("demo", &freqs, SweepAccuracy::Rational { rel_tol: 1e-10 }, eval).unwrap();
+//! let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol: 1e-10 }, eval).unwrap();
 //! assert_eq!(out.values.len(), 64);
 //! assert!(out.stats.anchors < 32, "few exact solves: {}", out.stats.anchors);
 //! ```
@@ -118,8 +118,7 @@ impl<E: fmt::Display> fmt::Display for SweepError<E> {
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for SweepError<E> {}
 
-/// Per-sweep engine statistics (also printed to stderr when
-/// `PDN_SWEEP_STATS=1`).
+/// Per-sweep engine statistics.
 #[derive(Debug, Clone, Default)]
 pub struct SweepStats {
     /// Grid points in the sweep.
@@ -367,8 +366,7 @@ pub fn validate_grid(freqs: &[f64]) -> Result<(), String> {
 /// API (`BemSystem`, `Circuit`, `EquivalentCircuit`, the core verify
 /// helpers).
 ///
-/// `label` names the sweep in `PDN_SWEEP_STATS=1` stderr lines. `eval`
-/// must be a pure function of `f` (it is called from
+/// `eval` must be a pure function of `f` (it is called from
 /// [`crate::parallel`] workers and may be called at any subset of the
 /// grid).
 ///
@@ -378,7 +376,6 @@ pub fn validate_grid(freqs: &[f64]) -> Result<(), String> {
 /// [`SweepError::Eval`] with the lowest-index failing point's error when
 /// `eval` fails.
 pub fn sweep<E, F>(
-    label: &str,
     freqs: &[f64],
     accuracy: SweepAccuracy,
     eval: F,
@@ -405,19 +402,6 @@ where
         }
     };
     outcome.stats.wall = t0.elapsed();
-    if std::env::var("PDN_SWEEP_STATS").as_deref() == Ok("1") {
-        let s = &outcome.stats;
-        eprintln!(
-            "pdn sweep[{label}]: {} points, {} anchors factored, {} interpolated, \
-             {} fallback, max residual {:.3e}, {:.3} ms",
-            s.points,
-            s.anchors,
-            s.interpolated_points,
-            s.fallback_points,
-            s.max_residual,
-            s.wall.as_secs_f64() * 1e3,
-        );
-    }
     Ok(outcome)
 }
 
@@ -665,21 +649,6 @@ where
                 failing.push(mid);
             }
         }
-        if std::env::var("PDN_SWEEP_DEBUG").as_deref() == Ok("1") {
-            let worst = tests
-                .iter()
-                .map(|&(_, _, mid)| relative_residual(&m.evaluate(freqs[mid]), &cache[&mid]))
-                .fold(0.0f64, f64::max);
-            eprintln!(
-                "round {round}: data {}, cache {}, order {}, certified {}/{}, worst mid {:.3e}",
-                data.len(),
-                cache.len(),
-                m.order(),
-                round_certified.len(),
-                tests.len(),
-                worst
-            );
-        }
         let stalled = cache.len() > solve_budget || round + 1 == MAX_REFINE_ROUNDS;
         if failing.is_empty() || stalled {
             // Keep only the intervals *this* model certifies; anything
@@ -882,6 +851,53 @@ pub fn pole_seeded_peaks(
     finish_peaks(cands, df)
 }
 
+/// The resonance scan shared by `pdn_bem` and `pdn_extract`: checks the
+/// request, sweeps `|Z(port, port)|` over `points` linearly spaced
+/// frequencies in `[f_start, f_stop]` through `sweep`, and returns the
+/// peaks ascending — seeded by the sweep's rational model when it built
+/// one ([`pole_seeded_peaks`]), else the grid maxima ([`peaks_on_grid`]).
+///
+/// # Errors
+///
+/// `invalid` wraps a descriptive message unless `port < ports`,
+/// `points >= 2` and `0 < f_start < f_stop` with `f_stop` finite; errors
+/// from `sweep` pass through.
+pub fn scan_resonances<E>(
+    port: usize,
+    ports: usize,
+    f_start: f64,
+    f_stop: f64,
+    points: usize,
+    invalid: impl FnOnce(String) -> E,
+    sweep: impl FnOnce(&[f64]) -> Result<SweepOutcome, E>,
+) -> Result<Vec<f64>, E> {
+    if port >= ports {
+        return Err(invalid(format!(
+            "resonance scan port {port} out of range: {ports} ports bound"
+        )));
+    }
+    if points < 2 {
+        return Err(invalid(format!(
+            "resonance scan needs at least two sweep points, got {points}"
+        )));
+    }
+    if !(f_start > 0.0 && f_stop > f_start && f_stop.is_finite()) {
+        return Err(invalid(format!(
+            "invalid resonance scan range [{f_start}, {f_stop}]: need 0 < f_start < f_stop"
+        )));
+    }
+    let freqs: Vec<f64> = (0..points)
+        .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
+        .collect();
+    let outcome = sweep(&freqs)?;
+    let mag = |z: &Matrix<c64>| z[(port, port)].norm();
+    let mags: Vec<f64> = outcome.values.iter().map(mag).collect();
+    Ok(match &outcome.model {
+        Some(model) => pole_seeded_peaks(&freqs, &mags, model, &mag),
+        None => peaks_on_grid(&freqs, &mags),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,7 +939,7 @@ mod tests {
     #[test]
     fn exact_path_matches_direct_evaluation() {
         let freqs = grid(10);
-        let out = sweep("test", &freqs, SweepAccuracy::Exact, |f| {
+        let out = sweep(&freqs, SweepAccuracy::Exact, |f| {
             Ok::<_, Infallible>(scalar(two_pole(f)))
         })
         .unwrap();
@@ -939,7 +955,7 @@ mod tests {
     fn rational_path_matches_exact_within_tolerance() {
         let freqs = grid(200);
         let rel_tol = 1e-9;
-        let out = sweep("test", &freqs, SweepAccuracy::Rational { rel_tol }, |f| {
+        let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol }, |f| {
             Ok::<_, Infallible>(scalar(two_pole(f)))
         })
         .unwrap();
@@ -960,12 +976,9 @@ mod tests {
     #[test]
     fn anchors_are_bit_exact_grid_values() {
         let freqs = grid(64);
-        let out = sweep(
-            "test",
-            &freqs,
-            SweepAccuracy::Rational { rel_tol: 1e-8 },
-            |f| Ok::<_, Infallible>(scalar(two_pole(f))),
-        )
+        let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol: 1e-8 }, |f| {
+            Ok::<_, Infallible>(scalar(two_pole(f)))
+        })
         .unwrap();
         for &fa in &out.stats.anchor_freqs {
             let k = freqs.iter().position(|&f| f == fa).expect("anchor on grid");
@@ -976,12 +989,9 @@ mod tests {
     #[test]
     fn small_grids_use_the_exact_path() {
         let freqs = grid(MIN_RATIONAL_POINTS - 1);
-        let out = sweep(
-            "test",
-            &freqs,
-            SweepAccuracy::Rational { rel_tol: 1e-8 },
-            |f| Ok::<_, Infallible>(scalar(two_pole(f))),
-        )
+        let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol: 1e-8 }, |f| {
+            Ok::<_, Infallible>(scalar(two_pole(f)))
+        })
         .unwrap();
         assert_eq!(out.stats.exact_points, freqs.len());
         assert!(out.model.is_none());
@@ -990,12 +1000,9 @@ mod tests {
     #[test]
     fn invalid_rel_tol_is_rejected() {
         for bad in [0.0, -1e-8, f64::NAN, f64::INFINITY] {
-            let r = sweep(
-                "test",
-                &grid(32),
-                SweepAccuracy::Rational { rel_tol: bad },
-                |f| Ok::<_, Infallible>(scalar(two_pole(f))),
-            );
+            let r = sweep(&grid(32), SweepAccuracy::Rational { rel_tol: bad }, |f| {
+                Ok::<_, Infallible>(scalar(two_pole(f)))
+            });
             assert!(
                 matches!(r, Err(SweepError::InvalidInput(_))),
                 "rel_tol = {bad}"
@@ -1007,7 +1014,7 @@ mod tests {
     fn eval_errors_surface_lowest_index() {
         let freqs = grid(32);
         let bad = freqs[3];
-        let r = sweep("test", &freqs, SweepAccuracy::Exact, |f| {
+        let r = sweep(&freqs, SweepAccuracy::Exact, |f| {
             if f >= bad {
                 Err(format!("boom at {f}"))
             } else {
@@ -1023,12 +1030,9 @@ mod tests {
     #[test]
     fn model_recovers_pole_locations() {
         let freqs = grid(200);
-        let out = sweep(
-            "test",
-            &freqs,
-            SweepAccuracy::Rational { rel_tol: 1e-9 },
-            |f| Ok::<_, Infallible>(scalar(two_pole(f))),
-        )
+        let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol: 1e-9 }, |f| {
+            Ok::<_, Infallible>(scalar(two_pole(f)))
+        })
         .unwrap();
         let model = out.model.expect("smooth rational input certifies");
         let poles = model.poles();
@@ -1047,12 +1051,9 @@ mod tests {
         // fit.
         let freqs = grid(48);
         let f_of = |f: f64| scalar(c64::from_re((40.0 * f).sin().abs() + 1.0));
-        let out = sweep(
-            "test",
-            &freqs,
-            SweepAccuracy::Rational { rel_tol: 1e-10 },
-            |f| Ok::<_, Infallible>(f_of(f)),
-        )
+        let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol: 1e-10 }, |f| {
+            Ok::<_, Infallible>(f_of(f))
+        })
         .unwrap();
         for (k, &f) in freqs.iter().enumerate() {
             let rel = relative_residual(&out.values[k], &f_of(f));
@@ -1081,12 +1082,9 @@ mod tests {
     #[test]
     fn pole_seeding_finds_the_same_peaks_as_the_scan() {
         let freqs = grid(200);
-        let out = sweep(
-            "test",
-            &freqs,
-            SweepAccuracy::Rational { rel_tol: 1e-9 },
-            |f| Ok::<_, Infallible>(scalar(two_pole(f))),
-        )
+        let out = sweep(&freqs, SweepAccuracy::Rational { rel_tol: 1e-9 }, |f| {
+            Ok::<_, Infallible>(scalar(two_pole(f)))
+        })
         .unwrap();
         let mags: Vec<f64> = out.values.iter().map(|m| m[(0, 0)].norm()).collect();
         let scan = peaks_on_grid(&freqs, &mags);

@@ -21,7 +21,7 @@
 //!   named seed boards.
 //!
 //! See `docs/SERVICE.md` for the protocol, the canonical-hash rule, and
-//! the operational knobs (`PDN_CACHE_VERIFY`, `PDN_SERVICE_STATS`,
+//! the operational knobs (`PDN_CACHE_DIR`, `PDN_CACHE_VERIFY`,
 //! `PDN_SERVICE_WORKERS`).
 //!
 //! # Example

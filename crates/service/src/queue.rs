@@ -14,9 +14,9 @@
 //! sends them into a caller's channel instead, so one consumer can follow
 //! many jobs. Malformed requests (empty scenario/count/candidate lists)
 //! are rejected *at submission*, before any queueing or extraction.
-//!
-//! Set `PDN_SERVICE_STATS=1` for one stderr line per completed job
-//! (client, cache outcome, queue wait, run time).
+//! The event stream is the job's record: the cache event names the tier
+//! that served it, and the `Queued` → cache event → `Done` arrival times
+//! split its queue wait from its run time.
 //!
 //! # Fairness
 //!
@@ -39,7 +39,6 @@ use std::fmt;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Instant;
 
 /// Deficit credited per round-robin visit, in scenario-count units.
 const QUANTUM: usize = 4;
@@ -235,11 +234,9 @@ impl std::error::Error for SubmitError {}
 
 struct Job {
     id: JobId,
-    client: String,
     request: AnalysisRequest,
     /// Delivers one event to the submitter's channel.
     events: Box<dyn Fn(JobEvent) + Send>,
-    queued_at: Instant,
 }
 
 struct ClientQueue {
@@ -361,12 +358,10 @@ impl JobQueue {
             }));
             let job = Job {
                 id,
-                client: client.to_string(),
                 request,
                 events: Box::new(move |event| {
                     let _ = events.send(T::from(event));
                 }),
-                queued_at: Instant::now(),
             };
             match st.clients.iter_mut().find(|c| c.name == client) {
                 Some(q) => q.jobs.push_back(job),
@@ -465,50 +460,19 @@ fn error_chain(e: &dyn std::error::Error) -> String {
 }
 
 fn run_job(inner: &Inner, job: Job) {
-    let waited = job.queued_at.elapsed();
-    let started = Instant::now();
     let send = &job.events;
-    let outcome = execute(inner, &job, send);
-    let stats_on = std::env::var("PDN_SERVICE_STATS").as_deref() == Ok("1");
-    match outcome {
-        Ok((result, cache)) => {
-            if stats_on {
-                eprintln!(
-                    "pdn-service: {} client={} cache={:?} wait={:.1}ms run={:.1}ms",
-                    job.id,
-                    job.client,
-                    cache,
-                    waited.as_secs_f64() * 1e3,
-                    started.elapsed().as_secs_f64() * 1e3,
-                );
-            }
-            send(JobEvent::Done {
-                job: job.id,
-                result,
-            });
-        }
-        Err(error) => {
-            if stats_on {
-                eprintln!(
-                    "pdn-service: {} client={} FAILED after {:.1}ms: {error}",
-                    job.id,
-                    job.client,
-                    started.elapsed().as_secs_f64() * 1e3,
-                );
-            }
-            send(JobEvent::Failed { job: job.id, error });
-        }
+    match execute(inner, &job, send) {
+        Ok(result) => send(JobEvent::Done {
+            job: job.id,
+            result,
+        }),
+        Err(error) => send(JobEvent::Failed { job: job.id, error }),
     }
 }
 
 /// Runs the job's analysis through the cache, emitting cache and
-/// progress events. Returns the result plus the cache outcome (for the
-/// stats line).
-fn execute(
-    inner: &Inner,
-    job: &Job,
-    send: &dyn Fn(JobEvent),
-) -> Result<(AnalysisResult, CacheOutcome), String> {
+/// progress events.
+fn execute(inner: &Inner, job: &Job, send: &dyn Fn(JobEvent)) -> Result<AnalysisResult, String> {
     // Resolve the board whose extraction the job needs. For decap
     // optimization that is the search board with every candidate ported.
     let (mut board, selection) = match &job.request {
@@ -609,5 +573,5 @@ fn execute(
             AnalysisResult::Decaps(plan)
         }
     };
-    Ok((result, cache_outcome))
+    Ok(result)
 }

@@ -3,7 +3,6 @@
 
 use crate::error::ShardExtractError;
 use crate::plan::ShardPlan;
-use crate::stats;
 use pdn_bem::{
     assemble_link_matrices, assemble_matrices, compress_link_matrices, cross_block_lumping,
     BemOptions, BemSystem,
@@ -380,15 +379,6 @@ pub fn extract_sharded(
             })
         },
     )?;
-    for s in models.iter().map(|m| &m.stats) {
-        stats::emit_extract_stats(
-            &format!("shard r{}", s.index),
-            s.cells,
-            s.links,
-            s.external_ports + s.interface_ports,
-            s.millis,
-        );
-    }
 
     // ---- Composition ----------------------------------------------------
     // Composed node space: region blocks in region order.
@@ -467,43 +457,42 @@ pub fn extract_sharded(
             r_cut = r;
             let cg_tol = (spec.tol * 1e-2).max(1e-14);
             let max_iter = 10 * mc.max(10) + 100;
-            let cols: Vec<Vec<f64>> =
-                if let pdn_bem::SolverSpec::BlockCg { panel, coarsen } = spec.solver {
-                    // Block route: identity columns in panels through block CG
-                    // under the hierarchical cut-link preconditioner. Panels
-                    // run serially in index order, so the stitch stays
-                    // bit-identical for any `PDN_THREADS`.
-                    let l_pc = l_kernel.block_jacobi(coarsen).map_err(|e| {
-                        ShardExtractError::Composition(format!(
-                            "cut-link preconditioner construction failed: {e}"
-                        ))
-                    })?;
-                    let idx: Vec<usize> = (0..mc).collect();
-                    let mut cols = Vec::with_capacity(mc);
-                    for chunk in idx.chunks(panel) {
-                        let rhs: Vec<Vec<f64>> = chunk
-                            .iter()
-                            .map(|&j| {
-                                let mut ej = vec![0.0; mc];
-                                ej[j] = 1.0;
-                                ej
-                            })
-                            .collect();
-                        let xs = l_kernel
-                            .solve_block(&rhs, &l_pc, cg_tol, max_iter)
-                            .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
-                        cols.extend(xs);
-                    }
-                    cols
-                } else {
-                    parallel::try_par_map_indexed(mc, |j| {
-                        let mut ej = vec![0.0; mc];
-                        ej[j] = 1.0;
-                        l_kernel
-                            .solve(&ej, cg_tol, max_iter)
-                            .map_err(|e| ShardExtractError::Composition(e.to_string()))
-                    })?
-                };
+            let cols: Vec<Vec<f64>> = if spec.solver.is_block() {
+                // Block route: identity columns in panels through block CG
+                // under the hierarchical cut-link preconditioner. Panels
+                // run serially in index order, so the stitch stays
+                // bit-identical for any `PDN_THREADS`.
+                let l_pc = l_kernel.block_jacobi(true).map_err(|e| {
+                    ShardExtractError::Composition(format!(
+                        "cut-link preconditioner construction failed: {e}"
+                    ))
+                })?;
+                let idx: Vec<usize> = (0..mc).collect();
+                let mut cols = Vec::with_capacity(mc);
+                for chunk in idx.chunks(pdn_bem::BLOCK_CG_PANEL) {
+                    let rhs: Vec<Vec<f64>> = chunk
+                        .iter()
+                        .map(|&j| {
+                            let mut ej = vec![0.0; mc];
+                            ej[j] = 1.0;
+                            ej
+                        })
+                        .collect();
+                    let xs = l_kernel
+                        .solve_block(&rhs, &l_pc, cg_tol, max_iter)
+                        .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
+                    cols.extend(xs);
+                }
+                cols
+            } else {
+                parallel::try_par_map_indexed(mc, |j| {
+                    let mut ej = vec![0.0; mc];
+                    ej[j] = 1.0;
+                    l_kernel
+                        .solve(&ej, cg_tol, max_iter)
+                        .map_err(|e| ShardExtractError::Composition(e.to_string()))
+                })?
+            };
             for (j, col) in cols.iter().enumerate() {
                 for (i, &v) in col.iter().enumerate() {
                     b[(na[i], na[j])] += v;
@@ -667,17 +656,6 @@ pub fn extract_sharded(
         node_count: equivalent.node_count(),
         millis: t0.elapsed().as_secs_f64() * 1e3,
     };
-    if stats::extract_stats_enabled() {
-        eprintln!(
-            "pdn extract[shard compose]: {} regions, {} cut links, \
-             {} interface nodes eliminated, {} nodes kept, {:.3} ms total",
-            report.regions.len(),
-            report.cut_links,
-            report.eliminated_nodes,
-            report.node_count,
-            report.millis,
-        );
-    }
     Ok(ShardedExtraction { equivalent, report })
 }
 

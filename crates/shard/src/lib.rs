@@ -42,10 +42,8 @@
 //! plane-resonance frequencies land within a fraction of a percent for a
 //! two-way split. See `docs/SHARDING.md` for the quantified tolerance
 //! contract and [`validate::max_port_impedance_deviation`] for the
-//! checker.
-//!
-//! Set `PDN_EXTRACT_STATS=1` to print one stderr line per region (cells,
-//! matrix dimensions, wall time), mirroring `PDN_SWEEP_STATS`.
+//! checker. Per-region cells, links, ports and wall time come back in
+//! [`ShardedExtraction::report`].
 //!
 //! # Examples
 //!
@@ -78,11 +76,9 @@
 pub mod error;
 pub mod extract;
 pub mod plan;
-pub mod stats;
 pub mod validate;
 
 pub use error::ShardExtractError;
 pub use extract::{extract_sharded, RegionStats, ShardReport, ShardRequest, ShardedExtraction};
 pub use plan::ShardPlan;
-pub use stats::{emit_extract_stats, extract_stats_enabled};
 pub use validate::max_port_impedance_deviation;

@@ -131,3 +131,84 @@ fn multi_net_spec_refuses_single_net_flows() {
         other => panic!("expected MultiNet, got {other:?}"),
     }
 }
+
+/// A two-port plane small enough to extract in milliseconds, for the
+/// resonance-scan validation tests.
+fn small_extracted_plane() -> pdn_core::ExtractedPlane {
+    PlaneSpec::rectangle(mm(20.0), mm(20.0), 0.5e-3, 4.5)
+        .expect("valid pair")
+        .with_cell_size(mm(4.0))
+        .with_port("P1", mm(2.0), mm(2.0))
+        .with_port("P2", mm(18.0), mm(18.0))
+        .extract(&NodeSelection::PortsOnly)
+        .expect("extractable")
+}
+
+/// The bad resonance-scan requests both model types must reject:
+/// `(port, f_start, f_stop, points)` with a description.
+const BAD_SCANS: [(usize, f64, f64, usize, &str); 6] = [
+    (0, 1e8, 1e9, 0, "no points"),
+    (0, 1e8, 1e9, 1, "one point"),
+    (0, 1e9, 1e8, 11, "f_stop below f_start"),
+    (0, 1e9, 1e9, 11, "empty range"),
+    (2, 1e8, 1e9, 11, "port == port count"),
+    (7, 1e8, 1e9, 11, "port past the port count"),
+];
+
+#[test]
+fn bem_resonance_scan_rejects_bad_requests() {
+    use pdn_bem::AssembleBemError;
+    use pdn_num::SweepAccuracy;
+    let plane = small_extracted_plane();
+    let bem = plane.bem();
+    for (port, f0, f1, points, what) in BAD_SCANS {
+        for accuracy in [
+            SweepAccuracy::Exact,
+            SweepAccuracy::Rational { rel_tol: 1e-6 },
+        ] {
+            match bem.find_resonances_with(port, f0, f1, points, accuracy) {
+                Err(AssembleBemError::InvalidInput(_)) => {}
+                other => panic!("{what} ({accuracy:?}): expected InvalidInput, got {other:?}"),
+            }
+        }
+        assert!(
+            matches!(
+                bem.find_resonances(port, f0, f1, points),
+                Err(AssembleBemError::InvalidInput(_))
+            ),
+            "{what}: find_resonances must reject"
+        );
+    }
+    assert!(bem.find_resonances(1, 1e8, 1e9, 11).is_ok());
+}
+
+#[test]
+fn equivalent_circuit_resonance_scan_rejects_bad_requests() {
+    use pdn_extract::ExtractCircuitError;
+    use pdn_num::SweepAccuracy;
+    let plane = small_extracted_plane();
+    let eq = plane.equivalent();
+    for (port, f0, f1, points, what) in BAD_SCANS {
+        for accuracy in [
+            SweepAccuracy::Exact,
+            SweepAccuracy::Rational { rel_tol: 1e-6 },
+        ] {
+            match eq.find_resonances_with(port, f0, f1, points, accuracy) {
+                Err(ExtractCircuitError::InvalidInput(_)) => {}
+                other => panic!("{what} ({accuracy:?}): expected InvalidInput, got {other:?}"),
+            }
+        }
+        assert!(
+            matches!(
+                eq.find_resonances(port, f0, f1, points),
+                Err(ExtractCircuitError::InvalidInput(_))
+            ),
+            "{what}: find_resonances must reject"
+        );
+    }
+    // Two points are a valid grid with no interior maximum.
+    assert_eq!(
+        eq.find_resonances(1, 1e8, 1e9, 2).unwrap(),
+        Vec::<f64>::new()
+    );
+}

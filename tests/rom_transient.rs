@@ -153,16 +153,12 @@ proptest! {
         let grid: Vec<f64> = (0..points)
             .map(|k| f_min * (f_max / f_min).powf(k as f64 / (points - 1) as f64))
             .collect();
-        let outcome = pdn_num::rational::sweep(
-            "rom.prop",
-            &grid,
+        let outcome = pdn_num::rational::sweep(&grid,
             SweepAccuracy::Rational { rel_tol: 1e-8 },
             eval,
         )
         .unwrap();
-        let model = PoleResidueModel::from_rational(
-            "rom.prop",
-            &outcome.model.expect("sweep certifies an interpolant"),
+        let model = PoleResidueModel::from_rational(&outcome.model.expect("sweep certifies an interpolant"),
             &grid,
             &outcome.values,
             &[],
