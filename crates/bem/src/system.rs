@@ -18,19 +18,9 @@ use crate::assembly::{assemble_matrices, AssembleBemError, BemOptions, RawMatric
 use crate::compress::{assemble_compressed, CompressedKernels};
 use pdn_geom::{PlaneMesh, PlanePair};
 use pdn_greens::SurfaceImpedance;
-use pdn_num::rational::{self, SweepAccuracy, SweepError, SweepOutcome};
+use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{c64, LuDecomposition, Matrix};
 use std::f64::consts::PI;
-
-/// Maps a shared-engine error onto this crate's error type: grid
-/// problems become [`AssembleBemError::InvalidInput`], evaluation errors
-/// pass through.
-fn from_sweep_err(e: SweepError<AssembleBemError>) -> AssembleBemError {
-    match e {
-        SweepError::InvalidInput(msg) => AssembleBemError::InvalidInput(msg),
-        SweepError::Eval(e) => e,
-    }
-}
 
 /// Dense kernel storage: the assembled matrices plus the incidence
 /// promoted to complex once at assembly (every per-frequency solve needs
@@ -270,14 +260,14 @@ impl BemSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`AssembleBemError::InvalidInput`] for `f <= 0` — at DC a
-    /// lossless system's branch impedance `Zs + jωL` is singular, so the
-    /// formula only applies above DC (same contract as
-    /// [`port_impedance`](Self::port_impedance)). For `f > 0` with
-    /// positive-definite `L` the solve cannot break down. A compressed
-    /// system also returns [`AssembleBemError::InvalidInput`]: the dense
-    /// per-frequency factorization would densify the kernels, so
-    /// compressed systems are solved through the extracted
+    /// Returns [`AssembleBemError::InvalidInput`] unless `f` is finite
+    /// and positive — at DC a lossless system's branch impedance
+    /// `Zs + jωL` is singular, so the formula only applies above DC (same
+    /// contract as [`port_impedance`](Self::port_impedance)). For finite
+    /// `f > 0` with positive-definite `L` the solve cannot break down. A
+    /// compressed system also returns [`AssembleBemError::InvalidInput`]:
+    /// the dense per-frequency factorization would densify the kernels,
+    /// so compressed systems are solved through the extracted
     /// equivalent-circuit/macromodel path instead.
     pub fn nodal_admittance(&self, f: f64) -> Result<Matrix<c64>, AssembleBemError> {
         if self.is_compressed() {
@@ -288,10 +278,10 @@ impl BemSystem {
                     .into(),
             ));
         }
-        if f <= 0.0 {
+        if !(f.is_finite() && f > 0.0) {
             return Err(AssembleBemError::InvalidInput(format!(
-                "nodal admittance requires f > 0 (Zs + jωL is singular at DC \
-                 for a lossless system), got f = {f}"
+                "nodal admittance requires a finite f > 0 (Zs + jωL is singular \
+                 at DC for a lossless system), got f = {f}"
             )));
         }
         let dk = self.dense();
@@ -342,19 +332,25 @@ impl BemSystem {
     ///
     /// # Errors
     ///
-    /// Returns an error when `f <= 0` or the solve breaks down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ports are bound to the mesh.
+    /// Returns [`AssembleBemError::InvalidInput`] when no ports are bound
+    /// to the mesh or `f` is not a finite positive frequency (the
+    /// [`nodal_admittance`](Self::nodal_admittance) contract), and
+    /// [`AssembleBemError::NumericalBreakdown`] when the solve breaks
+    /// down.
     pub fn port_impedance(&self, f: f64) -> Result<Matrix<c64>, AssembleBemError> {
-        if f <= 0.0 {
-            return Err(AssembleBemError::InvalidInput(format!(
-                "port impedance requires f > 0 (capacitive ground return), got f = {f}"
-            )));
-        }
+        self.require_ports()?;
         let y = self.nodal_admittance(f)?;
         self.port_impedance_from_admittance(y)
+    }
+
+    /// Rejects port solves on a mesh with no bound ports.
+    fn require_ports(&self) -> Result<(), AssembleBemError> {
+        if self.mesh.ports().is_empty() {
+            return Err(AssembleBemError::InvalidInput(
+                "port impedance needs at least one port bound to the mesh".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Solves the bound ports against an already-built nodal admittance:
@@ -364,7 +360,6 @@ impl BemSystem {
         y: Matrix<c64>,
     ) -> Result<Matrix<c64>, AssembleBemError> {
         let ports = self.mesh.port_cells();
-        assert!(!ports.is_empty(), "no ports bound to the mesh");
         let lu = LuDecomposition::new(y)
             .map_err(|e| AssembleBemError::NumericalBreakdown(e.to_string()))?;
         let n = self.mesh.cell_count();
@@ -388,7 +383,7 @@ impl BemSystem {
     ///
     /// Output order matches `freqs` and is identical for every worker
     /// count (each sweep point is solved independently by one thread).
-    /// Equivalent to
+    /// The values of
     /// [`admittance_sweep_with`](Self::admittance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
@@ -397,13 +392,17 @@ impl BemSystem {
     /// Returns the error of the lowest-index failing point; the grid must
     /// be finite, strictly positive, and strictly increasing.
     pub fn admittance_sweep(&self, freqs: &[f64]) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        self.admittance_sweep_with(freqs, SweepAccuracy::Exact)
+        Ok(self
+            .admittance_sweep_with(freqs, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`admittance_sweep`](Self::admittance_sweep) with an explicit
     /// [`SweepAccuracy`] policy — `Rational` solves only adaptively
     /// chosen anchor frequencies exactly and fills the rest from a
-    /// certified barycentric interpolant (see `pdn_num::rational`).
+    /// certified barycentric interpolant (see `pdn_num::rational`) —
+    /// returning the full [`SweepOutcome`] (values, engine stats,
+    /// rational model).
     ///
     /// # Errors
     ///
@@ -413,84 +412,49 @@ impl BemSystem {
         &self,
         freqs: &[f64],
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        Ok(self.admittance_sweep_detailed(freqs, accuracy)?.values)
-    }
-
-    /// [`admittance_sweep_with`](Self::admittance_sweep_with) returning
-    /// the full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`admittance_sweep_with`](Self::admittance_sweep_with).
-    pub fn admittance_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, AssembleBemError> {
-        rational::sweep(freqs, accuracy, |f| self.nodal_admittance(f)).map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.nodal_admittance(f))
+            .map_err(|e| e.into_error(AssembleBemError::InvalidInput))
     }
 
     /// Batched [`port_impedance`](Self::port_impedance): one port
     /// impedance matrix per frequency, computed on [`pdn_num::parallel`]
     /// workers with one cached LU factorization per sweep point (shared
-    /// across all port excitations at that point). Equivalent to
+    /// across all port excitations at that point). The values of
     /// [`impedance_sweep_with`](Self::impedance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
     ///
-    /// Returns the error of the lowest-index failing point; the grid must
-    /// be finite, strictly positive, and strictly increasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ports are bound to the mesh.
+    /// [`AssembleBemError::InvalidInput`] when no ports are bound to the
+    /// mesh; otherwise the error of the lowest-index failing point. The
+    /// grid must be finite, strictly positive, and strictly increasing.
     pub fn impedance_sweep(&self, freqs: &[f64]) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        self.impedance_sweep_with(freqs, SweepAccuracy::Exact)
+        Ok(self
+            .impedance_sweep_with(freqs, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
-    /// [`SweepAccuracy`] policy.
+    /// [`SweepAccuracy`] policy, returning the full [`SweepOutcome`]
+    /// (values, engine stats, rational model).
     ///
     /// # Errors
     ///
-    /// [`AssembleBemError::InvalidInput`] for an invalid grid or
-    /// tolerance; otherwise the lowest-index failing point's error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ports are bound to the mesh.
+    /// [`AssembleBemError::InvalidInput`] when no ports are bound to the
+    /// mesh or for an invalid grid or tolerance; otherwise the
+    /// lowest-index failing point's error.
     pub fn impedance_sweep_with(
         &self,
         freqs: &[f64],
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, AssembleBemError> {
-        Ok(self.impedance_sweep_detailed(freqs, accuracy)?.values)
-    }
-
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with) returning the
-    /// full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ports are bound to the mesh.
-    pub fn impedance_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, AssembleBemError> {
+        self.require_ports()?;
         rational::sweep(freqs, accuracy, |f| {
             let y = self.nodal_admittance(f)?;
             self.port_impedance_from_admittance(y)
         })
-        .map_err(from_sweep_err)
+        .map_err(|e| e.into_error(AssembleBemError::InvalidInput))
     }
 
     /// Scans `|Z(port, port)|` over a frequency grid and returns the
@@ -540,7 +504,7 @@ impl BemSystem {
             f_stop,
             points,
             AssembleBemError::InvalidInput,
-            |freqs| self.impedance_sweep_detailed(freqs, accuracy),
+            |freqs| self.impedance_sweep_with(freqs, accuracy),
         )
     }
 }

@@ -102,7 +102,8 @@ fn sweep_rational_bench(c: &mut Criterion) {
             std::env::set_var("PDN_THREADS", n.to_string());
             per_thread.push(
                 sys.impedance_sweep_with(&freqs, accuracy)
-                    .expect("solvable"),
+                    .expect("solvable")
+                    .values,
             );
         }
         std::env::remove_var("PDN_THREADS");
@@ -112,7 +113,7 @@ fn sweep_rational_bench(c: &mut Criterion) {
 
         let (t_exact, exact) = timed(|| sys.impedance_sweep(&freqs).expect("solvable"));
         let (t_rational, outcome) = timed(|| {
-            sys.impedance_sweep_detailed(&freqs, accuracy)
+            sys.impedance_sweep_with(&freqs, accuracy)
                 .expect("solvable")
         });
         assert_bit_identical(&outcome.values, &per_thread[0], "rational sweep re-run");

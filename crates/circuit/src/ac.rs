@@ -6,19 +6,9 @@
 //! insight of high frequency characteristics").
 
 use crate::netlist::{Circuit, Element, NodeId, SimulateCircuitError, SourceId};
-use pdn_num::rational::{self, SweepAccuracy, SweepError, SweepOutcome};
+use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{c64, LuDecomposition, Matrix};
 use std::f64::consts::PI;
-
-/// Maps a sweep-engine error onto the circuit error type: grid/tolerance
-/// problems become [`SimulateCircuitError::InvalidSpec`], solver failures
-/// pass through.
-pub(crate) fn from_sweep_err(e: SweepError<SimulateCircuitError>) -> SimulateCircuitError {
-    match e {
-        SweepError::InvalidInput(msg) => SimulateCircuitError::InvalidSpec(msg),
-        SweepError::Eval(e) => e,
-    }
-}
 
 /// A frequency sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,7 +246,7 @@ impl Circuit {
             }
             Ok(v)
         })
-        .map_err(from_sweep_err)?;
+        .map_err(|e| e.into_error(SimulateCircuitError::InvalidSpec))?;
         let voltages = outcome
             .values
             .into_iter()
@@ -273,22 +263,30 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulateCircuitError`] for `f <= 0` or a singular matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
+    /// Returns [`SimulateCircuitError::InvalidSpec`] unless `f` is finite
+    /// and positive and every port is a non-ground node of this circuit,
+    /// and [`SimulateCircuitError::Singular`] for a singular matrix.
     pub fn impedance_matrix(
         &self,
         f: f64,
         ports: &[NodeId],
     ) -> Result<Matrix<c64>, SimulateCircuitError> {
-        if f <= 0.0 {
-            return Err(SimulateCircuitError::InvalidSpec(
-                "impedance matrix requires f > 0".into(),
-            ));
+        if !(f.is_finite() && f > 0.0) {
+            return Err(SimulateCircuitError::InvalidSpec(format!(
+                "impedance matrix requires a finite f > 0, got f = {f}"
+            )));
         }
         let n = self.n_nodes;
+        if let Some((k, p)) = ports
+            .iter()
+            .enumerate()
+            .find(|(_, p)| p.is_ground() || p.0 > n)
+        {
+            return Err(SimulateCircuitError::InvalidSpec(format!(
+                "port {k} must be a non-ground node of this circuit (1..={n}), got node {}",
+                p.0
+            )));
+        }
         let dim = n + self.n_vsources;
         let a = self.ac_matrix(2.0 * PI * f);
         let lu =
@@ -296,7 +294,6 @@ impl Circuit {
         let np = ports.len();
         let mut z = Matrix::<c64>::zeros(np, np);
         for (pj, &port_j) in ports.iter().enumerate() {
-            assert!(!port_j.is_ground(), "port cannot be the ground node");
             let mut rhs = vec![c64::ZERO; dim];
             rhs[port_j.0 - 1] = c64::ONE;
             let x = lu
@@ -312,67 +309,42 @@ impl Circuit {
     /// Batched [`impedance_matrix`](Self::impedance_matrix): one port
     /// impedance matrix per frequency, computed on [`pdn_num::parallel`]
     /// workers. Each sweep point factors its complex MNA matrix once and
-    /// reuses the factorization across all port excitations. Equivalent
-    /// to [`impedance_sweep_with`](Self::impedance_sweep_with) at
+    /// reuses the factorization across all port excitations. The values
+    /// of [`impedance_sweep_with`](Self::impedance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
     ///
     /// Returns the error of the lowest-index failing frequency; the grid
-    /// must be finite, strictly positive, and strictly increasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
+    /// must be finite, strictly positive, and strictly increasing, and
+    /// the ports valid for [`impedance_matrix`](Self::impedance_matrix).
     pub fn impedance_sweep(
         &self,
         freqs: &[f64],
         ports: &[NodeId],
     ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        self.impedance_sweep_with(freqs, ports, SweepAccuracy::Exact)
-    }
-
-    /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
-    /// [`SweepAccuracy`] policy.
-    ///
-    /// # Errors
-    ///
-    /// [`SimulateCircuitError::InvalidSpec`] for an invalid grid or
-    /// tolerance; otherwise the lowest-index failing frequency's error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
-    pub fn impedance_sweep_with(
-        &self,
-        freqs: &[f64],
-        ports: &[NodeId],
-        accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
         Ok(self
-            .impedance_sweep_detailed(freqs, ports, accuracy)?
+            .impedance_sweep_with(freqs, ports, SweepAccuracy::Exact)?
             .values)
     }
 
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with) returning the
-    /// full [`SweepOutcome`] (values, engine stats, rational model).
+    /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
+    /// [`SweepAccuracy`] policy, returning the full [`SweepOutcome`]
+    /// (values, engine stats, rational model).
     ///
     /// # Errors
     ///
-    /// Same contract as
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
-    pub fn impedance_sweep_detailed(
+    /// [`SimulateCircuitError::InvalidSpec`] for an invalid grid,
+    /// tolerance or port; otherwise the lowest-index failing frequency's
+    /// error.
+    pub fn impedance_sweep_with(
         &self,
         freqs: &[f64],
         ports: &[NodeId],
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, SimulateCircuitError> {
         rational::sweep(freqs, accuracy, |f| self.impedance_matrix(f, ports))
-            .map_err(from_sweep_err)
+            .map_err(|e| e.into_error(SimulateCircuitError::InvalidSpec))
     }
 }
 

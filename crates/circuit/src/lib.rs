@@ -47,7 +47,7 @@ pub mod waveform;
 
 pub use ac::{AcResult, AcSweep};
 pub use netlist::{Circuit, NodeId, SimulateCircuitError, SourceId};
-pub use sparams::{insertion_loss_db, s_from_z, s_sweep_from_z, touchstone, z_from_s};
+pub use sparams::{s_from_z, touchstone, z_from_s};
 pub use tline_elem::CoupledLineModel;
 pub use transient::{Integration, SolverMode, TransientPlan, TransientResult, TransientSpec};
 pub use waveform::Waveform;

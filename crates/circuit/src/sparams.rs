@@ -9,8 +9,8 @@
 //! ```
 
 use crate::netlist::{Circuit, NodeId, SimulateCircuitError};
-use pdn_num::rational::{self, SweepAccuracy};
-use pdn_num::{c64, parallel, LuDecomposition, Matrix, SolveMatrixError};
+use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
+use pdn_num::{c64, LuDecomposition, Matrix, SolveMatrixError};
 
 /// Converts an impedance matrix to a scattering matrix with reference
 /// impedance `z0` (Ω) at every port.
@@ -69,87 +69,56 @@ pub fn z_from_s(s: &Matrix<c64>, z0: f64) -> Result<Matrix<c64>, SolveMatrixErro
     Ok(zt.transpose().scale(c64::from_re(z0)))
 }
 
-/// Converts a frequency sweep of impedance matrices to scattering
-/// matrices, one [`s_from_z`] conversion per point on
-/// [`pdn_num::parallel`] workers. Output order matches the input and is
-/// identical for any worker count.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-index failing conversion.
-pub fn s_sweep_from_z(
-    z_mats: &[Matrix<c64>],
-    z0: f64,
-) -> Result<Vec<Matrix<c64>>, SolveMatrixError> {
-    parallel::try_par_map_indexed(z_mats.len(), |k| s_from_z(&z_mats[k], z0))
-}
-
 impl Circuit {
     /// S-parameter sweep over the given port nodes with reference
     /// impedance `z0`: each frequency point solves the complex MNA system
     /// once (factorization cached across port excitations) and converts
     /// the resulting impedance matrix to S, with points fanned out over
-    /// [`pdn_num::parallel`] workers.
+    /// [`pdn_num::parallel`] workers. The values of
+    /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with) at
+    /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
     ///
-    /// Returns the error of the lowest-index failing frequency (`f <= 0`,
-    /// singular MNA matrix, or a failed S conversion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
+    /// Returns the error of the lowest-index failing frequency (an
+    /// invalid grid or port, a singular MNA matrix, or a failed S
+    /// conversion).
     pub fn s_parameter_sweep(
         &self,
         freqs: &[f64],
         ports: &[NodeId],
         z0: f64,
     ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
-        self.s_parameter_sweep_with(freqs, ports, z0, SweepAccuracy::Exact)
+        Ok(self
+            .s_parameter_sweep_with(freqs, ports, z0, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`s_parameter_sweep`](Self::s_parameter_sweep) with an explicit
     /// [`SweepAccuracy`] policy — under `Rational`, the scattering matrix
     /// itself is interpolated (S inherits the rational structure of Z), so
-    /// only the adaptively chosen anchor frequencies pay an exact solve.
+    /// only the adaptively chosen anchor frequencies pay an exact solve —
+    /// returning the full [`SweepOutcome`] (values, engine stats,
+    /// rational model).
     ///
     /// # Errors
     ///
-    /// [`SimulateCircuitError::InvalidSpec`] for an invalid grid or
-    /// tolerance; otherwise the lowest-index failing frequency's error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a port is the ground node.
+    /// [`SimulateCircuitError::InvalidSpec`] for an invalid grid,
+    /// tolerance or port; otherwise the lowest-index failing frequency's
+    /// error.
     pub fn s_parameter_sweep_with(
         &self,
         freqs: &[f64],
         ports: &[NodeId],
         z0: f64,
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, SimulateCircuitError> {
+    ) -> Result<SweepOutcome, SimulateCircuitError> {
         rational::sweep(freqs, accuracy, |f| {
             let z = self.impedance_matrix(f, ports)?;
             s_from_z(&z, z0).map_err(|e| SimulateCircuitError::Singular(format!("f = {f}: {e}")))
         })
-        .map_err(crate::ac::from_sweep_err)
-        .map(|outcome| outcome.values)
+        .map_err(|e| e.into_error(SimulateCircuitError::InvalidSpec))
     }
-}
-
-/// Insertion loss `|S21|` in dB for a two-port impedance matrix.
-///
-/// # Errors
-///
-/// Propagates conversion failures.
-///
-/// # Panics
-///
-/// Panics unless `z` is at least 2×2.
-pub fn insertion_loss_db(z: &Matrix<c64>, z0: f64) -> Result<f64, SolveMatrixError> {
-    assert!(z.nrows() >= 2 && z.ncols() >= 2, "need a two-port");
-    let s = s_from_z(z, z0)?;
-    Ok(s[(1, 0)].db())
 }
 
 #[cfg(test)]
@@ -223,23 +192,6 @@ mod tests {
         let z = Matrix::from_rows(&[&[c(0.0, 37.0)]]);
         let s = s_from_z(&z, 50.0).unwrap();
         assert!(approx_eq(s[(0, 0)].norm(), 1.0, 1e-12));
-    }
-
-    #[test]
-    fn s_sweep_matches_per_point_conversion() {
-        let z_mats: Vec<Matrix<c64>> = (0..40)
-            .map(|k| {
-                let w = 1.0 + k as f64;
-                Matrix::from_rows(&[
-                    &[c(30.0, 0.5 * w), c(5.0, -0.1 * w)],
-                    &[c(5.0, -0.1 * w), c(80.0, -0.3 * w)],
-                ])
-            })
-            .collect();
-        let batch = s_sweep_from_z(&z_mats, 50.0).unwrap();
-        for (k, z) in z_mats.iter().enumerate() {
-            assert_eq!(batch[k], s_from_z(z, 50.0).unwrap(), "point {k}");
-        }
     }
 
     #[test]

@@ -12,8 +12,16 @@ use crate::flow::{ExtractedPlane, PlaneSpec};
 use pdn_circuit::{Circuit, NodeId, TransientSpec, Waveform};
 use pdn_extract::EquivalentCircuit;
 use pdn_fdtd::PlaneFdtd;
-use pdn_num::{c64, fft, next_pow2, SweepAccuracy};
+use pdn_num::{c64, fft, next_pow2};
 use std::error::Error;
+
+/// Rejects a port index outside `0..count` before any solve runs.
+fn check_port(role: &str, port: usize, count: usize) -> Result<(), Box<dyn Error>> {
+    if port >= count {
+        return Err(format!("{role} port {port} out of range: the model has {count} ports").into());
+    }
+    Ok(())
+}
 
 /// `|S21|` (dB) of the extracted macromodel between two ports over a
 /// frequency list, reference impedance `z0` — the simulation curve of the
@@ -21,7 +29,8 @@ use std::error::Error;
 ///
 /// # Errors
 ///
-/// Propagates solve failures.
+/// Errors when `p_in` or `p_out` is not a port of `eq`; otherwise
+/// propagates solve failures.
 pub fn circuit_s21_db(
     eq: &EquivalentCircuit,
     p_in: usize,
@@ -29,25 +38,9 @@ pub fn circuit_s21_db(
     freqs: &[f64],
     z0: f64,
 ) -> Result<Vec<f64>, Box<dyn Error>> {
-    circuit_s21_db_with(eq, p_in, p_out, freqs, z0, SweepAccuracy::Exact)
-}
-
-/// [`circuit_s21_db`] with an explicit [`SweepAccuracy`] policy —
-/// `Rational` pays an exact solve only at adaptively chosen anchor
-/// frequencies and interpolates the rest with a certified rational model.
-///
-/// # Errors
-///
-/// Propagates solve failures.
-pub fn circuit_s21_db_with(
-    eq: &EquivalentCircuit,
-    p_in: usize,
-    p_out: usize,
-    freqs: &[f64],
-    z0: f64,
-    accuracy: SweepAccuracy,
-) -> Result<Vec<f64>, Box<dyn Error>> {
-    let sweep = eq.s_parameter_sweep_with(freqs, z0, accuracy)?;
+    check_port("input", p_in, eq.port_count())?;
+    check_port("output", p_out, eq.port_count())?;
+    let sweep = eq.s_parameter_sweep(freqs, z0)?;
     Ok(sweep.iter().map(|s| s[(p_out, p_in)].db()).collect())
 }
 
@@ -60,8 +53,8 @@ pub fn circuit_s21_db_with(
 ///
 /// # Errors
 ///
-/// Returns an error when the spec holds more than one shape or FDTD setup
-/// fails.
+/// Returns an error when `p_in` or `p_out` is not a port of `spec`, the
+/// spec holds more than one shape, or FDTD setup fails.
 pub fn fdtd_s21_db(
     spec: &PlaneSpec,
     p_in: usize,
@@ -70,6 +63,8 @@ pub fn fdtd_s21_db(
     z0: f64,
     f_max: f64,
 ) -> Result<Vec<f64>, Box<dyn Error>> {
+    check_port("input", p_in, spec.port_count())?;
+    check_port("output", p_out, spec.port_count())?;
     let shape = spec.single_shape()?;
     let mut sim = PlaneFdtd::new(shape, spec.pair(), spec.cell_size())?
         .with_loss(2.0 * spec.sheet_resistance());
@@ -103,52 +98,20 @@ pub fn fdtd_s21_db(
     Ok(freqs.iter().map(|&f| s21_bin(f)).collect())
 }
 
-/// Resonant frequencies of the extracted macromodel's input impedance at
-/// `port` (ascending) — the paper's Example 1 measurement.
-///
-/// # Errors
-///
-/// Propagates solve failures.
-pub fn circuit_resonances(
-    eq: &EquivalentCircuit,
-    port: usize,
-    f_start: f64,
-    f_stop: f64,
-    points: usize,
-) -> Result<Vec<f64>, Box<dyn Error>> {
-    Ok(eq.find_resonances(port, f_start, f_stop, points)?)
-}
-
-/// [`circuit_resonances`] with an explicit [`SweepAccuracy`] policy; under
-/// `Rational` the macromodel's rational-interpolant poles seed the peak
-/// search.
-///
-/// # Errors
-///
-/// Propagates solve failures.
-pub fn circuit_resonances_with(
-    eq: &EquivalentCircuit,
-    port: usize,
-    f_start: f64,
-    f_stop: f64,
-    points: usize,
-    accuracy: SweepAccuracy,
-) -> Result<Vec<f64>, Box<dyn Error>> {
-    Ok(eq.find_resonances_with(port, f_start, f_stop, points, accuracy)?)
-}
-
 /// Resonant frequencies seen by the FDTD reference: ring-down spectrum
 /// peaks of the port voltage, ascending, within `[f_start, f_stop]`.
 ///
 /// # Errors
 ///
-/// Returns an error when FDTD setup fails.
+/// Returns an error when `port` is not a port of `spec` or FDTD setup
+/// fails.
 pub fn fdtd_resonances(
     spec: &PlaneSpec,
     port: usize,
     f_start: f64,
     f_stop: f64,
 ) -> Result<Vec<f64>, Box<dyn Error>> {
+    check_port("scan", port, spec.port_count())?;
     let shape = spec.single_shape()?;
     let mut sim = PlaneFdtd::new(shape, spec.pair(), spec.cell_size() * 0.5)?
         .with_loss(2.0 * spec.sheet_resistance());
@@ -192,7 +155,8 @@ pub fn fdtd_resonances(
 ///
 /// # Errors
 ///
-/// Propagates solve failures; errors if no peak exists in the window.
+/// Errors when `port` is not a port of `eq` or no peak exists in the
+/// window; otherwise propagates solve failures.
 pub fn circuit_strongest_peak(
     eq: &EquivalentCircuit,
     port: usize,
@@ -200,26 +164,11 @@ pub fn circuit_strongest_peak(
     f_stop: f64,
     points: usize,
 ) -> Result<(f64, f64), Box<dyn Error>> {
-    circuit_strongest_peak_with(eq, port, f_start, f_stop, points, SweepAccuracy::Exact)
-}
-
-/// [`circuit_strongest_peak`] with an explicit [`SweepAccuracy`] policy.
-///
-/// # Errors
-///
-/// Propagates solve failures; errors if no peak exists in the window.
-pub fn circuit_strongest_peak_with(
-    eq: &EquivalentCircuit,
-    port: usize,
-    f_start: f64,
-    f_stop: f64,
-    points: usize,
-    accuracy: SweepAccuracy,
-) -> Result<(f64, f64), Box<dyn Error>> {
+    check_port("scan", port, eq.port_count())?;
     let freqs: Vec<f64> = (0..points)
         .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
         .collect();
-    let z = eq.impedance_sweep_with(&freqs, accuracy)?;
+    let z = eq.impedance_sweep(&freqs)?;
     let mags: Vec<f64> = z.iter().map(|zk| zk[(port, port)].norm()).collect();
     let mut best: Option<(f64, f64)> = None;
     for k in 1..points.saturating_sub(1) {
@@ -234,13 +183,15 @@ pub fn circuit_strongest_peak_with(
 ///
 /// # Errors
 ///
-/// Errors when FDTD setup fails or no peak exists in the window.
+/// Errors when `port` is not a port of `spec`, FDTD setup fails, or no
+/// peak exists in the window.
 pub fn fdtd_strongest_peak(
     spec: &PlaneSpec,
     port: usize,
     f_start: f64,
     f_stop: f64,
 ) -> Result<f64, Box<dyn Error>> {
+    check_port("scan", port, spec.port_count())?;
     let shape = spec.single_shape()?;
     let mut sim = PlaneFdtd::new(shape, spec.pair(), spec.cell_size() * 0.5)?
         .with_loss(2.0 * spec.sheet_resistance());
@@ -314,7 +265,9 @@ impl TransientComparison {
 ///
 /// # Errors
 ///
-/// Propagates extraction, circuit, and FDTD failures.
+/// Errors when `drive_port` or `watch_port` is not a port of both the
+/// spec and the extracted model; otherwise propagates extraction,
+/// circuit, and FDTD failures.
 #[allow(clippy::too_many_arguments)]
 pub fn transient_comparison(
     spec: &PlaneSpec,
@@ -326,6 +279,9 @@ pub fn transient_comparison(
     t_stop: f64,
     dt: f64,
 ) -> Result<TransientComparison, Box<dyn Error>> {
+    let ports = spec.port_count().min(extracted.equivalent().port_count());
+    check_port("drive", drive_port, ports)?;
+    check_port("watch", watch_port, ports)?;
     // --- circuit side ----------------------------------------------------
     // The standalone verification netlist uses the Exact realization (the
     // full reluctance matrix including negative Kron residues): with only
@@ -444,8 +400,10 @@ mod tests {
             .extract(&NodeSelection::PortsAndGrid { stride: 2 })
             .unwrap();
         let f10 = spec.pair().cavity_resonance(mm(20.0), mm(20.0), 1, 0);
-        let eq_peaks =
-            circuit_resonances(extracted.equivalent(), 0, 0.5 * f10, 1.5 * f10, 41).unwrap();
+        let eq_peaks = extracted
+            .equivalent()
+            .find_resonances(0, 0.5 * f10, 1.5 * f10, 41)
+            .unwrap();
         let fd_peaks = fdtd_resonances(&spec, 0, 0.5 * f10, 1.5 * f10).unwrap();
         assert!(!eq_peaks.is_empty() && !fd_peaks.is_empty());
         let rel = (eq_peaks[0] - fd_peaks[0]).abs() / fd_peaks[0];

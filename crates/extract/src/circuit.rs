@@ -3,23 +3,13 @@
 use crate::reduce::{kron_reduce, kron_reduce_blocks};
 use pdn_bem::BemSystem;
 use pdn_circuit::{Circuit, NodeId};
-use pdn_num::rational::{self, SweepAccuracy, SweepError, SweepOutcome};
+use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{
     c64, CholeskyDecomposition, LuDecomposition, Matrix, PoleResidueModel, PromError, PromOptions,
 };
 use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
-
-/// Maps a sweep-engine error onto the extraction error type: grid and
-/// tolerance problems become [`ExtractCircuitError::InvalidInput`],
-/// solver failures pass through.
-fn from_sweep_err(e: SweepError<ExtractCircuitError>) -> ExtractCircuitError {
-    match e {
-        SweepError::InvalidInput(msg) => ExtractCircuitError::InvalidInput(msg),
-        SweepError::Eval(e) => e,
-    }
-}
 
 /// Maps a pole–residue fitting error onto the extraction error type.
 fn from_prom_err(e: PromError) -> ExtractCircuitError {
@@ -1111,12 +1101,14 @@ impl EquivalentCircuit {
     ///
     /// # Errors
     ///
-    /// Returns an error for `f <= 0` or a singular admittance.
+    /// Returns [`ExtractCircuitError::InvalidInput`] unless `f` is finite
+    /// and positive, and [`ExtractCircuitError::NumericalBreakdown`] for a
+    /// singular admittance.
     pub fn impedance(&self, f: f64) -> Result<Matrix<c64>, ExtractCircuitError> {
-        if f <= 0.0 {
-            return Err(ExtractCircuitError::NumericalBreakdown(
-                "impedance requires f > 0".into(),
-            ));
+        if !(f.is_finite() && f > 0.0) {
+            return Err(ExtractCircuitError::InvalidInput(format!(
+                "impedance requires a finite f > 0, got f = {f}"
+            )));
         }
         let y = self.admittance(f);
         let lu = LuDecomposition::new(y)
@@ -1151,8 +1143,8 @@ impl EquivalentCircuit {
     /// Batched [`impedance`](Self::impedance): one port impedance matrix
     /// per frequency, computed on [`pdn_num::parallel`] workers with one
     /// cached admittance factorization per sweep point. Output order
-    /// matches `freqs` and is identical for any worker count. Equivalent
-    /// to [`impedance_sweep_with`](Self::impedance_sweep_with) at
+    /// matches `freqs` and is identical for any worker count. The values
+    /// of [`impedance_sweep_with`](Self::impedance_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
     /// # Errors
@@ -1160,13 +1152,17 @@ impl EquivalentCircuit {
     /// Returns the error of the lowest-index failing point; the grid must
     /// be finite, strictly positive, and strictly increasing.
     pub fn impedance_sweep(&self, freqs: &[f64]) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        self.impedance_sweep_with(freqs, SweepAccuracy::Exact)
+        Ok(self
+            .impedance_sweep_with(freqs, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`impedance_sweep`](Self::impedance_sweep) with an explicit
     /// [`SweepAccuracy`] policy — `Rational` factors only adaptively
     /// chosen anchor frequencies exactly and fills the rest from a
-    /// certified barycentric interpolant (see `pdn_num::rational`).
+    /// certified barycentric interpolant (see `pdn_num::rational`) —
+    /// returning the full [`SweepOutcome`] (values, engine stats,
+    /// rational model).
     ///
     /// # Errors
     ///
@@ -1176,27 +1172,13 @@ impl EquivalentCircuit {
         &self,
         freqs: &[f64],
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        Ok(self.impedance_sweep_detailed(freqs, accuracy)?.values)
-    }
-
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with) returning the
-    /// full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`impedance_sweep_with`](Self::impedance_sweep_with).
-    pub fn impedance_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
-        rational::sweep(freqs, accuracy, |f| self.impedance(f)).map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.impedance(f))
+            .map_err(|e| e.into_error(ExtractCircuitError::InvalidInput))
     }
 
     /// Batched [`s_parameters`](Self::s_parameters) over a frequency
-    /// sweep, parallel per point. Equivalent to
+    /// sweep, parallel per point. The values of
     /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with) at
     /// [`SweepAccuracy::Exact`].
     ///
@@ -1209,12 +1191,16 @@ impl EquivalentCircuit {
         freqs: &[f64],
         z0: f64,
     ) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        self.s_parameter_sweep_with(freqs, z0, SweepAccuracy::Exact)
+        Ok(self
+            .s_parameter_sweep_with(freqs, z0, SweepAccuracy::Exact)?
+            .values)
     }
 
     /// [`s_parameter_sweep`](Self::s_parameter_sweep) with an explicit
     /// [`SweepAccuracy`] policy — under `Rational`, the scattering matrix
-    /// itself is interpolated (S inherits the rational structure of Z).
+    /// itself is interpolated (S inherits the rational structure of Z) —
+    /// returning the full [`SweepOutcome`] (values, engine stats,
+    /// rational model).
     ///
     /// # Errors
     ///
@@ -1225,24 +1211,9 @@ impl EquivalentCircuit {
         freqs: &[f64],
         z0: f64,
         accuracy: SweepAccuracy,
-    ) -> Result<Vec<Matrix<c64>>, ExtractCircuitError> {
-        Ok(self.s_parameter_sweep_detailed(freqs, z0, accuracy)?.values)
-    }
-
-    /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with) returning
-    /// the full [`SweepOutcome`] (values, engine stats, rational model).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as
-    /// [`s_parameter_sweep_with`](Self::s_parameter_sweep_with).
-    pub fn s_parameter_sweep_detailed(
-        &self,
-        freqs: &[f64],
-        z0: f64,
-        accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
-        rational::sweep(freqs, accuracy, |f| self.s_parameters(f, z0)).map_err(from_sweep_err)
+        rational::sweep(freqs, accuracy, |f| self.s_parameters(f, z0))
+            .map_err(|e| e.into_error(ExtractCircuitError::InvalidInput))
     }
 
     /// Finds the input-impedance resonances at a port, **ascending** with
@@ -1289,7 +1260,7 @@ impl EquivalentCircuit {
             f_stop,
             points,
             ExtractCircuitError::InvalidInput,
-            |freqs| self.impedance_sweep_detailed(freqs, accuracy),
+            |freqs| self.impedance_sweep_with(freqs, accuracy),
         )
     }
 
@@ -1442,7 +1413,7 @@ impl EquivalentCircuit {
             },
             eval,
         )
-        .map_err(from_sweep_err)?;
+        .map_err(|e| e.into_error(ExtractCircuitError::InvalidInput))?;
         let model = outcome.model.ok_or_else(|| {
             ExtractCircuitError::NumericalBreakdown(
                 "rational sweep did not certify an interpolant for the reduced-order fit".into(),

@@ -44,7 +44,6 @@
 
 pub mod circuit;
 pub mod reduce;
-pub mod resonance;
 pub mod spice;
 pub mod taylor;
 
@@ -52,4 +51,3 @@ pub use circuit::{
     Branch, EquivalentCircuit, ExtractCircuitError, NodeSelection, Realization, RomSpec,
 };
 pub use reduce::{kron_reduce, kron_reduce_blocks, kron_reduce_operator};
-pub use resonance::{find_impedance_peaks, linear_grid, peaks_on_grid};

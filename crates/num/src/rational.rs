@@ -116,6 +116,29 @@ impl<E: fmt::Display> fmt::Display for SweepError<E> {
     }
 }
 
+impl<E> SweepError<E> {
+    /// Flattens the engine error into the caller's error type: grid and
+    /// tolerance problems go through `invalid`, evaluation errors pass
+    /// through unchanged.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pdn_num::rational::SweepError;
+    ///
+    /// let bad: SweepError<String> = SweepError::InvalidInput("empty grid".into());
+    /// assert_eq!(bad.into_error(|m| format!("invalid: {m}")), "invalid: empty grid");
+    /// let eval: SweepError<String> = SweepError::Eval("singular".into());
+    /// assert_eq!(eval.into_error(|m| m), "singular");
+    /// ```
+    pub fn into_error(self, invalid: impl FnOnce(String) -> E) -> E {
+        match self {
+            SweepError::InvalidInput(msg) => invalid(msg),
+            SweepError::Eval(e) => e,
+        }
+    }
+}
+
 impl<E: fmt::Debug + fmt::Display> std::error::Error for SweepError<E> {}
 
 /// Per-sweep engine statistics.
@@ -759,8 +782,10 @@ fn finish_peaks(mut peaks: Vec<(f64, f64)>, min_sep: f64) -> Vec<f64> {
 /// # Examples
 ///
 /// ```
-/// let freqs: Vec<f64> = (0..101).map(|k| 1.0 + 0.09 * k as f64).collect();
-/// let mags: Vec<f64> = freqs.iter().map(|&f| 1.0 / ((f - 5.3f64).powi(2) + 0.01)).collect();
+/// // A 0.5-step grid: the largest sample sits at 5.5, 0.2 from the true
+/// // peak at 5.3; the parabolic refinement recovers it.
+/// let freqs: Vec<f64> = (0..19).map(|k| 1.0 + 0.5 * k as f64).collect();
+/// let mags: Vec<f64> = freqs.iter().map(|&f| 1.0 / ((f - 5.3f64).powi(2) + 0.5)).collect();
 /// let peaks = pdn_num::rational::peaks_on_grid(&freqs, &mags);
 /// assert_eq!(peaks.len(), 1);
 /// assert!((peaks[0] - 5.3).abs() < 0.05);
@@ -1077,6 +1102,8 @@ mod tests {
         // Two refined candidates within one grid step merge into one.
         let merged = finish_peaks(vec![(5.00, 1.0), (5.05, 2.0), (7.0, 1.5)], 0.1);
         assert_eq!(merged, vec![5.05, 7.0]);
+        // A monotone magnitude has no interior maximum.
+        assert!(peaks_on_grid(&freqs, &freqs).is_empty());
     }
 
     #[test]

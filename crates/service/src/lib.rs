@@ -10,7 +10,7 @@
 //!   of [`pdn_core::BoardSpec::canonical_bytes`] plus a declaration-order
 //!   layout signature.
 //! * [`store`]: [`ExtractionCache`] — versioned, checksummed model files
-//!   on disk (`PDN_CACHE_DIR`), an in-memory LRU, and single-flight
+//!   on disk under a caller-chosen root, an in-memory LRU, and single-flight
 //!   deduplication so concurrent requests for one board cost one
 //!   extraction. Cached models wire systems *bit-identical* to a fresh
 //!   extraction.
@@ -21,8 +21,9 @@
 //!   named seed boards.
 //!
 //! See `docs/SERVICE.md` for the protocol, the canonical-hash rule, and
-//! the operational knobs (`PDN_CACHE_DIR`, `PDN_CACHE_VERIFY`,
-//! `PDN_SERVICE_WORKERS`).
+//! the one operational knob, `PDN_CACHE_VERIFY`. The cache root and the
+//! worker count are arguments: [`ExtractionCache::at`] and
+//! [`JobQueue::with_workers`].
 //!
 //! # Example
 //!

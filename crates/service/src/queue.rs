@@ -1,7 +1,7 @@
 //! The asynchronous analysis job queue.
 //!
-//! [`JobQueue`] owns a pool of worker threads (default 2, overridable
-//! with `PDN_SERVICE_WORKERS`) draining per-client job queues through a
+//! [`JobQueue`] owns a pool of worker threads (the count given to
+//! [`JobQueue::with_workers`]) draining per-client job queues through a
 //! deficit-round-robin scheduler, so one client's scenario flood cannot
 //! starve another's single job. Every job routes its extraction through
 //! the shared [`ExtractionCache`]: a warm board skips the mesh → BEM →
@@ -267,16 +267,6 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// A queue with the default worker count: `PDN_SERVICE_WORKERS` when
-    /// set, otherwise 2.
-    pub fn new(cache: Arc<ExtractionCache>) -> Self {
-        let workers = std::env::var("PDN_SERVICE_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
-        Self::with_workers(cache, workers)
-    }
-
     /// A queue with an explicit worker count (at least 1).
     pub fn with_workers(cache: Arc<ExtractionCache>, workers: usize) -> Self {
         let inner = Arc::new(Inner {

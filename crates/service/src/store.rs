@@ -21,7 +21,7 @@
 //! # Tiers and keys
 //!
 //! Models are addressed by [`BoardKey`] — `<root>/<content>/<layout>.model`
-//! on disk (root from `PDN_CACHE_DIR` when set). A small LRU of
+//! on disk, under the root given to [`ExtractionCache::at`]. A small LRU of
 //! deserialized models sits in front of the disk tier. Concurrent
 //! [`get_or_extract`](ExtractionCache::get_or_extract) calls for one key
 //! are single-flighted: the first becomes the leader and extracts, the
@@ -32,7 +32,7 @@
 //! after writing it, failing loudly if the round trip is not bit-exact.
 
 use crate::hash::BoardKey;
-use crate::sha256::{hex, sha256};
+use crate::sha256::sha256;
 use pdn_core::{BoardSpec, BuildBoardError, ExtractedModel, ModelParts};
 use pdn_extract::NodeSelection;
 use pdn_num::{ByteReader, ByteWriter, CodecError, PoleResidueModel};
@@ -260,15 +260,6 @@ impl ExtractionCache {
         }
     }
 
-    /// A cache rooted at `PDN_CACHE_DIR` (falling back to
-    /// `<tmp>/pdn-cache`) with the default memory capacity of 8 models.
-    pub fn from_env() -> Self {
-        let root = std::env::var_os("PDN_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| std::env::temp_dir().join("pdn-cache"));
-        Self::at(root, 8)
-    }
-
     /// The on-disk location of `key`'s model file.
     pub fn model_path(&self, key: &BoardKey) -> PathBuf {
         self.root
@@ -467,11 +458,4 @@ impl fmt::Debug for ExtractionCache {
             .field("stats", &self.stats())
             .finish()
     }
-}
-
-/// A hex digest of a full model file image — what
-/// `PDN_CACHE_VERIFY` compares; exposed for tests asserting byte-level
-/// round trips.
-pub fn file_digest_hex(bytes: &[u8]) -> String {
-    hex(&sha256(bytes))
 }

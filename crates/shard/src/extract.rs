@@ -88,11 +88,6 @@ impl ShardedExtraction {
         &self.equivalent
     }
 
-    /// Consumes the extraction, returning the equivalent circuit.
-    pub fn into_equivalent(self) -> EquivalentCircuit {
-        self.equivalent
-    }
-
     /// Per-region and composition statistics.
     pub fn report(&self) -> &ShardReport {
         &self.report
@@ -103,25 +98,6 @@ impl ShardedExtraction {
     /// extraction cache uses after deserializing both halves.
     pub fn from_parts(equivalent: EquivalentCircuit, report: ShardReport) -> Self {
         ShardedExtraction { equivalent, report }
-    }
-
-    /// Serializes the extraction (equivalent circuit + report) into `w`,
-    /// bit-exactly.
-    pub fn write_to(&self, w: &mut pdn_num::ByteWriter) {
-        self.equivalent.write_to(w);
-        self.report.write_to(w);
-    }
-
-    /// Deserializes an extraction written by [`write_to`](Self::write_to).
-    ///
-    /// # Errors
-    ///
-    /// [`pdn_num::CodecError`] on truncation or invalid component
-    /// encodings.
-    pub fn read_from(r: &mut pdn_num::ByteReader<'_>) -> Result<Self, pdn_num::CodecError> {
-        let equivalent = EquivalentCircuit::read_from(r)?;
-        let report = ShardReport::read_from(r)?;
-        Ok(ShardedExtraction { equivalent, report })
     }
 }
 

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // their DOMINANT mode: small scan-ripple peaks make index-wise pairing
     // meaningless.
     let (f_lo, f_hi) = (0.5e9, 2.5e9);
-    let eq_peaks = verify::circuit_resonances(eq, 0, f_lo, f_hi, 96)?;
+    let eq_peaks = eq.find_resonances(0, f_lo, f_hi, 96)?;
     let fd_peaks = verify::fdtd_resonances(&spec, 0, f_lo, f_hi)?;
     println!(
         "\nall impedance peaks (GHz): circuit {:?}",

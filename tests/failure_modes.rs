@@ -56,11 +56,108 @@ fn voltage_source_loop_is_singular_not_a_hang() {
 
 #[test]
 fn impedance_at_non_positive_frequency_is_typed_error() {
+    use pdn_bem::AssembleBemError;
+    use pdn_circuit::SimulateCircuitError;
+    use pdn_extract::ExtractCircuitError;
     let mut ckt = Circuit::new();
     let a = ckt.node("a");
     ckt.resistor(a, Circuit::GND, 1.0);
     assert!(ckt.impedance_matrix(0.0, &[a]).is_err());
     assert!(ckt.impedance_matrix(-1e9, &[a]).is_err());
+    // Every per-point evaluator accepts only a finite f > 0.
+    let plane = small_extracted_plane();
+    for f in [f64::NAN, f64::INFINITY] {
+        assert!(
+            matches!(
+                ckt.impedance_matrix(f, &[a]),
+                Err(SimulateCircuitError::InvalidSpec(_))
+            ),
+            "circuit at f = {f}"
+        );
+        assert!(
+            matches!(
+                plane.bem().nodal_admittance(f),
+                Err(AssembleBemError::InvalidInput(_))
+            ),
+            "BEM admittance at f = {f}"
+        );
+        assert!(
+            matches!(
+                plane.bem().port_impedance(f),
+                Err(AssembleBemError::InvalidInput(_))
+            ),
+            "BEM port impedance at f = {f}"
+        );
+    }
+    for f in [0.0, -1e9, f64::NAN, f64::INFINITY] {
+        assert!(
+            matches!(
+                plane.equivalent().impedance(f),
+                Err(ExtractCircuitError::InvalidInput(_))
+            ),
+            "macromodel at f = {f}"
+        );
+    }
+}
+
+#[test]
+fn bem_port_solves_need_a_bound_port() {
+    use pdn_bem::AssembleBemError;
+    let mesh = PlaneMesh::build(&Polygon::rectangle(mm(20.0), mm(20.0)), mm(5.0)).expect("mesh");
+    let pair = PlanePair::new(0.5e-3, 4.5).expect("valid pair");
+    let bem = BemSystem::assemble(
+        mesh,
+        &pair,
+        &SurfaceImpedance::lossless(),
+        &BemOptions::default(),
+    )
+    .expect("assembled");
+    let freqs = [1e8, 1e9];
+    let results = [
+        bem.port_impedance(1e9).map(|_| ()),
+        bem.impedance_sweep(&freqs).map(|_| ()),
+        bem.impedance_sweep_with(&freqs, SweepAccuracy::Exact)
+            .map(|_| ()),
+    ];
+    for (k, r) in results.into_iter().enumerate() {
+        match r {
+            Err(AssembleBemError::InvalidInput(msg)) => assert!(msg.contains("port"), "{msg}"),
+            other => panic!("call {k}: expected InvalidInput, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn circuit_port_solves_reject_ground_and_foreign_nodes() {
+    use pdn_circuit::SimulateCircuitError;
+    let mut other = Circuit::new();
+    other.node("o1");
+    other.node("o2");
+    let foreign = other.node("o3");
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    ckt.resistor(a, Circuit::GND, 50.0);
+    let freqs = [1e8, 1e9];
+    for bad in [Circuit::GND, foreign] {
+        let ports = [a, bad];
+        let results = [
+            ckt.impedance_matrix(1e9, &ports).map(|_| ()),
+            ckt.impedance_sweep(&freqs, &ports).map(|_| ()),
+            ckt.impedance_sweep_with(&freqs, &ports, SweepAccuracy::Exact)
+                .map(|_| ()),
+            ckt.s_parameter_sweep(&freqs, &ports, 50.0).map(|_| ()),
+            ckt.s_parameter_sweep_with(&freqs, &ports, 50.0, SweepAccuracy::Exact)
+                .map(|_| ()),
+        ];
+        for (k, r) in results.into_iter().enumerate() {
+            match r {
+                Err(SimulateCircuitError::InvalidSpec(msg)) => {
+                    assert!(msg.contains("port 1"), "{msg}")
+                }
+                other => panic!("call {k} with {bad:?}: expected InvalidSpec, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -133,15 +230,47 @@ fn multi_net_spec_refuses_single_net_flows() {
 }
 
 /// A two-port plane small enough to extract in milliseconds, for the
-/// resonance-scan validation tests.
-fn small_extracted_plane() -> pdn_core::ExtractedPlane {
+/// validation tests.
+fn small_plane_spec() -> PlaneSpec {
     PlaneSpec::rectangle(mm(20.0), mm(20.0), 0.5e-3, 4.5)
         .expect("valid pair")
         .with_cell_size(mm(4.0))
         .with_port("P1", mm(2.0), mm(2.0))
         .with_port("P2", mm(18.0), mm(18.0))
+}
+
+fn small_extracted_plane() -> pdn_core::ExtractedPlane {
+    small_plane_spec()
         .extract(&NodeSelection::PortsOnly)
         .expect("extractable")
+}
+
+#[test]
+fn verify_helpers_reject_out_of_range_ports() {
+    let spec = small_plane_spec();
+    let plane = small_extracted_plane();
+    let eq = plane.equivalent();
+    let freqs = [1e8, 1e9];
+    let stim = Waveform::step(1.0, 0.1e-9);
+    let results = [
+        verify::circuit_s21_db(eq, 9, 0, &freqs, 50.0).map(|_| ()),
+        verify::circuit_s21_db(eq, 0, 9, &freqs, 50.0).map(|_| ()),
+        verify::circuit_strongest_peak(eq, 9, 1e8, 1e9, 11).map(|_| ()),
+        verify::fdtd_s21_db(&spec, 9, 0, &freqs, 50.0, 2e9).map(|_| ()),
+        verify::fdtd_s21_db(&spec, 0, 9, &freqs, 50.0, 2e9).map(|_| ()),
+        verify::fdtd_resonances(&spec, 9, 1e8, 1e9).map(|_| ()),
+        verify::fdtd_strongest_peak(&spec, 9, 1e8, 1e9).map(|_| ()),
+        verify::transient_comparison(&spec, &plane, 9, 0, stim.clone(), 50.0, 1e-9, 1e-11)
+            .map(|_| ()),
+        verify::transient_comparison(&spec, &plane, 0, 9, stim, 50.0, 1e-9, 1e-11).map(|_| ()),
+    ];
+    for (k, r) in results.into_iter().enumerate() {
+        let msg = r.expect_err("out-of-range port").to_string();
+        assert!(
+            msg.contains("port 9") && msg.contains("2 ports"),
+            "call {k}: {msg}"
+        );
+    }
 }
 
 /// The bad resonance-scan requests both model types must reject:

@@ -115,7 +115,7 @@ fn fig7_rational_sweep_matches_golden_with_few_anchors() {
     let freqs: Vec<f64> = (0..609).map(|k| 0.25e9 + k as f64 * 7.8125e6).collect();
     let outcome = extracted
         .equivalent()
-        .s_parameter_sweep_detailed(&freqs, 50.0, SweepAccuracy::Rational { rel_tol: 1e-8 })
+        .s_parameter_sweep_with(&freqs, 50.0, SweepAccuracy::Rational { rel_tol: 1e-8 })
         .expect("solvable");
     assert!(
         4 * outcome.stats.anchors <= freqs.len(),

@@ -72,7 +72,8 @@ proptest! {
         with_thread_counts(|n| {
             let rational = ckt
                 .impedance_sweep_with(&freqs, &[port], RATIONAL)
-                .unwrap();
+                .unwrap()
+                .values;
             for (k, (zr, ze)) in rational.iter().zip(&exact).enumerate() {
                 let rel = (zr[(0, 0)] - ze[(0, 0)]).norm() / ze[(0, 0)].norm();
                 prop_assert!(
@@ -126,9 +127,7 @@ fn adaptive_refinement_places_anchors_at_a_high_q_resonance() {
         .collect();
     let df = freqs[1] - freqs[0];
 
-    let outcome = ckt
-        .impedance_sweep_detailed(&freqs, &[a], RATIONAL)
-        .unwrap();
+    let outcome = ckt.impedance_sweep_with(&freqs, &[a], RATIONAL).unwrap();
     let stats = &outcome.stats;
     assert!(
         stats.anchors < points / 4,
@@ -201,7 +200,7 @@ fn bem_rational_sweep_matches_exact_and_is_thread_count_invariant() {
     let mut rational_ref: Option<Vec<Matrix<c64>>> = None;
     let mut resonances_ref: Option<Vec<f64>> = None;
     with_thread_counts(|n| {
-        let rational = sys.impedance_sweep_with(&freqs, RATIONAL).unwrap();
+        let rational = sys.impedance_sweep_with(&freqs, RATIONAL).unwrap().values;
         for (k, (zr, ze)) in rational.iter().zip(&exact).enumerate() {
             let mut err: f64 = 0.0;
             for i in 0..zr.nrows() {
