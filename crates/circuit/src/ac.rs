@@ -5,7 +5,9 @@
 //! (Section 5.1: "frequency domain simulations are useful for gaining
 //! insight of high frequency characteristics").
 
-use crate::netlist::{Circuit, Element, NodeId, SimulateCircuitError, SourceId};
+use crate::netlist::{
+    switch_conductance, Circuit, Element, NodeId, SimulateCircuitError, SourceId,
+};
 use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{c64, LuDecomposition, Matrix};
 use std::f64::consts::PI;
@@ -18,13 +20,9 @@ pub struct AcSweep {
 
 impl AcSweep {
     /// Linear sweep from `f_start` to `f_stop` with `points` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `points >= 2` and frequencies are positive.
+    /// [`Circuit::ac`] rejects a sweep with fewer than two points or a
+    /// range that is not positive and increasing.
     pub fn linear(f_start: f64, f_stop: f64, points: usize) -> Self {
-        assert!(points >= 2, "need at least two sweep points");
-        assert!(f_start > 0.0 && f_stop > f_start, "invalid frequency range");
         let freqs = (0..points)
             .map(|k| f_start + (f_stop - f_start) * k as f64 / (points - 1) as f64)
             .collect();
@@ -32,13 +30,9 @@ impl AcSweep {
     }
 
     /// Logarithmic sweep from `f_start` to `f_stop` with `points` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `points >= 2` and frequencies are positive.
+    /// [`Circuit::ac`] rejects a sweep with fewer than two points or a
+    /// range that is not positive and increasing.
     pub fn log(f_start: f64, f_stop: f64, points: usize) -> Self {
-        assert!(points >= 2, "need at least two sweep points");
-        assert!(f_start > 0.0 && f_stop > f_start, "invalid frequency range");
         let (l0, l1) = (f_start.log10(), f_stop.log10());
         let freqs = (0..points)
             .map(|k| 10f64.powf(l0 + (l1 - l0) * k as f64 / (points - 1) as f64))
@@ -148,9 +142,8 @@ impl Circuit {
                     invert,
                 } => {
                     // Small-signal: conductance frozen at its initial state.
-                    let sv = s.initial_value().clamp(0.0, 1.0);
-                    let frac = if *invert { 1.0 - sv } else { sv };
-                    stamp_y(*p, *q, c64::from_re((g_on * frac).max(g_on * 1e-9)), &mut a);
+                    let g = switch_conductance(*g_on, s.initial_value(), *invert);
+                    stamp_y(*p, *q, c64::from_re(g), &mut a);
                 }
                 Element::VSource {
                     plus, minus, index, ..
@@ -208,7 +201,10 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulateCircuitError::Singular`] if the complex MNA matrix
+    /// Returns [`SimulateCircuitError::InvalidSpec`] for a sweep grid
+    /// that is empty, not finite and positive, or not strictly increasing,
+    /// and for an `excite` that is not a voltage source of this circuit;
+    /// [`SimulateCircuitError::Singular`] if the complex MNA matrix
     /// cannot be factored at some frequency (the lowest failing frequency
     /// is reported).
     pub fn ac(&self, sweep: &AcSweep, excite: SourceId) -> Result<AcResult, SimulateCircuitError> {
@@ -230,6 +226,12 @@ impl Circuit {
         excite: SourceId,
         accuracy: SweepAccuracy,
     ) -> Result<AcResult, SimulateCircuitError> {
+        if excite.0 >= self.n_vsources {
+            return Err(SimulateCircuitError::InvalidSpec(format!(
+                "AC excitation must be a voltage source of this circuit (0..{}), got source {}",
+                self.n_vsources, excite.0
+            )));
+        }
         let n = self.n_nodes;
         let dim = n + self.n_vsources;
         let outcome = rational::sweep(&sweep.freqs, accuracy, |f| {

@@ -110,6 +110,15 @@ pub(crate) enum Element {
     },
 }
 
+/// Conductance of a [`Element::SwitchResistor`] whose drive reads
+/// `drive`: `g_on` scaled by the clamped (for `invert`, complemented)
+/// drive, floored at `1e-9·g_on` so the node never floats.
+pub(crate) fn switch_conductance(g_on: f64, drive: f64, invert: bool) -> f64 {
+    let sv = drive.clamp(0.0, 1.0);
+    let frac = if invert { 1.0 - sv } else { sv };
+    (g_on * frac).max(g_on * 1e-9)
+}
+
 /// A circuit under construction.
 ///
 /// Nodes are created with [`node`](Circuit::node) (by name) or
@@ -386,15 +395,6 @@ impl Circuit {
         self.inductor(m1, m2, esl.max(1e-15));
         self.capacitor(m2, b, c);
     }
-
-    /// `true` when any element's value changes with time (switch
-    /// resistors), which forces a per-step refactorization in transient
-    /// analysis.
-    pub fn has_time_varying_topology(&self) -> bool {
-        self.elements
-            .iter()
-            .any(|e| matches!(e, Element::SwitchResistor { .. }))
-    }
 }
 
 #[cfg(test)]
@@ -451,22 +451,6 @@ mod tests {
         let a = c.node("vdd");
         c.decoupling_cap(a, Circuit::GND, 100e-9, 0.01, 1e-9);
         assert_eq!(c.element_count(), 3);
-    }
-
-    #[test]
-    fn time_varying_detection() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.resistor(a, Circuit::GND, 1.0);
-        assert!(!c.has_time_varying_topology());
-        c.cmos_driver(
-            a,
-            Circuit::GND,
-            Circuit::GND,
-            10.0,
-            Waveform::step(1.0, 0.0),
-        );
-        assert!(c.has_time_varying_topology());
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! history current source, so **no internal inductance nodes** are added
 //! and — with a uniform time step and a linear network — the system matrix
 //! is constant and factored exactly once. Time-varying switch resistors
-//! (behavioral drivers) either force a per-step refactorization
-//! ([`SolverMode::Monolithic`]) or are folded into an exact rank-k
-//! Sherman–Morrison–Woodbury update over the single factorization
-//! ([`SolverMode::Partitioned`] — the paper's partitioned co-simulation,
-//! Section 5.2).
+//! (behavioral drivers) sit in that matrix frozen at half conductance; the
+//! rest of their conductance is an exact rank-k Sherman–Morrison–Woodbury
+//! update over the single factorization, applied every step (the paper's
+//! partitioned co-simulation, Section 5.2).
 //!
 //! Both integration orders of the paper are available: first order
 //! (backward Euler, strongly damping, used for the DC settle phase) and
 //! second order (trapezoidal, the default).
 
-use crate::netlist::{Circuit, Element, NodeId, SimulateCircuitError};
+use crate::netlist::{switch_conductance, Circuit, Element, NodeId, SimulateCircuitError};
 use crate::waveform::Waveform;
-use pdn_num::{LuDecomposition, Matrix};
+use pdn_num::{LuDecomposition, Matrix, SolveMatrixError};
 use std::cmp::Ordering;
 
 /// Integration method for the companion models.
@@ -28,22 +27,6 @@ pub enum Integration {
     Trapezoidal,
     /// First-order backward Euler (A-stable, strongly dissipative).
     BackwardEuler,
-}
-
-/// How time-varying switch resistors are handled each step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMode {
-    /// Rebuild and refactor the MNA matrix every step while any switch
-    /// resistor is present. Exact; `O(n³)` per step.
-    #[default]
-    Monolithic,
-    /// The paper's partitioned co-simulation, solved exactly: the matrix
-    /// is factored ONCE with every switch frozen at half conductance; the
-    /// time-varying remainder is a rank-k update (k = number of switches)
-    /// applied per step with the Sherman–Morrison–Woodbury identity.
-    /// `O(n² + k³)` per step after the single factorization, and
-    /// bit-for-bit equivalent to the monolithic solution up to round-off.
-    Partitioned,
 }
 
 /// Transient analysis specification.
@@ -61,8 +44,6 @@ pub struct TransientSpec {
     /// Pre-roll duration simulated with sources held at their initial
     /// values (backward Euler) to reach DC steady state before `t = 0`.
     pub settle: f64,
-    /// Switch-resistor handling.
-    pub solver: SolverMode,
 }
 
 impl TransientSpec {
@@ -73,7 +54,6 @@ impl TransientSpec {
             dt,
             integration: Integration::Trapezoidal,
             settle: 0.0,
-            solver: SolverMode::Monolithic,
         }
     }
 
@@ -86,12 +66,6 @@ impl TransientSpec {
     /// Enables a DC settle pre-roll of the given duration (builder style).
     pub fn with_settle(mut self, settle: f64) -> Self {
         self.settle = settle;
-        self
-    }
-
-    /// Selects the partitioned fast solver (builder style).
-    pub fn with_partitioned_solver(mut self) -> Self {
-        self.solver = SolverMode::Partitioned;
         self
     }
 }
@@ -170,10 +144,28 @@ fn k_int(integ: Integration) -> f64 {
     }
 }
 
+/// `(e_p − e_q)ᵀ·x` over the node rows of an MNA vector (ground has no
+/// row).
+fn branch_voltage(p: NodeId, q: NodeId, x: &[f64]) -> f64 {
+    let mut v = 0.0;
+    if p.0 > 0 {
+        v += x[p.0 - 1];
+    }
+    if q.0 > 0 {
+        v -= x[q.0 - 1];
+    }
+    v
+}
+
+/// A failed factorization or solve, as a circuit error.
+fn singular(e: SolveMatrixError) -> SimulateCircuitError {
+    SimulateCircuitError::Singular(e.to_string())
+}
+
 impl Circuit {
     /// Validates a transient spec against this circuit (finite positive
     /// step and stop time, finite non-negative settle, step below every
-    /// transmission-line modal delay).
+    /// transmission-line modal delay, step counts that fit a run).
     fn validate_transient_spec(&self, spec: &TransientSpec) -> Result<(), SimulateCircuitError> {
         if spec.dt.partial_cmp(&0.0) != Some(Ordering::Greater)
             || spec.t_stop.partial_cmp(&0.0) != Some(Ordering::Greater)
@@ -201,7 +193,46 @@ impl Circuit {
                 }
             }
         }
-        Ok(())
+        self.step_counts(spec).map(|_| ())
+    }
+
+    /// The settle and main step counts `(n_settle, n_steps)` of a run.
+    ///
+    /// Snap rule for the timebase: the run always covers `t_stop`. The
+    /// last sample lands on the first grid point `n·dt ≥ t_stop`, with a
+    /// relative tolerance of 1e-9 so a commensurate `t_stop/dt` (up to
+    /// round-off) keeps exactly `t_stop/dt` steps instead of gaining a
+    /// spurious extra one. A `round()` here would silently simulate a
+    /// shorter duration whenever `t_stop` is not a multiple of `dt`.
+    ///
+    /// A count that is not finite, or a total `n_settle + n_steps + 1`
+    /// that overflows `usize`, is [`SimulateCircuitError::InvalidSpec`].
+    fn step_counts(&self, spec: &TransientSpec) -> Result<(usize, usize), SimulateCircuitError> {
+        let n_steps = ((spec.t_stop / spec.dt) * (1.0 - 1e-9)).ceil().max(1.0);
+        let n_settle = if spec.settle > 0.0 {
+            (spec.settle / self.settle_step(spec)).ceil()
+        } else {
+            0.0
+        };
+        // `usize::MAX as f64` rounds up to 2⁶⁴, so `<` admits exactly the
+        // counts that convert without saturating.
+        let fits = |n: f64| n.is_finite() && n < usize::MAX as f64;
+        let too_many = || {
+            SimulateCircuitError::InvalidSpec(format!(
+                "{n_steps:e} steps plus {n_settle:e} settle steps do not fit in a run \
+                 (t_stop = {}, dt = {}, settle = {})",
+                spec.t_stop, spec.dt, spec.settle
+            ))
+        };
+        if !fits(n_steps) || !fits(n_settle) {
+            return Err(too_many());
+        }
+        let (n_settle, n_steps) = (n_settle as usize, n_steps as usize);
+        n_settle
+            .checked_add(n_steps)
+            .and_then(|n| n.checked_add(1))
+            .ok_or_else(too_many)?;
+        Ok((n_settle, n_steps))
     }
 
     /// The settle-phase step size. The settle phase uses large
@@ -221,178 +252,267 @@ impl Circuit {
         }
     }
 
-    /// Per-element flag: `true` for switch resistors whose drive genuinely
-    /// varies with time. In partitioned mode only those join the rank-k
-    /// update; constant (idle) switches are stamped at their actual
-    /// conductance in the base matrix.
-    fn active_switch_mask(&self) -> Vec<bool> {
-        self.elements
-            .iter()
-            .map(|e| match e {
-                Element::SwitchResistor { s, .. } => !s.is_constant(),
-                _ => false,
-            })
-            .collect()
-    }
-
     /// Stamps the MNA matrix for one integration rule and step size.
     ///
-    /// `t = None` means "DC settle": switches at their initial state (or
-    /// frozen at half conductance in partitioned mode, where `t = Some(_)`
-    /// never reaches the switch arm).
-    fn mna_matrix(
-        &self,
-        integ: Integration,
-        t: Option<f64>,
-        dt: f64,
-        partitioned: bool,
-        switch_active: &[bool],
-    ) -> Matrix<f64> {
+    /// Switch resistors whose drive varies with time are frozen at half
+    /// conductance (the Woodbury update adds the rest each step); constant
+    /// ones sit at their DC conductance. The matrix therefore does not
+    /// depend on time.
+    fn mna_matrix(&self, integ: Integration, dt: f64) -> Matrix<f64> {
         let n = self.n_nodes;
         let dim = n + self.n_vsources;
-        {
-            let kk = k_int(integ);
-            let mut a = Matrix::zeros(dim, dim);
-            let stamp_g = |p: NodeId, q: NodeId, g: f64, a: &mut Matrix<f64>| {
-                if p.0 > 0 {
-                    a[(p.0 - 1, p.0 - 1)] += g;
+        let kk = k_int(integ);
+        let mut a = Matrix::zeros(dim, dim);
+        let stamp_g = |p: NodeId, q: NodeId, g: f64, a: &mut Matrix<f64>| {
+            if p.0 > 0 {
+                a[(p.0 - 1, p.0 - 1)] += g;
+            }
+            if q.0 > 0 {
+                a[(q.0 - 1, q.0 - 1)] += g;
+            }
+            if p.0 > 0 && q.0 > 0 {
+                a[(p.0 - 1, q.0 - 1)] -= g;
+                a[(q.0 - 1, p.0 - 1)] -= g;
+            }
+        };
+        for e in &self.elements {
+            match e {
+                Element::Resistor { a: p, b: q, ohms } => {
+                    stamp_g(*p, *q, 1.0 / ohms, &mut a);
                 }
-                if q.0 > 0 {
-                    a[(q.0 - 1, q.0 - 1)] += g;
+                Element::Capacitor { a: p, b: q, farads } => {
+                    stamp_g(*p, *q, kk * farads / dt, &mut a);
                 }
-                if p.0 > 0 && q.0 > 0 {
-                    a[(p.0 - 1, q.0 - 1)] -= g;
-                    a[(q.0 - 1, p.0 - 1)] -= g;
+                Element::Inductor {
+                    a: p,
+                    b: q,
+                    henries,
+                } => {
+                    stamp_g(*p, *q, dt / (kk * henries), &mut a);
                 }
-            };
-            for (ei, e) in self.elements.iter().enumerate() {
-                match e {
-                    Element::Resistor { a: p, b: q, ohms } => {
-                        stamp_g(*p, *q, 1.0 / ohms, &mut a);
-                    }
-                    Element::Capacitor { a: p, b: q, farads } => {
-                        stamp_g(*p, *q, kk * farads / dt, &mut a);
-                    }
-                    Element::Inductor {
-                        a: p,
-                        b: q,
-                        henries,
-                    } => {
-                        stamp_g(*p, *q, dt / (kk * henries), &mut a);
-                    }
-                    Element::CoupledInductors {
-                        a1,
-                        b1,
-                        a2,
-                        b2,
-                        l1,
-                        l2,
-                        m: lm,
-                    } => {
-                        // Geq = (dt/kk)·L⁻¹ for the 2×2 inductance matrix.
-                        let det = l1 * l2 - lm * lm;
-                        let s = dt / (kk * det);
-                        let g11 = s * l2;
-                        let g22 = s * l1;
-                        let g12 = -s * lm;
-                        stamp_g(*a1, *b1, g11, &mut a);
-                        stamp_g(*a2, *b2, g22, &mut a);
-                        // Cross conductance: i1 += g12·(v_a2 − v_b2), etc.
-                        let cross = |p: NodeId,
-                                     q: NodeId,
-                                     r: NodeId,
-                                     sn: NodeId,
-                                     g: f64,
-                                     a: &mut Matrix<f64>| {
-                            // current g·(v_r − v_s) enters branch (p→q)
-                            for (ni, sgn_i) in [(p, 1.0), (q, -1.0)] {
-                                for (nj, sgn_j) in [(r, 1.0), (sn, -1.0)] {
-                                    if ni.0 > 0 && nj.0 > 0 {
-                                        a[(ni.0 - 1, nj.0 - 1)] += sgn_i * sgn_j * g;
-                                    }
+                Element::CoupledInductors {
+                    a1,
+                    b1,
+                    a2,
+                    b2,
+                    l1,
+                    l2,
+                    m: lm,
+                } => {
+                    // Geq = (dt/kk)·L⁻¹ for the 2×2 inductance matrix.
+                    let det = l1 * l2 - lm * lm;
+                    let s = dt / (kk * det);
+                    let g11 = s * l2;
+                    let g22 = s * l1;
+                    let g12 = -s * lm;
+                    stamp_g(*a1, *b1, g11, &mut a);
+                    stamp_g(*a2, *b2, g22, &mut a);
+                    // Cross conductance: i1 += g12·(v_a2 − v_b2), etc.
+                    let cross = |p: NodeId,
+                                 q: NodeId,
+                                 r: NodeId,
+                                 sn: NodeId,
+                                 g: f64,
+                                 a: &mut Matrix<f64>| {
+                        // current g·(v_r − v_s) enters branch (p→q)
+                        for (ni, sgn_i) in [(p, 1.0), (q, -1.0)] {
+                            for (nj, sgn_j) in [(r, 1.0), (sn, -1.0)] {
+                                if ni.0 > 0 && nj.0 > 0 {
+                                    a[(ni.0 - 1, nj.0 - 1)] += sgn_i * sgn_j * g;
                                 }
                             }
-                        };
-                        cross(*a1, *b1, *a2, *b2, g12, &mut a);
-                        cross(*a2, *b2, *a1, *b1, g12, &mut a);
+                        }
+                    };
+                    cross(*a1, *b1, *a2, *b2, g12, &mut a);
+                    cross(*a2, *b2, *a1, *b1, g12, &mut a);
+                }
+                Element::SwitchResistor {
+                    a: p,
+                    b: q,
+                    g_on,
+                    s,
+                    invert,
+                } => {
+                    let g = if s.is_constant() {
+                        switch_conductance(*g_on, s.initial_value(), *invert)
+                    } else {
+                        0.5 * g_on
+                    };
+                    stamp_g(*p, *q, g, &mut a);
+                }
+                Element::VSource {
+                    plus, minus, index, ..
+                } => {
+                    let row = n + index;
+                    if plus.0 > 0 {
+                        a[(plus.0 - 1, row)] += 1.0;
+                        a[(row, plus.0 - 1)] += 1.0;
                     }
-                    Element::SwitchResistor {
-                        a: p,
-                        b: q,
-                        g_on,
-                        s,
-                        invert,
-                    } => {
-                        let g = if partitioned && switch_active[ei] {
-                            // Frozen midpoint: corrections are Norton
-                            // currents added per step.
-                            0.5 * g_on
-                        } else {
-                            let sv = match t {
-                                Some(t) => s.eval(t),
-                                None => s.initial_value(),
+                    if minus.0 > 0 {
+                        a[(minus.0 - 1, row)] -= 1.0;
+                        a[(row, minus.0 - 1)] -= 1.0;
+                    }
+                }
+                Element::ISource { .. } => {}
+                Element::ReducedOrder { nodes, model } => {
+                    // Recursive-convolution companion admittance,
+                    // ground-referenced at each port.
+                    let g = model.companion_admittance(kk, dt);
+                    for (i, p) in nodes.iter().enumerate() {
+                        for (j, q) in nodes.iter().enumerate() {
+                            if p.0 > 0 && q.0 > 0 {
+                                a[(p.0 - 1, q.0 - 1)] += g[(i, j)];
                             }
-                            .clamp(0.0, 1.0);
-                            let frac = if *invert { 1.0 - sv } else { sv };
-                            // Keep a tiny off conductance so the node never
-                            // floats.
-                            (g_on * frac).max(g_on * 1e-9)
-                        };
-                        stamp_g(*p, *q, g, &mut a);
-                    }
-                    Element::VSource {
-                        plus, minus, index, ..
-                    } => {
-                        let row = n + index;
-                        if plus.0 > 0 {
-                            a[(plus.0 - 1, row)] += 1.0;
-                            a[(row, plus.0 - 1)] += 1.0;
-                        }
-                        if minus.0 > 0 {
-                            a[(minus.0 - 1, row)] -= 1.0;
-                            a[(row, minus.0 - 1)] -= 1.0;
                         }
                     }
-                    Element::ISource { .. } => {}
-                    Element::ReducedOrder { nodes, model } => {
-                        // Recursive-convolution companion admittance,
-                        // ground-referenced at each port.
-                        let g = model.companion_admittance(kk, dt);
-                        for (i, p) in nodes.iter().enumerate() {
-                            for (j, q) in nodes.iter().enumerate() {
+                }
+                Element::CoupledLine { model, near, far } => {
+                    let yc = model.characteristic_admittance();
+                    let nc = model.conductor_count();
+                    // Yc is a full admittance block referenced to ground
+                    // at each end.
+                    for ends in [near, far] {
+                        for i in 0..nc {
+                            for j in 0..nc {
+                                let g = yc[(i, j)];
+                                let (p, q) = (ends[i], ends[j]);
                                 if p.0 > 0 && q.0 > 0 {
-                                    a[(p.0 - 1, q.0 - 1)] += g[(i, j)];
-                                }
-                            }
-                        }
-                    }
-                    Element::CoupledLine { model, near, far } => {
-                        let yc = model.characteristic_admittance();
-                        let nc = model.conductor_count();
-                        // Yc is a full admittance block referenced to ground
-                        // at each end.
-                        for (ends, _) in [(near, 0), (far, 1)] {
-                            for i in 0..nc {
-                                for j in 0..nc {
-                                    let g = yc[(i, j)];
-                                    let (p, q) = (ends[i], ends[j]);
-                                    if p.0 > 0 && q.0 > 0 {
-                                        a[(p.0 - 1, q.0 - 1)] += g;
-                                    }
+                                    a[(p.0 - 1, q.0 - 1)] += g;
                                 }
                             }
                         }
                     }
                 }
             }
-            a
         }
+        a
+    }
+
+    /// Terminals and on-conductances `(p, q, g_on)` of the switch
+    /// resistors whose drive varies with time, in element order — the
+    /// columns of the Woodbury update.
+    fn active_switch_terminals(&self) -> Vec<(NodeId, NodeId, f64)> {
+        self.elements
+            .iter()
+            .filter_map(|e| match e {
+                Element::SwitchResistor { a, b, g_on, s, .. } if !s.is_constant() => {
+                    Some((*a, *b, *g_on))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// One phase of a run — the DC settle pre-roll or the recorded main
+/// phase: its integration rule and step, the MNA matrix `A₀` (active
+/// switches frozen at half conductance), its LU factor, and the Woodbury
+/// factors of the switch update.
+///
+/// Each active switch between nodes `(p, q)` perturbs `A₀` by
+/// `Δg·(e_p−e_q)(e_p−e_q)ᵀ`. With `U` the `n×k` incidence of the switches
+/// and `D = diag(Δg(t))`, `W = A₀⁻¹U` and `S₀ = UᵀW` are computed once;
+/// every step then solves
+///   `x = z − W·(I + D·S₀)⁻¹·D·Uᵀz`,  `z = A₀⁻¹·rhs`.
+#[derive(Clone)]
+struct Phase {
+    integration: Integration,
+    dt: f64,
+    matrix: Matrix<f64>,
+    lu: LuDecomposition<f64>,
+    /// `W = A₀⁻¹U`, one column per active switch.
+    w: Vec<Vec<f64>>,
+    /// `S₀ = UᵀW`.
+    s0: Matrix<f64>,
+}
+
+impl Phase {
+    /// Stamps and factors one phase for the given active switches.
+    fn new(
+        ckt: &Circuit,
+        integration: Integration,
+        dt: f64,
+        switches: &[(NodeId, NodeId, f64)],
+    ) -> Result<Self, SimulateCircuitError> {
+        let matrix = ckt.mna_matrix(integration, dt);
+        let lu = LuDecomposition::new(matrix.clone()).map_err(singular)?;
+        let dim = ckt.n_nodes + ckt.n_vsources;
+        let w = switches
+            .iter()
+            .map(|&(p, q, _)| {
+                let mut u = vec![0.0; dim];
+                if p.0 > 0 {
+                    u[p.0 - 1] += 1.0;
+                }
+                if q.0 > 0 {
+                    u[q.0 - 1] -= 1.0;
+                }
+                lu.solve(&u).map_err(singular)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let k = switches.len();
+        let s0 = Matrix::from_fn(k, k, |i, j| {
+            let (p, q, _) = switches[i];
+            branch_voltage(p, q, &w[j])
+        });
+        Ok(Phase {
+            integration,
+            dt,
+            matrix,
+            lu,
+            w,
+            s0,
+        })
+    }
+
+    /// `true` when `ckt` stamps exactly this phase's matrix for the same
+    /// rule and step.
+    fn matches(&self, ckt: &Circuit, integration: Integration, dt: f64) -> bool {
+        self.integration == integration
+            && self.dt == dt
+            && ckt.mna_matrix(integration, dt) == self.matrix
+    }
+
+    /// The per-step solve `(A₀ + U·D·Uᵀ)·x = rhs`, where `d` holds each
+    /// switch's conductance minus its frozen half: one back-substitution
+    /// on the phase factor plus a `k×k` system.
+    fn solve(
+        &self,
+        switches: &[(NodeId, NodeId, f64)],
+        d: &[f64],
+        rhs: &[f64],
+    ) -> Result<Vec<f64>, SimulateCircuitError> {
+        let z = self.lu.solve(rhs).map_err(singular)?;
+        let k = switches.len();
+        if k == 0 {
+            return Ok(z);
+        }
+        // Small system (I + D·S₀)·y = D·Uᵀz.
+        let m_small = Matrix::from_fn(k, k, |i, j| {
+            let delta = if i == j { 1.0 } else { 0.0 };
+            delta + d[i] * self.s0[(i, j)]
+        });
+        let rhs_small: Vec<f64> = switches
+            .iter()
+            .zip(d)
+            .map(|(&(p, q, _), &di)| di * branch_voltage(p, q, &z))
+            .collect();
+        let y = LuDecomposition::new(m_small)
+            .and_then(|lu| lu.solve(&rhs_small))
+            .map_err(singular)?;
+        let mut x = z;
+        for (col, &yk) in self.w.iter().zip(&y) {
+            for (xi, &wi) in x.iter_mut().zip(col) {
+                *xi -= wi * yk;
+            }
+        }
+        Ok(x)
     }
 }
 
 /// The reusable, scenario-invariant preparation of a transient solve: the
-/// factored MNA matrices for the settle and main phases, plus the
-/// partitioned solver's Woodbury factors.
+/// settle and main phases, each with its factored MNA matrix and the
+/// Woodbury factors of the switch update.
 ///
 /// With a uniform time step and a linear network the MNA matrix does not
 /// depend on source or switch *waveforms* — only on the element topology,
@@ -407,24 +527,10 @@ impl Circuit {
 /// [`Circuit::transient`] run.
 #[derive(Clone)]
 pub struct TransientPlan {
-    dt: f64,
-    dt_settle: f64,
-    integration: Integration,
-    solver: SolverMode,
-    dim: usize,
-    settle_matrix: Matrix<f64>,
-    /// `None` when the circuit is time-varying in monolithic mode (the
-    /// matrix is rebuilt every step and nothing can be pre-factored).
-    main_matrix: Option<Matrix<f64>>,
-    settle_lu: LuDecomposition<f64>,
-    main_lu: Option<LuDecomposition<f64>>,
-    /// Active-switch terminals and on-conductances, in element order
-    /// (partitioned mode only).
+    /// Active-switch terminals and on-conductances, in element order.
     switches: Vec<(NodeId, NodeId, f64)>,
-    w_settle: Vec<Vec<f64>>,
-    s0_settle: Matrix<f64>,
-    w_main: Vec<Vec<f64>>,
-    s0_main: Matrix<f64>,
+    settle: Phase,
+    main: Phase,
 }
 
 impl TransientPlan {
@@ -437,104 +543,18 @@ impl TransientPlan {
     /// factored (floating nodes, voltage-source loops).
     pub fn new(ckt: &Circuit, spec: &TransientSpec) -> Result<Self, SimulateCircuitError> {
         ckt.validate_transient_spec(spec)?;
-        let dim = ckt.n_nodes + ckt.n_vsources;
-        let partitioned = spec.solver == SolverMode::Partitioned;
-        let switch_active = ckt.active_switch_mask();
-        let dt_settle = ckt.settle_step(spec);
-        let singular = |e: pdn_num::SolveMatrixError| SimulateCircuitError::Singular(e.to_string());
-        let settle_matrix = ckt.mna_matrix(
+        let switches = ckt.active_switch_terminals();
+        let settle = Phase::new(
+            ckt,
             Integration::BackwardEuler,
-            None,
-            dt_settle,
-            partitioned,
-            &switch_active,
-        );
-        let settle_lu = LuDecomposition::new(settle_matrix.clone()).map_err(singular)?;
-        let time_varying = ckt.has_time_varying_topology() && !partitioned;
-        let (main_matrix, main_lu) = if time_varying {
-            (None, None)
-        } else {
-            let a = ckt.mna_matrix(
-                spec.integration,
-                Some(0.0),
-                spec.dt,
-                partitioned,
-                &switch_active,
-            );
-            let lu = LuDecomposition::new(a.clone()).map_err(singular)?;
-            (Some(a), Some(lu))
-        };
-
-        // Partitioned mode: precompute the Woodbury factors. Each switch
-        // between nodes (p, q) perturbs the constant matrix by
-        // Δg·(e_p−e_q)(e_p−e_q)ᵀ. With U the n×k incidence of the
-        // switches and W = A₀⁻¹U (computed once per phase matrix),
-        //   x = z − W·(I + D·S₀)⁻¹·D·Uᵀz ,   S₀ = UᵀW, D = diag(Δg(t)).
-        let (switches, w_settle, s0_settle, w_main, s0_main) = if partitioned {
-            let switches: Vec<(NodeId, NodeId, f64)> = ckt.active_switch_terminals(&switch_active);
-            let k = switches.len();
-            let build_w = |lu: &LuDecomposition<f64>| -> Result<
-                (Vec<Vec<f64>>, Matrix<f64>),
-                SimulateCircuitError,
-            > {
-                let mut w = Vec::with_capacity(k);
-                for (p, q, _) in &switches {
-                    let mut u = vec![0.0; dim];
-                    if p.0 > 0 {
-                        u[p.0 - 1] += 1.0;
-                    }
-                    if q.0 > 0 {
-                        u[q.0 - 1] -= 1.0;
-                    }
-                    w.push(
-                        lu.solve(&u)
-                            .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?,
-                    );
-                }
-                let s0 = Matrix::from_fn(k, k, |i, j| {
-                    let (p, q, _) = switches[i];
-                    let mut v = 0.0;
-                    if p.0 > 0 {
-                        v += w[j][p.0 - 1];
-                    }
-                    if q.0 > 0 {
-                        v -= w[j][q.0 - 1];
-                    }
-                    v
-                });
-                Ok((w, s0))
-            };
-            let (w_settle, s0_settle) = build_w(&settle_lu)?;
-            let main = main_lu
-                .as_ref()
-                .expect("constant matrix in partitioned mode");
-            let (w_main, s0_main) = build_w(main)?;
-            (switches, w_settle, s0_settle, w_main, s0_main)
-        } else {
-            (
-                Vec::new(),
-                Vec::new(),
-                Matrix::zeros(0, 0),
-                Vec::new(),
-                Matrix::zeros(0, 0),
-            )
-        };
-
+            ckt.settle_step(spec),
+            &switches,
+        )?;
+        let main = Phase::new(ckt, spec.integration, spec.dt, &switches)?;
         Ok(TransientPlan {
-            dt: spec.dt,
-            dt_settle,
-            integration: spec.integration,
-            solver: spec.solver,
-            dim,
-            settle_matrix,
-            main_matrix,
-            settle_lu,
-            main_lu,
             switches,
-            w_settle,
-            s0_settle,
-            w_main,
-            s0_main,
+            settle,
+            main,
         })
     }
 
@@ -545,79 +565,25 @@ impl TransientPlan {
     /// Costs one `O(n²)` matrix re-stamp and compare, versus the `O(n³)`
     /// factorization it saves.
     pub fn matches(&self, ckt: &Circuit, spec: &TransientSpec) -> bool {
-        if ckt.validate_transient_spec(spec).is_err() {
-            return false;
-        }
-        let dim = ckt.n_nodes + ckt.n_vsources;
-        if self.dim != dim
-            || self.dt != spec.dt
-            || self.integration != spec.integration
-            || self.solver != spec.solver
-            || self.dt_settle != ckt.settle_step(spec)
-        {
-            return false;
-        }
-        let partitioned = spec.solver == SolverMode::Partitioned;
-        let switch_active = ckt.active_switch_mask();
-        if partitioned && ckt.active_switch_terminals(&switch_active) != self.switches {
-            return false;
-        }
-        if ckt.mna_matrix(
-            Integration::BackwardEuler,
-            None,
-            self.dt_settle,
-            partitioned,
-            &switch_active,
-        ) != self.settle_matrix
-        {
-            return false;
-        }
-        let time_varying = ckt.has_time_varying_topology() && !partitioned;
-        match (&self.main_matrix, time_varying) {
-            (None, true) => true,
-            (Some(m), false) => {
-                ckt.mna_matrix(
-                    spec.integration,
-                    Some(0.0),
-                    spec.dt,
-                    partitioned,
-                    &switch_active,
-                ) == *m
-            }
-            _ => false,
-        }
-    }
-
-    /// MNA system dimension (nodes + voltage sources) the plan was built
-    /// for.
-    pub fn dim(&self) -> usize {
-        self.dim
+        ckt.validate_transient_spec(spec).is_ok()
+            && ckt.active_switch_terminals() == self.switches
+            && self
+                .settle
+                .matches(ckt, Integration::BackwardEuler, ckt.settle_step(spec))
+            && self.main.matches(ckt, spec.integration, spec.dt)
     }
 }
 
 impl Circuit {
-    /// Active-switch terminals `(p, q, g_on)` in element order.
-    fn active_switch_terminals(&self, switch_active: &[bool]) -> Vec<(NodeId, NodeId, f64)> {
-        self.elements
-            .iter()
-            .enumerate()
-            .filter_map(|(ei, e)| match e {
-                Element::SwitchResistor { a, b, g_on, .. } if switch_active[ei] => {
-                    Some((*a, *b, *g_on))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Runs a transient analysis.
     ///
     /// # Errors
     ///
     /// Returns [`SimulateCircuitError::InvalidSpec`] for a non-positive
-    /// step/stop time or a step larger than the smallest transmission-line
-    /// modal delay, and [`SimulateCircuitError::Singular`] when the MNA
-    /// matrix cannot be factored (floating nodes, voltage-source loops).
+    /// step/stop time, a step larger than the smallest transmission-line
+    /// modal delay, or a step count whose samples cannot be stored, and
+    /// [`SimulateCircuitError::Singular`] when the MNA matrix cannot be
+    /// factored (floating nodes, voltage-source loops).
     pub fn transient(&self, spec: &TransientSpec) -> Result<TransientResult, SimulateCircuitError> {
         let plan = TransientPlan::new(self, spec)?;
         self.run_transient(spec, &plan)
@@ -659,36 +625,22 @@ impl Circuit {
         let n = self.n_nodes;
         let m = self.n_vsources;
         let dim = n + m;
-        // Snap rule for the timebase: the run always covers `t_stop`. The
-        // last sample lands on the first grid point `n·dt ≥ t_stop`, with a
-        // relative tolerance of 1e-9 so a commensurate `t_stop/dt` (up to
-        // round-off) keeps exactly `t_stop/dt` steps instead of gaining a
-        // spurious extra one. A `round()` here would silently simulate a
-        // shorter duration whenever `t_stop` is not a multiple of `dt`.
-        let n_steps = ((spec.t_stop / spec.dt) * (1.0 - 1e-9)).ceil().max(1.0) as usize;
-        let dt_settle = plan.dt_settle;
-        let n_settle = if spec.settle > 0.0 {
-            (spec.settle / dt_settle).ceil() as usize
-        } else {
-            0
-        };
-        let partitioned = spec.solver == SolverMode::Partitioned;
-        let switch_active = self.active_switch_mask();
-        // Waveform parameters of the active switches, in the same element
-        // order as `plan.switches` (incidence equality is checked by
-        // `matches`; drives are deliberately *not* part of the plan so one
+        let (n_settle, n_steps) = self.step_counts(spec)?;
+        // Drives of the active switches, in the same element order as
+        // `plan.switches` (incidence equality is checked by `matches`;
+        // drives are deliberately *not* part of the plan so one
         // factorization serves every switching pattern).
         let switch_drives: Vec<(f64, &Waveform, bool)> = self
             .elements
             .iter()
-            .enumerate()
-            .filter_map(|(ei, e)| match e {
+            .filter_map(|e| match e {
                 Element::SwitchResistor {
                     g_on, s, invert, ..
-                } if switch_active[ei] => Some((*g_on, s, *invert)),
+                } if !s.is_constant() => Some((*g_on, s, *invert)),
                 _ => None,
             })
             .collect();
+        let mut d = vec![0.0; switch_drives.len()];
 
         // --- Element states ------------------------------------------------
         struct CapState {
@@ -730,26 +682,32 @@ impl Circuit {
         }
 
         // --- Results ------------------------------------------------------
-        let mut times = Vec::with_capacity(n_steps + 1);
-        let mut voltages = vec![Vec::with_capacity(n_steps + 1); n + 1];
-        let mut source_currents = vec![Vec::with_capacity(n_steps + 1); m];
-        let mut x = vec![0.0; dim];
+        let samples = n_steps + 1;
+        let mut times = Vec::new();
+        let mut voltages = vec![Vec::new(); n + 1];
+        let mut source_currents = vec![Vec::new(); m];
+        std::iter::once(&mut times)
+            .chain(&mut voltages)
+            .chain(&mut source_currents)
+            .try_for_each(|w| w.try_reserve_exact(samples))
+            .map_err(|_| {
+                let bytes = samples as u128 * (n + m + 2) as u128 * 8;
+                SimulateCircuitError::InvalidSpec(format!(
+                    "{n_steps} steps need {bytes} bytes of waveform storage, which cannot be allocated"
+                ))
+            })?;
 
-        let total_steps = n_settle + n_steps + 1;
-        for step in 0..total_steps {
+        for step in 0..n_settle + n_steps + 1 {
             let settling = step < n_settle;
             let t = if settling {
                 0.0
             } else {
                 (step - n_settle) as f64 * spec.dt
             };
-            let integ = if settling {
-                Integration::BackwardEuler
-            } else {
-                spec.integration
-            };
+            let phase = if settling { &plan.settle } else { &plan.main };
+            let integ = phase.integration;
             let kk = k_int(integ);
-            let dt_now = if settling { dt_settle } else { spec.dt };
+            let dt_now = phase.dt;
 
             // Build RHS.
             let mut rhs = vec![0.0; dim];
@@ -871,78 +829,16 @@ impl Circuit {
                 }
             }
 
-            // Solve.
-            x = if partitioned {
-                let (lu, w_cols, s0) = if settling {
-                    (&plan.settle_lu, &plan.w_settle, &plan.s0_settle)
+            // Solve, with each switch's deviation from its frozen half.
+            for (di, &(g_on, s, invert)) in d.iter_mut().zip(&switch_drives) {
+                let drive = if settling {
+                    s.initial_value()
                 } else {
-                    (
-                        plan.main_lu
-                            .as_ref()
-                            .expect("constant matrix in partitioned mode"),
-                        &plan.w_main,
-                        &plan.s0_main,
-                    )
+                    s.eval(t)
                 };
-                let z = lu
-                    .solve(&rhs)
-                    .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?;
-                let k = plan.switches.len();
-                if k == 0 {
-                    z
-                } else {
-                    // D = diag(g_actual(t) − g_frozen).
-                    let mut d = vec![0.0; k];
-                    for (idx, (g_on, s, invert)) in switch_drives.iter().enumerate() {
-                        let sv = if settling {
-                            s.initial_value()
-                        } else {
-                            s.eval(t)
-                        }
-                        .clamp(0.0, 1.0);
-                        let frac = if *invert { 1.0 - sv } else { sv };
-                        d[idx] = (g_on * frac).max(g_on * 1e-9) - 0.5 * g_on;
-                    }
-                    // Small system (I + D·S₀)·y = D·Uᵀz.
-                    let m_small = Matrix::from_fn(k, k, |i, j| {
-                        let delta = if i == j { 1.0 } else { 0.0 };
-                        delta + d[i] * s0[(i, j)]
-                    });
-                    let mut rhs_small = vec![0.0; k];
-                    for (idx, &(p, q, _)) in plan.switches.iter().enumerate() {
-                        let mut v = 0.0;
-                        if p.0 > 0 {
-                            v += z[p.0 - 1];
-                        }
-                        if q.0 > 0 {
-                            v -= z[q.0 - 1];
-                        }
-                        rhs_small[idx] = d[idx] * v;
-                    }
-                    let y = LuDecomposition::new(m_small)
-                        .and_then(|lu| lu.solve(&rhs_small))
-                        .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?;
-                    let mut sol = z;
-                    for (col, &yk) in w_cols.iter().zip(&y) {
-                        for (si, &wi) in sol.iter_mut().zip(col) {
-                            *si -= wi * yk;
-                        }
-                    }
-                    sol
-                }
-            } else if settling {
-                plan.settle_lu
-                    .solve(&rhs)
-                    .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?
-            } else if let Some(lu) = &plan.main_lu {
-                lu.solve(&rhs)
-                    .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?
-            } else {
-                let a = self.mna_matrix(integ, Some(t), dt_now, partitioned, &switch_active);
-                LuDecomposition::new(a)
-                    .and_then(|lu| lu.solve(&rhs))
-                    .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?
-            };
+                *di = switch_conductance(g_on, drive, invert) - 0.5 * g_on;
+            }
+            let x = phase.solve(&plan.switches, &d, &rhs)?;
 
             // Update element states.
             let volt = |node: NodeId, x: &[f64]| if node.0 > 0 { x[node.0 - 1] } else { 0.0 };
@@ -1632,40 +1528,83 @@ mod partitioned_tests {
         ckt
     }
 
-    #[test]
-    fn partitioned_matches_monolithic() {
-        let ckt = driver_circuit();
-        let dt = 0.01e-9;
-        let mono = ckt
-            .transient(&TransientSpec::new(8e-9, dt).with_settle(2e-9))
-            .unwrap();
-        let part = ckt
-            .transient(
-                &TransientSpec::new(8e-9, dt)
-                    .with_settle(2e-9)
-                    .with_partitioned_solver(),
-            )
-            .unwrap();
-        let out = ckt.find_node("out").unwrap();
-        let mut max_diff = 0.0f64;
-        for (a, b) in mono.voltage(out).iter().zip(part.voltage(out)) {
-            max_diff = max_diff.max((a - b).abs());
+    /// An eight-driver bank (k = 16 switches) on a shared rail.
+    fn driver_bank() -> Circuit {
+        let mut ckt = Circuit::new();
+        let vcc = ckt.node("vcc");
+        let rail = ckt.node("rail");
+        ckt.voltage_source(vcc, Circuit::GND, Waveform::dc(3.3));
+        ckt.resistor(vcc, rail, 0.2);
+        ckt.capacitor(rail, Circuit::GND, 1e-9);
+        for k in 0..8 {
+            let out = ckt.node(format!("out{k}"));
+            let delay = 1e-9 + 0.1e-9 * k as f64;
+            ckt.cmos_driver(
+                out,
+                rail,
+                Circuit::GND,
+                10.0 + k as f64,
+                Waveform::pulse(0.0, 1.0, delay, 0.5e-9, 0.5e-9, 3e-9),
+            );
+            ckt.capacitor(out, Circuit::GND, (5.0 + k as f64) * 1e-12);
         }
-        assert!(
-            max_diff < 0.02,
-            "partitioned tracks monolithic: max diff {max_diff}"
-        );
+        ckt
+    }
+
+    /// The Woodbury step against a dense LU of the explicit matrix
+    /// `A₀ + U·D·Uᵀ`, in both phases and at several drive levels.
+    #[test]
+    fn woodbury_step_matches_dense_reference() {
+        let spec = TransientSpec::new(8e-9, 0.01e-9).with_settle(2e-9);
+        for (ckt, k) in [(driver_circuit(), 2), (driver_bank(), 16)] {
+            let plan = TransientPlan::new(&ckt, &spec).unwrap();
+            assert_eq!(plan.switches.len(), k);
+            let dim = ckt.n_nodes + ckt.n_vsources;
+            let rhs: Vec<f64> = (0..dim).map(|i| ((7 * i + 3) % 11) as f64 - 5.0).collect();
+            for phase in [&plan.settle, &plan.main] {
+                for level in [0.0, 0.2, 0.5, 0.9, 1.0] {
+                    // Alternate pull-ups (plain drive) and pull-downs
+                    // (inverted), staggering the level per driver.
+                    let d: Vec<f64> = plan
+                        .switches
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(_, _, g_on))| {
+                            let drive = (level + 0.05 * (i / 2) as f64).min(1.0);
+                            switch_conductance(g_on, drive, i % 2 == 1) - 0.5 * g_on
+                        })
+                        .collect();
+                    let x = phase.solve(&plan.switches, &d, &rhs).unwrap();
+                    let mut a = phase.matrix.clone();
+                    for (&(p, q, _), &di) in plan.switches.iter().zip(&d) {
+                        for (r, sr) in [(p, 1.0), (q, -1.0)] {
+                            for (c, sc) in [(p, 1.0), (q, -1.0)] {
+                                if r.0 > 0 && c.0 > 0 {
+                                    a[(r.0 - 1, c.0 - 1)] += sr * sc * di;
+                                }
+                            }
+                        }
+                    }
+                    let x_ref = LuDecomposition::new(a).unwrap().solve(&rhs).unwrap();
+                    let scale = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                    let err = x
+                        .iter()
+                        .zip(&x_ref)
+                        .fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
+                    assert!(
+                        err <= 1e-10 * scale,
+                        "k = {k}, level {level}: error {err:e} vs scale {scale:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn partitioned_swings_rail_to_rail() {
         let ckt = driver_circuit();
         let res = ckt
-            .transient(
-                &TransientSpec::new(8e-9, 0.01e-9)
-                    .with_settle(2e-9)
-                    .with_partitioned_solver(),
-            )
+            .transient(&TransientSpec::new(8e-9, 0.01e-9).with_settle(2e-9))
             .unwrap();
         let out = ckt.find_node("out").unwrap();
         let v = res.voltage(out);
@@ -1673,25 +1612,6 @@ mod partitioned_tests {
         let vend = *v.last().unwrap();
         assert!(vmax > 3.0, "reaches the rail: {vmax}");
         assert!(vend < 0.2, "returns low: {vend}");
-    }
-
-    #[test]
-    fn partitioned_without_switches_is_plain_fast_path() {
-        // No switch resistors: both modes are literally the same constant
-        // matrix; results must be bit-comparable.
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.voltage_source(a, Circuit::GND, Waveform::step(1.0, 0.0));
-        ckt.resistor(a, b, 10.0);
-        ckt.capacitor(b, Circuit::GND, 1e-12);
-        let mono = ckt.transient(&TransientSpec::new(1e-9, 1e-12)).unwrap();
-        let part = ckt
-            .transient(&TransientSpec::new(1e-9, 1e-12).with_partitioned_solver())
-            .unwrap();
-        for (x, y) in mono.voltage(b).iter().zip(part.voltage(b)) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 }
 

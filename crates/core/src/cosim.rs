@@ -938,12 +938,7 @@ impl BoardSystem {
         } else {
             1e-3
         };
-        // The partitioned solver (paper Section 5.2) keeps the MNA matrix
-        // constant — one factorization for the entire run — with the
-        // switching devices coupled through per-step Norton iterations.
-        TransientSpec::new(t_stop, dt)
-            .with_settle(settle)
-            .with_partitioned_solver()
+        TransientSpec::new(t_stop, dt).with_settle(settle)
     }
 
     /// Runs the co-simulation and reports the switching-noise outcome.
@@ -1431,45 +1426,5 @@ mod tests {
         assert_eq!(sys.partition().signal_nets, 1);
         let out = sys.run(20e-9, 0.05e-9).unwrap();
         assert!(out.time.len() > 100);
-    }
-}
-
-#[cfg(test)]
-mod partitioned_cosim_tests {
-    use super::*;
-    use pdn_circuit::TransientSpec;
-    use pdn_geom::units::mm;
-
-    #[test]
-    fn partitioned_board_run_matches_monolithic() {
-        let plane = PlaneSpec::rectangle(mm(40.0), mm(30.0), 0.5e-3, 4.5)
-            .unwrap()
-            .with_sheet_resistance(1e-3)
-            .with_cell_size(mm(5.0));
-        let board = BoardSpec::new(plane, 3.3, Point::new(mm(2.0), mm(2.0)))
-            .with_chip(ChipSpec::cmos("U1", Point::new(mm(30.0), mm(20.0)), 4));
-        let sys = board
-            .build(&NodeSelection::PortsAndGrid { stride: 3 }, 4)
-            .unwrap();
-        // run() uses the partitioned solver; compare against an explicit
-        // monolithic run of the same netlist.
-        let dt = 0.05e-9;
-        let fast = sys.run(15e-9, dt).unwrap();
-        let slow_spec = TransientSpec::new(15e-9, dt).with_settle(1e-3);
-        let slow = sys.circuit().transient(&slow_spec).unwrap();
-        // Compare the worst-chip rail waveform.
-        let rail = sys.chip_rails[0];
-        let mut max_diff = 0.0f64;
-        for (a, b) in fast
-            .rail_noise
-            .iter()
-            .zip(slow.voltage(rail).iter().map(|&v| v - 3.3))
-        {
-            max_diff = max_diff.max((a - b).abs());
-        }
-        assert!(
-            max_diff < 0.05,
-            "partitioned co-simulation tracks monolithic: {max_diff}"
-        );
     }
 }

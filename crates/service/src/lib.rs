@@ -20,10 +20,10 @@
 //! * [`server`]: [`PdnServer`] — a line-delimited TCP frontend over the
 //!   named seed boards.
 //!
-//! See `docs/SERVICE.md` for the protocol, the canonical-hash rule, and
-//! the one operational knob, `PDN_CACHE_VERIFY`. The cache root and the
-//! worker count are arguments: [`ExtractionCache::at`] and
-//! [`JobQueue::with_workers`].
+//! See `docs/SERVICE.md` for the protocol and the canonical-hash rule.
+//! The service reads no environment variable: the cache root and the
+//! worker count are arguments ([`ExtractionCache::at`] and
+//! [`JobQueue::with_workers`]), and every cache write is verified.
 //!
 //! # Example
 //!

@@ -28,8 +28,10 @@
 //! rest block and adopt its result ([`CacheOutcome::Coalesced`]), so K
 //! simultaneous jobs on an uncached board cost exactly one extraction.
 //!
-//! Set `PDN_CACHE_VERIFY=1` to re-read and re-encode every file just
-//! after writing it, failing loudly if the round trip is not bit-exact.
+//! Every write is verified: the file is read back and re-encoded just
+//! after it is written, and one whose round trip is not bit-exact is
+//! removed with a warning on stderr, leaving the model off the disk
+//! tier.
 
 use crate::hash::BoardKey;
 use crate::sha256::sha256;
@@ -410,40 +412,35 @@ impl ExtractionCache {
         );
     }
 
-    /// Writes a model file atomically (temp file + rename). With
-    /// `PDN_CACHE_VERIFY=1`, reads the file back and panics unless the
-    /// stored bytes and a re-encode of the re-decoded parts are both
-    /// bit-identical to what was written.
+    /// Writes a model file atomically (temp file + rename), then reads it
+    /// back: the stored bytes and a re-encode of the re-decoded parts
+    /// must both be bit-identical to what was written. A failed write or
+    /// check warns on stderr and removes the file, leaving the model off
+    /// the disk tier.
     fn store_disk(&self, path: &Path, parts: &ModelParts) {
         let bytes = serialize_model(parts);
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let write = || -> std::io::Result<()> {
             let dir = path.parent().expect("model path has a parent");
             std::fs::create_dir_all(dir)?;
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
             std::fs::write(&tmp, &bytes)?;
             std::fs::rename(&tmp, path)?;
+            let readback = std::fs::read(path)?;
+            if readback != bytes {
+                return Err(std::io::Error::other("read back different bytes"));
+            }
+            let decoded = deserialize_model(&readback).map_err(std::io::Error::other)?;
+            if serialize_model(&decoded) != bytes {
+                return Err(std::io::Error::other("does not round-trip bit-exactly"));
+            }
             Ok(())
         };
         if let Err(e) = write() {
+            for file in [&tmp, path] {
+                std::fs::remove_file(file).ok();
+            }
             eprintln!(
                 "pdn-service: failed to write cache entry {} ({e}); continuing uncached",
-                path.display()
-            );
-            return;
-        }
-        if std::env::var("PDN_CACHE_VERIFY").as_deref() == Ok("1") {
-            let readback = std::fs::read(path).expect("PDN_CACHE_VERIFY: re-read model file");
-            assert_eq!(
-                readback,
-                bytes,
-                "PDN_CACHE_VERIFY: {} differs from the written bytes",
-                path.display()
-            );
-            let parts = deserialize_model(&readback).expect("PDN_CACHE_VERIFY: re-decode");
-            assert_eq!(
-                serialize_model(&parts),
-                bytes,
-                "PDN_CACHE_VERIFY: {} does not round-trip bit-exactly",
                 path.display()
             );
         }

@@ -4,7 +4,7 @@
 //! Diagnostics come back as returned values (`SweepOutcome::stats`,
 //! `CompressedKernel::stats`, the `PoleResidueModel` accessors,
 //! `ShardReport`, `CacheStats`, …), so the environment carries only the
-//! two operational settings below. A new `std::env` read anywhere under
+//! one operational setting below. A new `std::env` read anywhere under
 //! `src/` or `crates/*/src` fails this test until it is added here and
 //! documented.
 
@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Every environment variable library code may read.
-const KNOBS: [&str; 2] = ["PDN_CACHE_VERIFY", "PDN_THREADS"];
+const KNOBS: [&str; 1] = ["PDN_THREADS"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));

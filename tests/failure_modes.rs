@@ -187,11 +187,83 @@ fn transient_time_step_validation() {
     let mut ckt = Circuit::new();
     let a = ckt.node("a");
     ckt.resistor(a, Circuit::GND, 1.0);
-    for (t_stop, dt) in [(0.0, 1e-9), (1e-9, 0.0), (-1e-9, 1e-9), (1e-9, f64::NAN)] {
+    // The last two ask for 1e15 steps (more samples than memory holds)
+    // and 1e310 steps (more than `usize` counts).
+    for (t_stop, dt) in [
+        (0.0, 1e-9),
+        (1e-9, 0.0),
+        (-1e-9, 1e-9),
+        (1e-9, f64::NAN),
+        (1.0, 1e-15),
+        (1e300, 1e-10),
+    ] {
         assert!(
             ckt.transient(&TransientSpec::new(t_stop, dt)).is_err(),
             "t_stop={t_stop}, dt={dt} must be rejected"
         );
+    }
+
+    // With a transmission line the settle step is pinned to `dt`, so a
+    // huge settle duration is a huge settle step count.
+    let model = CoupledLineModel::new(
+        Matrix::from_rows(&[&[2.5e-7]]),
+        Matrix::from_rows(&[&[1e-10]]),
+        0.1,
+    )
+    .expect("passive line");
+    let mut line = Circuit::new();
+    let near = line.node("near");
+    let far = line.node("far");
+    line.resistor(near, Circuit::GND, 50.0);
+    line.resistor(far, Circuit::GND, 50.0);
+    line.coupled_line(model, vec![near], vec![far]);
+    let spec = TransientSpec::new(1e-9, 1e-10).with_settle(1e300);
+    match line.transient(&spec) {
+        Err(pdn_circuit::SimulateCircuitError::InvalidSpec(msg)) => {
+            assert!(msg.contains("settle"), "message: {msg}");
+        }
+        other => panic!("expected InvalidSpec, got {other:?}"),
+    }
+}
+
+#[test]
+fn ac_sweep_rejects_bad_grids_and_foreign_sources() {
+    use pdn_circuit::SimulateCircuitError;
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    let src = ckt.voltage_source(a, Circuit::GND, Waveform::dc(0.0));
+    ckt.resistor(a, Circuit::GND, 50.0);
+    for (what, sweep) in [
+        ("one point", AcSweep::linear(1e6, 1e9, 1)),
+        ("decreasing", AcSweep::linear(1e9, 1e6, 10)),
+        ("zero start", AcSweep::linear(0.0, 1e9, 10)),
+        ("no points", AcSweep::log(1e6, 1e9, 0)),
+        ("negative start", AcSweep::log(-1e6, 1e9, 10)),
+        ("empty range", AcSweep::log(1e6, 1e6, 10)),
+    ] {
+        match ckt.ac(&sweep, src) {
+            Err(SimulateCircuitError::InvalidSpec(_)) => {}
+            other => panic!("{what}: expected InvalidSpec, got {other:?}"),
+        }
+    }
+
+    // A source id minted by a circuit with more sources.
+    let mut other = Circuit::new();
+    let b = other.node("b");
+    let c = other.node("c");
+    other.voltage_source(b, Circuit::GND, Waveform::dc(0.0));
+    let foreign = other.voltage_source(c, Circuit::GND, Waveform::dc(0.0));
+    let sweep = AcSweep::log(1e6, 1e9, 10);
+    for accuracy in [
+        SweepAccuracy::Exact,
+        SweepAccuracy::Rational { rel_tol: 1e-6 },
+    ] {
+        match ckt.ac_with(&sweep, foreign, accuracy) {
+            Err(SimulateCircuitError::InvalidSpec(msg)) => {
+                assert!(msg.contains("source 1"), "message: {msg}");
+            }
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
     }
 }
 

@@ -97,8 +97,7 @@ fn model_files_round_trip_every_variant() {
 
 /// A warm cache serves models that produce bit-identical outcomes to the
 /// cold extraction, for every `PDN_THREADS` setting — and the warm path
-/// never extracts. `PDN_CACHE_VERIFY=1` keeps byte-level write/readback
-/// verification on throughout.
+/// never extracts.
 #[test]
 fn warm_hits_match_cold_extraction_across_thread_counts() {
     let root = CacheRoot::new("warm");
@@ -107,7 +106,6 @@ fn warm_hits_match_cold_extraction_across_thread_counts() {
     let mut reference: Option<Vec<SsnOutcome>> = None;
     let mut first = true;
     with_thread_counts(|_n| {
-        std::env::set_var("PDN_CACHE_VERIFY", "1");
         // A fresh cache instance per iteration forces the disk tier.
         let cache = ExtractionCache::at(&root.0, 4);
         let (model, outcome) = cache.get_or_extract(&board, &sel()).unwrap();
@@ -131,7 +129,6 @@ fn warm_hits_match_cold_extraction_across_thread_counts() {
             None => reference = Some(outs),
             Some(r) => assert_eq!(*r, outs, "bit-identical across tiers and thread counts"),
         }
-        std::env::remove_var("PDN_CACHE_VERIFY");
     });
 }
 

@@ -1,6 +1,7 @@
 //! `PdnServer` over real TCP: the line order of each job, the `STATS`
-//! counters, `ERR` replies for malformed and oversized lines, concurrent
-//! clients, in-flight jobs surviving `QUIT`, and the warm round-trip time.
+//! counters, `ERR` replies for malformed and oversized lines, `FAILED`
+//! jobs for oversized step counts, concurrent clients, in-flight jobs
+//! surviving `QUIT`, and the warm round-trip time.
 
 use pdn_service::{ExtractionCache, JobQueue, PdnServer};
 use std::io::{BufRead, BufReader, Write};
@@ -254,6 +255,31 @@ fn quit_still_delivers_in_flight_jobs() {
     c.send(&format!("{SWEEP}\nQUIT\n"));
     check_job(&c.read_job(), &name, "CACHE_MISS");
     assert_eq!(c.next_line(), None, "closed after the last DONE");
+}
+
+/// A step count too large to store (1e15 steps) or to count (1e310
+/// steps) fails its job with a typed error; the server, and the
+/// connection, keep serving.
+#[test]
+fn oversized_step_counts_fail_the_job_not_the_server() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let service = Service::start("steps");
+    let mut c = service.connect();
+    for request in [
+        "TRANSIENT ssn_study_a 0.5 ports 1 1 1e-15",
+        "TRANSIENT ssn_study_a 0.5 ports 1 1e300 1e-10",
+    ] {
+        let lines = c.job(request);
+        let last = lines.last().expect("a job has lines");
+        assert!(
+            last.contains(" FAILED ") && last.contains("invalid analysis spec"),
+            "'{request}': {lines:?}"
+        );
+    }
+    assert_eq!(
+        stats(&mut c),
+        "STATS memory_hits 1 disk_hits 0 extractions 1 coalesced 0 load_failures 0"
+    );
 }
 
 /// Every reply line used to leave the server in two writes, so its tail
