@@ -224,12 +224,10 @@ pub fn assemble_matrices(
 ) -> Result<RawMatrices, AssembleBemError> {
     opts.validate()?;
     let n = mesh.cell_count();
-    let m = mesh.link_count();
     if n == 0 {
         return Err(AssembleBemError::EmptyMesh);
     }
     let g_phi = scalar_kernel(pair, opts);
-    let g_a = LayeredKernel::vector_potential(pair.separation);
     let cell = Rectangle::new(mesh.dx(), mesh.dy());
     let area = mesh.cell_area();
     let quad = match opts.testing {
@@ -269,65 +267,20 @@ pub fn assemble_matrices(
         }
     }
 
-    // --- Partial inductances ---------------------------------------------
-    // Orthogonal links have zero quasi-static mutual, so each row batches
-    // only its same-direction partners and scatters the results back.
-    let links = mesh.links();
-    let l_rows: Vec<Vec<f64>> = parallel::par_map_indexed(m, |i| {
-        // L = (1/(wᵢwⱼ))·∬∬ G_A; the patch width is the dimension
-        // transverse to current flow.
-        let w = match links[i].direction {
-            LinkDirection::X => mesh.dy(),
-            LinkDirection::Y => mesh.dx(),
-        };
-        let idx: Vec<usize> = (i..m)
-            .filter(|&j| links[j].direction == links[i].direction)
-            .collect();
-        let mut ox = Vec::with_capacity(idx.len());
-        let mut oy = Vec::with_capacity(idx.len());
-        for &j in &idx {
-            ox.push(links[i].center.x - links[j].center.x);
-            oy.push(links[i].center.y - links[j].center.y);
-        }
-        let mut vals = vec![0.0; idx.len()];
-        kernel_row(&g_a, &ox, &oy, cell, &quad, &mut vals);
-        let mut row = vec![0.0; m - i];
-        for (t, &j) in idx.iter().enumerate() {
-            let integral = vals[t] * area;
-            row[j - i] = integral / (w * w);
-        }
-        row
-    });
-    let mut l = Matrix::zeros(m, m);
-    for (i, row) in l_rows.iter().enumerate() {
-        for (k, &v) in row.iter().enumerate() {
-            let j = i + k;
-            l[(i, j)] = v;
-            l[(j, i)] = v;
-        }
-    }
-
-    // --- Link resistances --------------------------------------------------
-    let r_dc = zs.dc_resistance();
-    let r_link = links
-        .iter()
-        .map(|lk| match lk.direction {
-            LinkDirection::X => r_dc * mesh.dx() / mesh.dy(),
-            LinkDirection::Y => r_dc * mesh.dy() / mesh.dx(),
-        })
-        .collect();
+    // --- Partial inductances and link resistances -------------------------
+    let (l, r_link) = assemble_link_matrices(mesh.links(), mesh.dx(), mesh.dy(), pair, zs, opts);
 
     Ok(RawMatrices { p_coef, l, r_link })
 }
 
-/// Assembles `L` and `R` for a standalone set of links on the given cell
-/// raster — the stitch-branch hook behind sharded extraction.
+/// Assembles `L` and `R` for a set of links on the given cell raster:
+/// every link of a mesh (the inductance half of [`assemble_matrices`]),
+/// or the stitch branches of sharded extraction.
 ///
-/// Uses the exact panel-integral and loop-resistance formulas of
-/// [`assemble_matrices`], so a link evaluated here carries a self term
-/// bit-identical to the one it would get inside a full-mesh assembly; the
-/// mutuals among the given links (zero between orthogonal links) are kept.
-/// `dx`/`dy` must be the cell pitch of the mesh the links came from.
+/// A link evaluated here carries the self term it gets inside a full-mesh
+/// assembly, bit for bit; the mutuals among the given links (zero between
+/// orthogonal links) are kept. `dx`/`dy` must be the cell pitch of the
+/// mesh the links came from.
 pub fn assemble_link_matrices(
     links: &[Link],
     dx: f64,
@@ -344,7 +297,11 @@ pub fn assemble_link_matrices(
         Testing::PointMatching => None,
         Testing::Galerkin { order } => Some(GaussLegendre::new(order.max(2))),
     };
+    // Orthogonal links have zero quasi-static mutual, so each row batches
+    // only its same-direction partners and scatters the results back.
     let l_rows: Vec<Vec<f64>> = parallel::par_map_indexed(m, |i| {
+        // L = (1/(wᵢwⱼ))·∬∬ G_A; the patch width is the dimension
+        // transverse to current flow.
         let w = match links[i].direction {
             LinkDirection::X => dy,
             LinkDirection::Y => dx,

@@ -1336,7 +1336,6 @@ pub fn assemble_compressed(
         return Err(AssembleBemError::EmptyMesh);
     }
     let g_phi = scalar_kernel(pair, opts);
-    let g_a = LayeredKernel::vector_potential(pair.separation);
     let cell = Rectangle::new(mesh.dx(), mesh.dy());
     let area = mesh.cell_area();
     let quad = match opts.testing {
@@ -1367,54 +1366,27 @@ pub fn assemble_compressed(
     let cell_points: Vec<(f64, f64)> = centers.iter().map(|c| (c.x, c.y)).collect();
     let p = CompressedKernel::build_with_rows(&cell_points, spec, &p_row)?;
 
-    let links = mesh.links();
-    let l_row = |i: usize, cols: &[usize], out: &mut [f64]| {
-        let w = match links[i].direction {
-            LinkDirection::X => mesh.dy(),
-            LinkDirection::Y => mesh.dx(),
-        };
-        let mut ox = Vec::with_capacity(cols.len());
-        let mut oy = Vec::with_capacity(cols.len());
-        let mut keep = Vec::with_capacity(cols.len());
-        for (t, &j) in cols.iter().enumerate() {
-            let (a, b) = if i <= j { (i, j) } else { (j, i) };
-            if links[a].direction != links[b].direction {
-                continue; // orthogonal currents: zero quasi-static mutual
-            }
-            keep.push(t);
-            ox.push(links[a].center.x - links[b].center.x);
-            oy.push(links[a].center.y - links[b].center.y);
-        }
-        let mut vals = vec![0.0; keep.len()];
-        kernel_row(&g_a, &ox, &oy, cell, &quad, &mut vals);
-        out.fill(0.0);
-        for (k, &t) in keep.iter().enumerate() {
-            let integral = vals[k] * area;
-            out[t] = integral / (w * w);
-        }
-    };
-    let link_points: Vec<(f64, f64)> = links.iter().map(|l| (l.center.x, l.center.y)).collect();
-    let link_dirs: Vec<LinkDirection> = links.iter().map(|l| l.direction).collect();
-    let l = CompressedLinkKernel::build_with_rows(&link_points, &link_dirs, spec, &l_row)?;
-
-    let r_dc = zs.dc_resistance();
-    let r_link: Vec<f64> = links
-        .iter()
-        .map(|lk| match lk.direction {
-            LinkDirection::X => r_dc * mesh.dx() / mesh.dy(),
-            LinkDirection::Y => r_dc * mesh.dy() / mesh.dx(),
-        })
-        .collect();
+    let (l, r_link) = compress_link_matrices(
+        mesh.links(),
+        mesh.dx(),
+        mesh.dy(),
+        pair,
+        zs,
+        opts,
+        spec,
+        &[],
+    )?;
     Ok((CompressedKernels { p, l, spec: *spec }, r_link))
 }
 
 /// Compressed counterpart of
 /// [`assemble_link_matrices`](crate::assemble_link_matrices): builds the
-/// inductance of a standalone link set (sharded extraction's cut-link
-/// stitch block) as a [`CompressedLinkKernel`] instead of a dense
-/// matrix, with an optional per-link diagonal lumping term folded into
-/// the generator so the certification also covers the lumped seam
-/// compensation. Returns the kernel and the DC link resistances.
+/// inductance of a link set (every link of a mesh in
+/// [`assemble_compressed`], or sharded extraction's cut-link stitch block)
+/// as a [`CompressedLinkKernel`] instead of a dense matrix, with an
+/// optional per-link diagonal lumping term folded into the generator so
+/// the certification also covers the lumped seam compensation. Returns
+/// the kernel and the DC link resistances.
 ///
 /// Entries use the exact panel-integral formulas of the dense
 /// counterpart; `diag_lump` must be empty or one entry per link.

@@ -49,5 +49,5 @@ pub use ac::{AcResult, AcSweep};
 pub use netlist::{Circuit, NodeId, SimulateCircuitError, SourceId};
 pub use sparams::{s_from_z, touchstone, z_from_s};
 pub use tline_elem::CoupledLineModel;
-pub use transient::{Integration, TransientPlan, TransientResult, TransientSpec};
+pub use transient::{Integration, TransientResult, TransientSpec};
 pub use waveform::Waveform;

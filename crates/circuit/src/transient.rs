@@ -165,8 +165,12 @@ fn singular(e: SolveMatrixError) -> SimulateCircuitError {
 impl Circuit {
     /// Validates a transient spec against this circuit (finite positive
     /// step and stop time, finite non-negative settle, step below every
-    /// transmission-line modal delay, step counts that fit a run).
-    fn validate_transient_spec(&self, spec: &TransientSpec) -> Result<(), SimulateCircuitError> {
+    /// transmission-line modal delay) and returns its step counts
+    /// `(n_settle, n_steps)`.
+    fn validate_transient_spec(
+        &self,
+        spec: &TransientSpec,
+    ) -> Result<(usize, usize), SimulateCircuitError> {
         if spec.dt.partial_cmp(&0.0) != Some(Ordering::Greater)
             || spec.t_stop.partial_cmp(&0.0) != Some(Ordering::Greater)
             || !spec.dt.is_finite()
@@ -193,7 +197,7 @@ impl Circuit {
                 }
             }
         }
-        self.step_counts(spec).map(|_| ())
+        self.step_counts(spec)
     }
 
     /// The settle and main step counts `(n_settle, n_steps)` of a run.
@@ -405,8 +409,8 @@ impl Circuit {
 }
 
 /// One phase of a run — the DC settle pre-roll or the recorded main
-/// phase: its integration rule and step, the MNA matrix `A₀` (active
-/// switches frozen at half conductance), its LU factor, and the Woodbury
+/// phase: its integration rule and step, the LU factor of its MNA matrix
+/// `A₀` (active switches frozen at half conductance), and the Woodbury
 /// factors of the switch update.
 ///
 /// Each active switch between nodes `(p, q)` perturbs `A₀` by
@@ -414,11 +418,9 @@ impl Circuit {
 /// and `D = diag(Δg(t))`, `W = A₀⁻¹U` and `S₀ = UᵀW` are computed once;
 /// every step then solves
 ///   `x = z − W·(I + D·S₀)⁻¹·D·Uᵀz`,  `z = A₀⁻¹·rhs`.
-#[derive(Clone)]
 struct Phase {
     integration: Integration,
     dt: f64,
-    matrix: Matrix<f64>,
     lu: LuDecomposition<f64>,
     /// `W = A₀⁻¹U`, one column per active switch.
     w: Vec<Vec<f64>>,
@@ -434,8 +436,7 @@ impl Phase {
         dt: f64,
         switches: &[(NodeId, NodeId, f64)],
     ) -> Result<Self, SimulateCircuitError> {
-        let matrix = ckt.mna_matrix(integration, dt);
-        let lu = LuDecomposition::new(matrix.clone()).map_err(singular)?;
+        let lu = LuDecomposition::new(ckt.mna_matrix(integration, dt)).map_err(singular)?;
         let dim = ckt.n_nodes + ckt.n_vsources;
         let w = switches
             .iter()
@@ -458,19 +459,10 @@ impl Phase {
         Ok(Phase {
             integration,
             dt,
-            matrix,
             lu,
             w,
             s0,
         })
-    }
-
-    /// `true` when `ckt` stamps exactly this phase's matrix for the same
-    /// rule and step.
-    fn matches(&self, ckt: &Circuit, integration: Integration, dt: f64) -> bool {
-        self.integration == integration
-            && self.dt == dt
-            && ckt.mna_matrix(integration, dt) == self.matrix
     }
 
     /// The per-step solve `(A₀ + U·D·Uᵀ)·x = rhs`, where `d` holds each
@@ -510,39 +502,18 @@ impl Phase {
     }
 }
 
-/// The reusable, scenario-invariant preparation of a transient solve: the
-/// settle and main phases, each with its factored MNA matrix and the
-/// Woodbury factors of the switch update.
-///
-/// With a uniform time step and a linear network the MNA matrix does not
-/// depend on source or switch *waveforms* — only on the element topology,
-/// values, integration rule, and step sizes. A plan built once with
-/// [`TransientPlan::new`] can therefore drive
-/// [`Circuit::transient_with_plan`] on any circuit whose stamped matrices
-/// are identical (e.g. co-simulation scenarios that differ only in
-/// switching patterns or source levels), skipping the `O(n³)`
-/// factorization. [`TransientPlan::matches`] is the exact compatibility
-/// check: it re-stamps the matrices (`O(n²)`) and compares bit-for-bit, so
-/// a reused plan yields results identical to a fresh
-/// [`Circuit::transient`] run.
-#[derive(Clone)]
-pub struct TransientPlan {
-    /// Active-switch terminals and on-conductances, in element order.
+/// The two phases of one run, the DC settle pre-roll and the recorded
+/// main phase, with the active switches whose Woodbury update both apply
+/// (terminals and on-conductances, in element order).
+struct Phases {
     switches: Vec<(NodeId, NodeId, f64)>,
     settle: Phase,
     main: Phase,
 }
 
-impl TransientPlan {
-    /// Builds (stamps and factors) the plan for a circuit and spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulateCircuitError::InvalidSpec`] for a bad spec and
-    /// [`SimulateCircuitError::Singular`] when the MNA matrix cannot be
-    /// factored (floating nodes, voltage-source loops).
-    pub fn new(ckt: &Circuit, spec: &TransientSpec) -> Result<Self, SimulateCircuitError> {
-        ckt.validate_transient_spec(spec)?;
+impl Phases {
+    /// Stamps and factors both phases of a run of `ckt` under `spec`.
+    fn new(ckt: &Circuit, spec: &TransientSpec) -> Result<Self, SimulateCircuitError> {
         let switches = ckt.active_switch_terminals();
         let settle = Phase::new(
             ckt,
@@ -551,26 +522,11 @@ impl TransientPlan {
             &switches,
         )?;
         let main = Phase::new(ckt, spec.integration, spec.dt, &switches)?;
-        Ok(TransientPlan {
+        Ok(Phases {
             switches,
             settle,
             main,
         })
-    }
-
-    /// `true` when this plan's factored matrices are exactly the ones a
-    /// fresh [`TransientPlan::new`] would stamp for `(ckt, spec)` — i.e.
-    /// reusing the plan is bit-identical to refactoring from scratch.
-    ///
-    /// Costs one `O(n²)` matrix re-stamp and compare, versus the `O(n³)`
-    /// factorization it saves.
-    pub fn matches(&self, ckt: &Circuit, spec: &TransientSpec) -> bool {
-        ckt.validate_transient_spec(spec).is_ok()
-            && ckt.active_switch_terminals() == self.switches
-            && self
-                .settle
-                .matches(ckt, Integration::BackwardEuler, ckt.settle_step(spec))
-            && self.main.matches(ckt, spec.integration, spec.dt)
     }
 }
 
@@ -585,51 +541,13 @@ impl Circuit {
     /// [`SimulateCircuitError::Singular`] when the MNA matrix cannot be
     /// factored (floating nodes, voltage-source loops).
     pub fn transient(&self, spec: &TransientSpec) -> Result<TransientResult, SimulateCircuitError> {
-        let plan = TransientPlan::new(self, spec)?;
-        self.run_transient(spec, &plan)
-    }
-
-    /// Runs a transient analysis reusing a previously built
-    /// [`TransientPlan`], skipping the matrix factorization.
-    ///
-    /// The result is bit-identical to [`transient`](Circuit::transient):
-    /// the plan is only accepted when [`TransientPlan::matches`] confirms
-    /// its factored matrices are exactly the ones this circuit would stamp.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulateCircuitError::InvalidSpec`] when the plan was
-    /// built for a different circuit structure or spec, plus everything
-    /// [`transient`](Circuit::transient) can return.
-    pub fn transient_with_plan(
-        &self,
-        spec: &TransientSpec,
-        plan: &TransientPlan,
-    ) -> Result<TransientResult, SimulateCircuitError> {
-        if !plan.matches(self, spec) {
-            return Err(SimulateCircuitError::InvalidSpec(
-                "transient plan does not match this circuit/spec (different MNA structure)".into(),
-            ));
-        }
-        self.run_transient(spec, plan)
-    }
-
-    /// The shared time-stepping loop behind [`transient`](Circuit::transient)
-    /// and [`transient_with_plan`](Circuit::transient_with_plan). `plan`
-    /// must satisfy `plan.matches(self, spec)`.
-    fn run_transient(
-        &self,
-        spec: &TransientSpec,
-        plan: &TransientPlan,
-    ) -> Result<TransientResult, SimulateCircuitError> {
+        let (n_settle, n_steps) = self.validate_transient_spec(spec)?;
+        let phases = Phases::new(self, spec)?;
         let n = self.n_nodes;
         let m = self.n_vsources;
         let dim = n + m;
-        let (n_settle, n_steps) = self.step_counts(spec)?;
-        // Drives of the active switches, in the same element order as
-        // `plan.switches` (incidence equality is checked by `matches`;
-        // drives are deliberately *not* part of the plan so one
-        // factorization serves every switching pattern).
+        // Drives of the active switches, in the element order of
+        // `phases.switches`.
         let switch_drives: Vec<(f64, &Waveform, bool)> = self
             .elements
             .iter()
@@ -704,7 +622,11 @@ impl Circuit {
             } else {
                 (step - n_settle) as f64 * spec.dt
             };
-            let phase = if settling { &plan.settle } else { &plan.main };
+            let phase = if settling {
+                &phases.settle
+            } else {
+                &phases.main
+            };
             let integ = phase.integration;
             let kk = k_int(integ);
             let dt_now = phase.dt;
@@ -838,7 +760,7 @@ impl Circuit {
                 };
                 *di = switch_conductance(g_on, drive, invert) - 0.5 * g_on;
             }
-            let x = phase.solve(&plan.switches, &d, &rhs)?;
+            let x = phase.solve(&phases.switches, &d, &rhs)?;
 
             // Update element states.
             let volt = |node: NodeId, x: &[f64]| if node.0 > 0 { x[node.0 - 1] } else { 0.0 };
@@ -1557,15 +1479,15 @@ mod partitioned_tests {
     fn woodbury_step_matches_dense_reference() {
         let spec = TransientSpec::new(8e-9, 0.01e-9).with_settle(2e-9);
         for (ckt, k) in [(driver_circuit(), 2), (driver_bank(), 16)] {
-            let plan = TransientPlan::new(&ckt, &spec).unwrap();
-            assert_eq!(plan.switches.len(), k);
+            let phases = Phases::new(&ckt, &spec).unwrap();
+            assert_eq!(phases.switches.len(), k);
             let dim = ckt.n_nodes + ckt.n_vsources;
             let rhs: Vec<f64> = (0..dim).map(|i| ((7 * i + 3) % 11) as f64 - 5.0).collect();
-            for phase in [&plan.settle, &plan.main] {
+            for phase in [&phases.settle, &phases.main] {
                 for level in [0.0, 0.2, 0.5, 0.9, 1.0] {
                     // Alternate pull-ups (plain drive) and pull-downs
                     // (inverted), staggering the level per driver.
-                    let d: Vec<f64> = plan
+                    let d: Vec<f64> = phases
                         .switches
                         .iter()
                         .enumerate()
@@ -1574,9 +1496,9 @@ mod partitioned_tests {
                             switch_conductance(g_on, drive, i % 2 == 1) - 0.5 * g_on
                         })
                         .collect();
-                    let x = phase.solve(&plan.switches, &d, &rhs).unwrap();
-                    let mut a = phase.matrix.clone();
-                    for (&(p, q, _), &di) in plan.switches.iter().zip(&d) {
+                    let x = phase.solve(&phases.switches, &d, &rhs).unwrap();
+                    let mut a = ckt.mna_matrix(phase.integration, phase.dt);
+                    for (&(p, q, _), &di) in phases.switches.iter().zip(&d) {
                         for (r, sr) in [(p, 1.0), (q, -1.0)] {
                             for (c, sc) in [(p, 1.0), (q, -1.0)] {
                                 if r.0 > 0 && c.0 > 0 {

@@ -36,7 +36,7 @@
 use crate::flow::{ExtractPlaneError, ExtractedPlane, PlaneSpec};
 use pdn_circuit::netlist::SourceId;
 use pdn_circuit::{
-    Circuit, CoupledLineModel, NodeId, SimulateCircuitError, TransientPlan, TransientSpec, Waveform,
+    Circuit, CoupledLineModel, NodeId, SimulateCircuitError, TransientSpec, Waveform,
 };
 use pdn_extract::{NodeSelection, RomSpec};
 use pdn_geom::{PlaneMesh, Point};
@@ -582,7 +582,7 @@ impl BoardSpec {
                 (nodes, eq.port_count())
             }
             None => {
-                let nodes = eq.to_circuit(&mut ckt, "pg_", 0.0);
+                let nodes = eq.to_circuit(&mut ckt, "pg_");
                 let ports = (0..eq.port_count())
                     .map(|p| nodes[eq.port_node(p)])
                     .collect();
@@ -923,10 +923,8 @@ impl BoardSystem {
     }
 
     /// The transient spec [`run`](BoardSystem::run) uses for the given
-    /// duration and step — exposed so callers can prepare a
-    /// [`TransientPlan`] once and replay it across systems with identical
-    /// MNA structure (see [`run_with_plan`](BoardSystem::run_with_plan)).
-    pub fn transient_spec(&self, t_stop: f64, dt: f64) -> TransientSpec {
+    /// duration and step.
+    fn transient_spec(&self, t_stop: f64, dt: f64) -> TransientSpec {
         // The settle phase uses a fixed number of large backward-Euler
         // steps, so its cost does not grow with the requested duration: a
         // very long settle is effectively a DC operating-point iteration
@@ -953,27 +951,6 @@ impl BoardSystem {
     pub fn run(&self, t_stop: f64, dt: f64) -> Result<SsnOutcome, SimulateCircuitError> {
         let spec = self.transient_spec(t_stop, dt);
         let res = self.circuit.transient(&spec)?;
-        self.outcome(&res)
-    }
-
-    /// Like [`run`](BoardSystem::run), but replays a previously prepared
-    /// [`TransientPlan`] instead of re-factoring the MNA matrices — the
-    /// plan must have been built for a circuit/spec with bit-identical
-    /// stamped matrices (verified; a mismatch is an error, never a wrong
-    /// answer). Results are bit-identical to [`run`](BoardSystem::run).
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit-simulation failures, including a plan/circuit
-    /// structure mismatch.
-    pub fn run_with_plan(
-        &self,
-        t_stop: f64,
-        dt: f64,
-        plan: &TransientPlan,
-    ) -> Result<SsnOutcome, SimulateCircuitError> {
-        let spec = self.transient_spec(t_stop, dt);
-        let res = self.circuit.transient_with_plan(&spec, plan)?;
         self.outcome(&res)
     }
 

@@ -21,9 +21,11 @@
 //!   failure, the error of the lowest-index failing scenario is reported
 //!   regardless of thread scheduling.
 //!
-//! Scenarios whose stamped MNA matrices are bit-identical (e.g. waveform
-//! pattern or supply-level variants) additionally share one LU
-//! factorization through [`TransientPlan`].
+//! [`ScenarioBatch::run`] is one parallel map: each task wires its
+//! scenario and runs its transient ([`BoardSystem::run`], one MNA
+//! factorization per scenario). Every scenario runs even when another
+//! fails, so the lowest failing index wins whether it failed in wiring
+//! or in simulation.
 //!
 //! # Examples
 //!
@@ -54,7 +56,7 @@
 use crate::cosim::{
     BoardSpec, BoardSystem, BuildBoardError, DecapSpec, ExtractedModel, SsnOutcome,
 };
-use pdn_circuit::{SimulateCircuitError, TransientPlan, Waveform};
+use pdn_circuit::{SimulateCircuitError, Waveform};
 use pdn_extract::NodeSelection;
 use std::error::Error;
 use std::fmt;
@@ -371,19 +373,20 @@ impl ScenarioBatch {
     /// Wires and simulates every scenario, returning outcomes in scenario
     /// order.
     ///
-    /// Wiring and the transient runs execute on [`pdn_num::parallel`]
-    /// workers; scenarios whose stamped MNA matrices are bit-identical
-    /// share a single [`TransientPlan`] (one LU factorization). Results
-    /// are bit-identical for any `PDN_THREADS` setting and bit-identical
-    /// to building each scenario's board from scratch.
+    /// One [`pdn_num::parallel`] task per scenario wires its system and
+    /// runs its transient, so each scenario factors its own MNA matrices.
+    /// Results are bit-identical for any `PDN_THREADS` setting and
+    /// bit-identical to building each scenario's board from scratch.
+    /// Every scenario runs even when another fails.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioBatchError::InvalidInput`] for an empty scenario
     /// list (an easy symptom of a caller-side filtering bug — loudly
-    /// rejected rather than silently returning zero outcomes), otherwise
-    /// the error of the lowest-index failing scenario, with that index
-    /// attached.
+    /// rejected rather than silently returning zero outcomes). Otherwise
+    /// returns the error of the lowest-index failing scenario, with that
+    /// index attached: [`ScenarioBatchError::Build`] when its wiring
+    /// failed, [`ScenarioBatchError::Simulation`] when its transient did.
     pub fn run(
         &self,
         scenarios: &[Scenario],
@@ -395,57 +398,12 @@ impl ScenarioBatch {
                 "scenario list is empty; a batch needs at least one scenario to run".into(),
             ));
         }
-        // 1. Wire every scenario (parallel; cheap relative to the runs).
-        let systems: Vec<BoardSystem> = pdn_num::parallel::try_par_map(scenarios, |s| self.wire(s))
-            .map_err(|e| self.attach_build_index(scenarios, e))?;
-
-        // 2. Group scenarios that share an MNA structure onto one
-        //    factored plan. `TransientPlan::matches` re-stamps and
-        //    compares bit-exactly (O(n²)), so grouping can never produce
-        //    a wrong answer — at worst every scenario gets its own plan.
-        let mut plans: Vec<TransientPlan> = Vec::new();
-        let mut plan_of = Vec::with_capacity(systems.len());
-        for (i, sys) in systems.iter().enumerate() {
-            let spec = sys.transient_spec(t_stop, dt);
-            match plans.iter().position(|p| p.matches(sys.circuit(), &spec)) {
-                Some(k) => plan_of.push(k),
-                None => {
-                    let plan = TransientPlan::new(sys.circuit(), &spec).map_err(|e| {
-                        ScenarioBatchError::Simulation {
-                            index: i,
-                            source: e,
-                        }
-                    })?;
-                    plans.push(plan);
-                    plan_of.push(plans.len() - 1);
-                }
-            }
-        }
-
-        // 3. Run everything in parallel, replaying the shared plans.
-        pdn_num::parallel::try_par_map_indexed(systems.len(), |i| {
-            systems[i]
-                .run_with_plan(t_stop, dt, &plans[plan_of[i]])
-                .map_err(|e| ScenarioBatchError::Simulation {
-                    index: i,
-                    source: e,
-                })
+        pdn_num::parallel::try_par_map_indexed(scenarios.len(), |index| {
+            self.wire(&scenarios[index])
+                .map_err(|source| ScenarioBatchError::Build { index, source })?
+                .run(t_stop, dt)
+                .map_err(|source| ScenarioBatchError::Simulation { index, source })
         })
-    }
-
-    /// Re-derives the failing index for a build error from `try_par_map`
-    /// (which returns the lowest-index error but not the index itself):
-    /// re-applies scenarios serially until one fails the same way.
-    fn attach_build_index(
-        &self,
-        scenarios: &[Scenario],
-        err: BuildBoardError,
-    ) -> ScenarioBatchError {
-        let index = scenarios
-            .iter()
-            .position(|s| self.wire(s).is_err())
-            .unwrap_or(0);
-        ScenarioBatchError::Build { index, source: err }
     }
 }
 
@@ -679,10 +637,31 @@ mod tests {
     }
 
     #[test]
-    fn identical_structures_share_one_plan() {
+    fn simulation_error_below_a_build_error_wins() {
+        // Scenario 0 wires but fails its transient (dt exceeds the line
+        // delay); scenario 1 fails wiring (site 7 does not exist). The
+        // lowest failing index is reported, whichever stage failed.
+        let chip = ChipSpec::cmos("U2", Point::new(mm(15.0), mm(10.0)), 1)
+            .with_line(crate::cosim::SignalLineSpec::z50(0.001));
+        let batch = ScenarioBatch::new(&base_board().with_chip(chip), &sel()).unwrap();
+        let scenarios = vec![
+            Scenario::switching(1),
+            Scenario::switching(1).with_decaps(vec![(7, DecapValue::ceramic_100nf())]),
+        ];
+        match batch.run(&scenarios, 20e-9, 1e-9).unwrap_err() {
+            ScenarioBatchError::Simulation { index, source } => {
+                assert_eq!(index, 0);
+                assert!(source.to_string().contains("line modal delay"), "{source}");
+            }
+            other => panic!("expected Simulation error for scenario 0, got {other}"),
+        }
+    }
+
+    #[test]
+    fn identical_structures_run_independently() {
         // Two waveform-pattern variants with identical decap population
-        // and switching count stamp identical matrices; the batch must
-        // still produce per-scenario correct (different) waveforms.
+        // and switching count stamp identical matrices; each runs its own
+        // transient and gets its own (different) waveforms.
         let batch = ScenarioBatch::new(&base_board(), &sel()).unwrap();
         let alt = Waveform::pulse(0.0, 1.0, 4e-9, 1e-9, 1e-9, 8e-9);
         let outs = batch

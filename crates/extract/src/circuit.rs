@@ -123,6 +123,34 @@ impl Branch {
     }
 }
 
+/// One two-terminal element of a netlist realization, between retained
+/// node indices.
+pub(crate) enum RealizedElement {
+    /// `r` from `a` to a new interior node, then `l` from it to `b`.
+    SeriesRl {
+        a: usize,
+        b: usize,
+        r: f64,
+        l: f64,
+    },
+    Inductor {
+        a: usize,
+        b: usize,
+        l: f64,
+    },
+    Resistor {
+        a: usize,
+        b: usize,
+        r: f64,
+    },
+    /// A capacitor; `b = None` is the reference (ground plane).
+    Capacitor {
+        a: usize,
+        b: Option<usize>,
+        c: f64,
+    },
+}
+
 /// Error from equivalent-circuit extraction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExtractCircuitError {
@@ -1267,13 +1295,8 @@ impl EquivalentCircuit {
     /// Exports the macromodel into a [`pdn_circuit::Circuit`] with the
     /// default [`Realization::Passive`] policy, returning the created
     /// circuit node of every retained node (in node order).
-    ///
-    /// Branches with relative weight below `rel_tol` (compared to the
-    /// largest branch of the same kind) are dropped, which keeps the
-    /// netlist size manageable for large macromodels; `rel_tol = 0.0`
-    /// keeps everything.
-    pub fn to_circuit(&self, ckt: &mut Circuit, prefix: &str, rel_tol: f64) -> Vec<NodeId> {
-        self.to_circuit_with(ckt, prefix, rel_tol, Realization::Passive)
+    pub fn to_circuit(&self, ckt: &mut Circuit, prefix: &str) -> Vec<NodeId> {
+        self.to_circuit_with(ckt, prefix, Realization::Passive)
     }
 
     /// [`to_circuit`](Self::to_circuit) with an explicit realization
@@ -1282,7 +1305,6 @@ impl EquivalentCircuit {
         &self,
         ckt: &mut Circuit,
         prefix: &str,
-        rel_tol: f64,
         realization: Realization,
     ) -> Vec<NodeId> {
         let nodes: Vec<NodeId> = self
@@ -1290,47 +1312,62 @@ impl EquivalentCircuit {
             .iter()
             .map(|name| ckt.node(format!("{prefix}{name}")))
             .collect();
-        let branches = self.branches();
-        let max_binv = branches
-            .iter()
-            .map(|b| b.inverse_inductance.abs())
-            .fold(0.0, f64::max);
-        let max_c = branches
-            .iter()
-            .map(|b| b.capacitance.abs())
-            .fold(0.0, f64::max);
-        for br in &branches {
-            let (a, b) = (nodes[br.m], nodes[br.n]);
-            let keep_l = br.inverse_inductance.abs() > rel_tol * max_binv
-                && br.inverse_inductance != 0.0
-                && (br.inverse_inductance > 0.0 || realization == Realization::Exact);
-            if keep_l {
-                let l = 1.0 / br.inverse_inductance;
-                // Series resistance goes only on positive-inductance
-                // branches: R in series with a negative L is an active
-                // one-port and destabilizes transient runs.
-                match br.resistance() {
-                    Some(r) if br.inverse_inductance > 0.0 => {
-                        let mid = ckt.new_node();
-                        ckt.resistor(a, mid, r);
-                        ckt.inductor(mid, b, l);
-                    }
-                    _ => ckt.inductor(a, b, l),
+        for element in self.realize(realization) {
+            match element {
+                RealizedElement::SeriesRl { a, b, r, l } => {
+                    let mid = ckt.new_node();
+                    ckt.resistor(nodes[a], mid, r);
+                    ckt.inductor(mid, nodes[b], l);
                 }
-            } else if br.conductance > 0.0 {
-                ckt.resistor(a, b, 1.0 / br.conductance);
-            }
-            if br.capacitance > rel_tol * max_c && br.capacitance > 0.0 {
-                ckt.capacitor(a, b, br.capacitance);
-            }
-        }
-        for (m, &node) in nodes.iter().enumerate() {
-            let c_sh = self.shunt_capacitance(m);
-            if c_sh > 0.0 {
-                ckt.capacitor(node, Circuit::GND, c_sh);
+                RealizedElement::Inductor { a, b, l } => ckt.inductor(nodes[a], nodes[b], l),
+                RealizedElement::Resistor { a, b, r } => ckt.resistor(nodes[a], nodes[b], r),
+                RealizedElement::Capacitor { a, b, c } => {
+                    ckt.capacitor(nodes[a], b.map_or(Circuit::GND, |b| nodes[b]), c)
+                }
             }
         }
         nodes
+    }
+
+    /// The netlist realization rule behind [`to_circuit_with`] and
+    /// [`to_spice_subckt`], in element order. Per branch: its inductance
+    /// when positive (or under [`Realization::Exact`], any nonzero one),
+    /// with the series resistance ahead of a positive inductance, or else
+    /// its resistance alone; then its coupling capacitance. Last, every
+    /// node's positive shunt capacitance.
+    ///
+    /// [`to_circuit_with`]: Self::to_circuit_with
+    /// [`to_spice_subckt`]: Self::to_spice_subckt
+    pub(crate) fn realize(&self, realization: Realization) -> Vec<RealizedElement> {
+        let mut out = Vec::new();
+        for br in self.branches() {
+            let (a, b) = (br.m, br.n);
+            let binv = br.inverse_inductance;
+            if binv > 0.0 || (binv < 0.0 && realization == Realization::Exact) {
+                let l = 1.0 / binv;
+                // Series resistance goes only on positive-inductance
+                // branches: R in series with a negative L is an active
+                // one-port and destabilizes transient runs.
+                out.push(match br.resistance() {
+                    Some(r) if binv > 0.0 => RealizedElement::SeriesRl { a, b, r, l },
+                    _ => RealizedElement::Inductor { a, b, l },
+                });
+            } else if br.conductance > 0.0 {
+                let r = 1.0 / br.conductance;
+                out.push(RealizedElement::Resistor { a, b, r });
+            }
+            if br.capacitance > 0.0 {
+                let c = br.capacitance;
+                out.push(RealizedElement::Capacitor { a, b: Some(b), c });
+            }
+        }
+        for a in 0..self.node_count() {
+            let c = self.shunt_capacitance(a);
+            if c > 0.0 {
+                out.push(RealizedElement::Capacitor { a, b: None, c });
+            }
+        }
+        out
     }
 
     /// Whether the macromodel carries conductor loss: `true` when the
@@ -1345,7 +1382,7 @@ impl EquivalentCircuit {
     /// plus the circuit node of every port.
     fn stamped_ports(&self) -> (Circuit, Vec<NodeId>) {
         let mut ckt = Circuit::new();
-        let nodes = self.to_circuit(&mut ckt, "rom_", 0.0);
+        let nodes = self.to_circuit(&mut ckt, "rom_");
         let ports = (0..self.port_count())
             .map(|p| nodes[self.port_node(p)])
             .collect();
@@ -1783,12 +1820,12 @@ mod tests {
         // machine precision; the default Passive realization (negative
         // Kron residues dropped) stays within a few percent.
         let mut exact = Circuit::new();
-        let nodes = eq.to_circuit_with(&mut exact, "pg_", 0.0, Realization::Exact);
+        let nodes = eq.to_circuit_with(&mut exact, "pg_", Realization::Exact);
         let ports: Vec<NodeId> = (0..eq.port_count())
             .map(|p| nodes[eq.port_node(p)])
             .collect();
         let mut passive = Circuit::new();
-        let pnodes = eq.to_circuit(&mut passive, "pg_", 0.0);
+        let pnodes = eq.to_circuit(&mut passive, "pg_");
         let pports: Vec<NodeId> = (0..eq.port_count())
             .map(|p| pnodes[eq.port_node(p)])
             .collect();
@@ -1832,7 +1869,7 @@ mod tests {
             "test premise: reduction produced negative branches"
         );
         let mut ckt = Circuit::new();
-        let nodes = eq.to_circuit(&mut ckt, "pg_", 0.0);
+        let nodes = eq.to_circuit(&mut ckt, "pg_");
         let p0 = nodes[eq.port_node(0)];
         let p1 = nodes[eq.port_node(1)];
         let src = ckt.node("src");

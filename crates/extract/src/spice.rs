@@ -7,7 +7,7 @@
 //! global ground `0`), R–L series branches, coupling capacitors, and
 //! shunt capacitances.
 
-use crate::circuit::{EquivalentCircuit, Realization};
+use crate::circuit::{EquivalentCircuit, Realization, RealizedElement};
 use std::fmt::Write as _;
 
 /// Formats a value in SPICE engineering notation with enough digits for
@@ -77,42 +77,29 @@ impl EquivalentCircuit {
             }
         };
 
-        let mut r_idx = 0usize;
-        let mut l_idx = 0usize;
-        let mut c_idx = 0usize;
-        for br in self.branches() {
-            let (a, b) = (label(br.m), label(br.n));
-            let keep_l = br.inverse_inductance > 0.0
-                || (br.inverse_inductance != 0.0 && realization == Realization::Exact);
-            if keep_l {
-                let l = 1.0 / br.inverse_inductance;
-                match br.resistance() {
-                    Some(r) if br.inverse_inductance > 0.0 => {
-                        let mid = format!("mid_{r_idx}");
-                        let _ = writeln!(out, "R{r_idx} {a} {mid} {}", spice_num(r));
-                        let _ = writeln!(out, "L{l_idx} {mid} {b} {}", spice_num(l));
-                        r_idx += 1;
-                        l_idx += 1;
-                    }
-                    _ => {
-                        let _ = writeln!(out, "L{l_idx} {a} {b} {}", spice_num(l));
-                        l_idx += 1;
-                    }
+        let (mut r_idx, mut l_idx, mut c_idx) = (0usize, 0usize, 0usize);
+        for element in self.realize(realization) {
+            match element {
+                RealizedElement::SeriesRl { a, b, r, l } => {
+                    let mid = format!("mid_{r_idx}");
+                    let _ = writeln!(out, "R{r_idx} {} {mid} {}", label(a), spice_num(r));
+                    let _ = writeln!(out, "L{l_idx} {mid} {} {}", label(b), spice_num(l));
+                    r_idx += 1;
+                    l_idx += 1;
                 }
-            } else if br.conductance > 0.0 {
-                let _ = writeln!(out, "R{r_idx} {a} {b} {}", spice_num(1.0 / br.conductance));
-                r_idx += 1;
-            }
-            if br.capacitance > 0.0 {
-                let _ = writeln!(out, "C{c_idx} {a} {b} {}", spice_num(br.capacitance));
-                c_idx += 1;
-            }
-        }
-        for m in 0..self.node_count() {
-            let c = self.shunt_capacitance(m);
-            if c > 0.0 {
-                let _ = writeln!(out, "C{c_idx} {} 0 {}", label(m), spice_num(c));
-                c_idx += 1;
+                RealizedElement::Inductor { a, b, l } => {
+                    let _ = writeln!(out, "L{l_idx} {} {} {}", label(a), label(b), spice_num(l));
+                    l_idx += 1;
+                }
+                RealizedElement::Resistor { a, b, r } => {
+                    let _ = writeln!(out, "R{r_idx} {} {} {}", label(a), label(b), spice_num(r));
+                    r_idx += 1;
+                }
+                RealizedElement::Capacitor { a, b, c } => {
+                    let b = b.map_or_else(|| "0".to_string(), label);
+                    let _ = writeln!(out, "C{c_idx} {} {b} {}", label(a), spice_num(c));
+                    c_idx += 1;
+                }
             }
         }
         let _ = writeln!(out, ".ENDS {name}");

@@ -68,6 +68,17 @@ pub enum MeshPlaneError {
     },
     /// No cell centers fell inside any shape.
     EmptyMesh,
+    /// The `nx × ny` cell raster over the shapes' bounding box cannot be
+    /// allocated at this cell size (its slot count overflows, or the
+    /// allocator refuses it).
+    GridTooLarge {
+        /// Requested cell size.
+        cell_size: f64,
+        /// Raster columns.
+        nx: usize,
+        /// Raster rows.
+        ny: usize,
+    },
     /// A port location was farther than one cell from any conductor.
     PortOutsideShape {
         /// Port name.
@@ -89,6 +100,10 @@ impl fmt::Display for MeshPlaneError {
                     "no mesh cells fall inside the shape; cell size too large?"
                 )
             }
+            MeshPlaneError::GridTooLarge { cell_size, nx, ny } => write!(
+                f,
+                "a {nx} x {ny} cell raster at cell size {cell_size} cannot be allocated"
+            ),
             MeshPlaneError::PortOutsideShape { name, location } => {
                 write!(f, "port {name} at {location} is not on any conductor")
             }
@@ -169,11 +184,14 @@ impl PlaneMesh {
         let ny = (((max.y - min.y) / cell_size).round() as usize).max(1);
         let dx = (max.x - min.x) / nx as f64;
         let dy = (max.y - min.y) / ny as f64;
-        let mut grid = vec![None; nx * ny];
+        let too_large = || MeshPlaneError::GridTooLarge { cell_size, nx, ny };
+        let slots = nx.checked_mul(ny).ok_or_else(too_large)?;
+        let mut grid = Vec::new();
+        grid.try_reserve_exact(slots).map_err(|_| too_large())?;
+        grid.resize(slots, None);
         let mut centers = Vec::new();
         let mut coords = Vec::new();
         let mut nets = Vec::new();
-        let mut net_of_grid = vec![usize::MAX; nx * ny];
         for iy in 0..ny {
             for ix in 0..nx {
                 let c = Point::new(
@@ -183,7 +201,6 @@ impl PlaneMesh {
                 for (net, s) in shapes.iter().enumerate() {
                     if s.contains(c) {
                         grid[iy * nx + ix] = Some(centers.len());
-                        net_of_grid[iy * nx + ix] = net;
                         centers.push(c);
                         coords.push((ix, iy));
                         nets.push(net);

@@ -100,7 +100,7 @@ fn board_impedance_shows_decap_in_frequency_domain() {
         };
         let eq = extracted.equivalent();
         let mut ckt = Circuit::new();
-        let nodes = eq.to_circuit_with(&mut ckt, "pg_", 0.0, Realization::Passive);
+        let nodes = eq.to_circuit_with(&mut ckt, "pg_", Realization::Passive);
         // Terminate the VRM port with the supply path.
         let vrm = nodes[eq.port_node(0)];
         let mid = ckt.new_node();

@@ -27,7 +27,7 @@ fn bem_macromodel_netlist_agree_in_frequency_domain() {
     let eq = extracted.equivalent();
 
     let mut ckt = Circuit::new();
-    let nodes = eq.to_circuit_with(&mut ckt, "pg_", 0.0, Realization::Exact);
+    let nodes = eq.to_circuit_with(&mut ckt, "pg_", Realization::Exact);
     let ports: Vec<_> = (0..2).map(|p| nodes[eq.port_node(p)]).collect();
 
     for &f in &[30e6, 150e6, 700e6] {

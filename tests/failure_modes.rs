@@ -20,6 +20,24 @@ fn port_off_the_conductor_is_a_mesh_error() {
 }
 
 #[test]
+fn mesh_raster_beyond_memory_is_a_mesh_error() {
+    // The 10 x 7 in study-A board: at 1e-9 in the raster's slot count
+    // overflows `usize`; at 1e-6 in it would need about 1.1 PB.
+    for (pitch, nx, ny) in [
+        (1e-9, 10_000_000_000, 7_000_000_000),
+        (1e-6, 10_000_000, 7_000_000),
+    ] {
+        let board = boards::ssn_study_a_board(pitch).expect("valid board");
+        match board.extract_model(&NodeSelection::PortsOnly) {
+            Err(BuildBoardError::Extraction(ExtractPlaneError::Mesh(
+                MeshPlaneError::GridTooLarge { nx: gx, ny: gy, .. },
+            ))) => assert_eq!((gx, gy), (nx, ny), "pitch {pitch} in"),
+            other => panic!("expected GridTooLarge at {pitch} in, got {:?}", other.err()),
+        }
+    }
+}
+
+#[test]
 fn split_net_without_a_port_fails_with_guidance() {
     // Two islands, ports only on the first: the reduction of the second
     // (floating) net must fail with a message pointing at the cause.

@@ -107,7 +107,7 @@ fn exported_deck_values_rebuild_the_same_network() {
     let pb = ckt.find_node("VDD_B").expect("port B node");
     // Reference: native export.
     let mut native = Circuit::new();
-    let nodes = eq.to_circuit(&mut native, "pg_", 0.0);
+    let nodes = eq.to_circuit(&mut native, "pg_");
     let na = nodes[eq.port_node(0)];
     let nb = nodes[eq.port_node(1)];
     for &f in &[50e6, 500e6] {

@@ -1,7 +1,7 @@
 //! `PdnServer` over real TCP: the line order of each job, the `STATS`
 //! counters, `ERR` replies for malformed and oversized lines, `FAILED`
-//! jobs for oversized step counts, concurrent clients, in-flight jobs
-//! surviving `QUIT`, and the warm round-trip time.
+//! jobs for oversized step counts and unallocatable meshes, concurrent
+//! clients, in-flight jobs surviving `QUIT`, and the warm round-trip time.
 
 use pdn_service::{ExtractionCache, JobQueue, PdnServer};
 use std::io::{BufRead, BufReader, Write};
@@ -279,6 +279,35 @@ fn oversized_step_counts_fail_the_job_not_the_server() {
     assert_eq!(
         stats(&mut c),
         "STATS memory_hits 1 disk_hits 0 extractions 1 coalesced 0 load_failures 0"
+    );
+}
+
+/// A mesh pitch whose cell raster cannot be allocated (the slot count
+/// overflows at 1e-9 in; it would need about 1.1 PB at 1e-6 in) fails its
+/// job with a typed error. A repeat of the request does not wait on the
+/// failed extraction, and the connection keeps serving.
+#[test]
+fn unallocatable_mesh_fails_the_job_not_the_server() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let service = Service::start("mesh");
+    let mut c = service.connect();
+    let name = c.name();
+    for request in [
+        "SWEEP ssn_study_a 1e-9 ports 1 1e-9 1e-10",
+        "SWEEP ssn_study_a 1e-9 ports 1 1e-9 1e-10",
+        "SWEEP ssn_study_a 1e-6 ports 1 1e-9 1e-10",
+    ] {
+        let lines = c.job(request);
+        let last = lines.last().expect("a job has lines");
+        assert!(
+            last.contains(" FAILED ") && last.contains("cell raster"),
+            "'{request}': {lines:?}"
+        );
+    }
+    check_job(&c.job(SWEEP), &name, "CACHE_MISS");
+    assert_eq!(
+        stats(&mut c),
+        "STATS memory_hits 0 disk_hits 0 extractions 1 coalesced 0 load_failures 0"
     );
 }
 
