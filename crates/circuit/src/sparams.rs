@@ -220,28 +220,53 @@ mod tests {
 /// `S11 S21 S12 S22` is used; for other port counts, row-major order with
 /// one line per matrix row.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `freqs` and `matrices` have different lengths or the
-/// matrices are not square and equally sized.
+/// Returns [`SimulateCircuitError::InvalidSpec`] when `freqs` and
+/// `matrices` have different lengths, when a matrix is not square or not
+/// the size of the first, or when `z0` is not finite and positive.
 ///
 /// # Examples
 ///
 /// ```
 /// use pdn_num::{c64, Matrix};
 ///
+/// # fn main() -> Result<(), pdn_circuit::SimulateCircuitError> {
 /// let s = Matrix::from_rows(&[&[c64::new(0.1, -0.2)]]);
-/// let doc = pdn_circuit::touchstone(&[1e9], &[s], 50.0);
+/// let doc = pdn_circuit::touchstone(&[1e9], &[s], 50.0)?;
 /// assert!(doc.contains("# HZ S RI R 50"));
+/// # Ok(())
+/// # }
 /// ```
-pub fn touchstone(freqs: &[f64], matrices: &[Matrix<c64>], z0: f64) -> String {
-    assert_eq!(freqs.len(), matrices.len(), "one matrix per frequency");
+pub fn touchstone(
+    freqs: &[f64],
+    matrices: &[Matrix<c64>],
+    z0: f64,
+) -> Result<String, SimulateCircuitError> {
+    if freqs.len() != matrices.len() {
+        return Err(SimulateCircuitError::InvalidSpec(format!(
+            "Touchstone needs one matrix per frequency: {} frequencies, {} matrices",
+            freqs.len(),
+            matrices.len()
+        )));
+    }
+    if !(z0.is_finite() && z0 > 0.0) {
+        return Err(SimulateCircuitError::InvalidSpec(format!(
+            "Touchstone reference impedance must be finite and positive, got {z0}"
+        )));
+    }
     let n = matrices.first().map_or(0, Matrix::nrows);
-    for m in matrices {
-        assert!(
-            m.is_square() && m.nrows() == n,
-            "matrices must be square and equally sized"
-        );
+    if let Some((k, m)) = matrices
+        .iter()
+        .enumerate()
+        .find(|(_, m)| !m.is_square() || m.nrows() != n)
+    {
+        return Err(SimulateCircuitError::InvalidSpec(format!(
+            "Touchstone matrices must be square and {n}×{n}, the size of the first; \
+             matrix {k} is {}×{}",
+            m.nrows(),
+            m.ncols()
+        )));
     }
     let mut out = String::new();
     out.push_str("! S-parameters exported by pdn\n");
@@ -277,7 +302,7 @@ pub fn touchstone(freqs: &[f64], matrices: &[Matrix<c64>], z0: f64) -> String {
             out.push('\n');
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -293,7 +318,7 @@ mod touchstone_tests {
 
     #[test]
     fn two_port_column_order() {
-        let doc = touchstone(&[1e9], &[s2(1.0)], 50.0);
+        let doc = touchstone(&[1e9], &[s2(1.0)], 50.0).unwrap();
         let data_line = doc.lines().last().expect("data line");
         let fields: Vec<f64> = data_line
             .split_whitespace()
@@ -308,7 +333,7 @@ mod touchstone_tests {
 
     #[test]
     fn header_and_counts() {
-        let doc = touchstone(&[1e9, 2e9, 3e9], &[s2(1.0), s2(2.0), s2(3.0)], 75.0);
+        let doc = touchstone(&[1e9, 2e9, 3e9], &[s2(1.0), s2(2.0), s2(3.0)], 75.0).unwrap();
         assert!(doc.contains("# HZ S RI R 75"));
         let data_lines = doc.lines().filter(|l| !l.starts_with(['!', '#'])).count();
         assert_eq!(data_lines, 3);
@@ -317,14 +342,18 @@ mod touchstone_tests {
     #[test]
     fn one_port_format() {
         let s = Matrix::from_rows(&[&[c64::new(0.9, -0.1)]]);
-        let doc = touchstone(&[5e8], &[s], 50.0);
+        let doc = touchstone(&[5e8], &[s], 50.0).unwrap();
         let data_line = doc.lines().last().expect("data");
         assert_eq!(data_line.split_whitespace().count(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "one matrix per frequency")]
-    fn mismatched_lengths_panic() {
-        let _ = touchstone(&[1e9, 2e9], &[s2(1.0)], 50.0);
+    fn mismatched_lengths_are_invalid_spec() {
+        match touchstone(&[1e9, 2e9], &[s2(1.0)], 50.0) {
+            Err(SimulateCircuitError::InvalidSpec(msg)) => {
+                assert!(msg.contains("2 frequencies, 1 matrices"), "{msg}");
+            }
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
     }
 }

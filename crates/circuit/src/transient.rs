@@ -8,7 +8,9 @@
 //! (behavioral drivers) sit in that matrix frozen at half conductance; the
 //! rest of their conductance is an exact rank-k Sherman–Morrison–Woodbury
 //! update over the single factorization, applied every step (the paper's
-//! partitioned co-simulation, Section 5.2).
+//! partitioned co-simulation, Section 5.2). Its `k×k` system is factored
+//! again only on a step whose switch conductances differ from the last
+//! factored ones.
 //!
 //! Both integration orders of the paper are available: first order
 //! (backward Euler, strongly damping, used for the DC settle phase) and
@@ -79,6 +81,7 @@ pub struct TransientResult {
     /// Branch current of each voltage source (flowing internally from the
     /// `+` terminal to the `−` terminal).
     source_currents: Vec<Vec<f64>>,
+    woodbury_factorizations: usize,
 }
 
 impl TransientResult {
@@ -115,6 +118,15 @@ impl TransientResult {
     /// Panics for an out-of-range source index.
     pub fn source_current(&self, source: crate::netlist::SourceId) -> &[f64] {
         &self.source_currents[source.0]
+    }
+
+    /// How many times the run factored its `k×k` switch system
+    /// `I + D·S₀`, summed over the settle and main phases. Each phase
+    /// factors on its first step and again only on a step whose switch
+    /// conductances differ from the last factored ones; the count is 0
+    /// with no time-varying switch.
+    pub fn woodbury_factorizations(&self) -> usize {
+        self.woodbury_factorizations
     }
 
     /// Largest absolute excursion of a node voltage from its first sample —
@@ -418,6 +430,11 @@ impl Circuit {
 /// and `D = diag(Δg(t))`, `W = A₀⁻¹U` and `S₀ = UᵀW` are computed once;
 /// every step then solves
 ///   `x = z − W·(I + D·S₀)⁻¹·D·Uᵀz`,  `z = A₀⁻¹·rhs`.
+///
+/// The `k×k` matrix `I + D·S₀` is factored only when `D` changes: drives
+/// hold through the settle and between edges, so most steps reuse the
+/// kept factor. The same bits of `D` give the same matrix and the same
+/// factor, so the reuse changes no result.
 struct Phase {
     integration: Integration,
     dt: f64,
@@ -426,6 +443,12 @@ struct Phase {
     w: Vec<Vec<f64>>,
     /// `S₀ = UᵀW`.
     s0: Matrix<f64>,
+    /// The `D` of the last factored `I + D·S₀`.
+    d_factored: Vec<f64>,
+    /// The LU factor of that `I + D·S₀`, once one step has factored it.
+    small_lu: Option<LuDecomposition<f64>>,
+    /// How many times this phase factored `I + D·S₀`.
+    factorizations: usize,
 }
 
 impl Phase {
@@ -462,14 +485,18 @@ impl Phase {
             lu,
             w,
             s0,
+            d_factored: vec![0.0; k],
+            small_lu: None,
+            factorizations: 0,
         })
     }
 
     /// The per-step solve `(A₀ + U·D·Uᵀ)·x = rhs`, where `d` holds each
     /// switch's conductance minus its frozen half: one back-substitution
-    /// on the phase factor plus a `k×k` system.
+    /// on the phase factor plus a `k×k` system, factored only when `d`
+    /// differs bitwise from the last factored one.
     fn solve(
-        &self,
+        &mut self,
         switches: &[(NodeId, NodeId, f64)],
         d: &[f64],
         rhs: &[f64],
@@ -480,18 +507,30 @@ impl Phase {
             return Ok(z);
         }
         // Small system (I + D·S₀)·y = D·Uᵀz.
-        let m_small = Matrix::from_fn(k, k, |i, j| {
-            let delta = if i == j { 1.0 } else { 0.0 };
-            delta + d[i] * self.s0[(i, j)]
-        });
+        let unchanged = self
+            .d_factored
+            .iter()
+            .zip(d)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        let small_lu = match &self.small_lu {
+            Some(lu) if unchanged => lu,
+            _ => {
+                let m_small = Matrix::from_fn(k, k, |i, j| {
+                    let delta = if i == j { 1.0 } else { 0.0 };
+                    delta + d[i] * self.s0[(i, j)]
+                });
+                let lu = LuDecomposition::new(m_small).map_err(singular)?;
+                self.d_factored.copy_from_slice(d);
+                self.factorizations += 1;
+                &*self.small_lu.insert(lu)
+            }
+        };
         let rhs_small: Vec<f64> = switches
             .iter()
             .zip(d)
             .map(|(&(p, q, _), &di)| di * branch_voltage(p, q, &z))
             .collect();
-        let y = LuDecomposition::new(m_small)
-            .and_then(|lu| lu.solve(&rhs_small))
-            .map_err(singular)?;
+        let y = small_lu.solve(&rhs_small).map_err(singular)?;
         let mut x = z;
         for (col, &yk) in self.w.iter().zip(&y) {
             for (xi, &wi) in x.iter_mut().zip(col) {
@@ -542,7 +581,7 @@ impl Circuit {
     /// factored (floating nodes, voltage-source loops).
     pub fn transient(&self, spec: &TransientSpec) -> Result<TransientResult, SimulateCircuitError> {
         let (n_settle, n_steps) = self.validate_transient_spec(spec)?;
-        let phases = Phases::new(self, spec)?;
+        let mut phases = Phases::new(self, spec)?;
         let n = self.n_nodes;
         let m = self.n_vsources;
         let dim = n + m;
@@ -623,9 +662,9 @@ impl Circuit {
                 (step - n_settle) as f64 * spec.dt
             };
             let phase = if settling {
-                &phases.settle
+                &mut phases.settle
             } else {
-                &phases.main
+                &mut phases.main
             };
             let integ = phase.integration;
             let kk = k_int(integ);
@@ -890,6 +929,7 @@ impl Circuit {
             times,
             voltages,
             source_currents,
+            woodbury_factorizations: phases.settle.factorizations + phases.main.factorizations,
         })
     }
 }
@@ -1473,52 +1513,101 @@ mod partitioned_tests {
         ckt
     }
 
+    /// Switch deviations `D` at one drive level: pull-ups (plain drive)
+    /// and pull-downs (inverted) alternate, and the level is staggered
+    /// per driver.
+    fn deviations(switches: &[(NodeId, NodeId, f64)], level: f64) -> Vec<f64> {
+        switches
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, _, g_on))| {
+                let drive = (level + 0.05 * (i / 2) as f64).min(1.0);
+                switch_conductance(g_on, drive, i % 2 == 1) - 0.5 * g_on
+            })
+            .collect()
+    }
+
+    /// Asserts `x` solves the explicit `(A₀ + U·D·Uᵀ)·x = rhs` of `phase`,
+    /// by a dense LU, to 1e-10 of the solution's scale.
+    fn assert_matches_dense(
+        case: &str,
+        ckt: &Circuit,
+        phase: &Phase,
+        switches: &[(NodeId, NodeId, f64)],
+        d: &[f64],
+        rhs: &[f64],
+        x: &[f64],
+    ) {
+        let mut a = ckt.mna_matrix(phase.integration, phase.dt);
+        for (&(p, q, _), &di) in switches.iter().zip(d) {
+            for (r, sr) in [(p, 1.0), (q, -1.0)] {
+                for (c, sc) in [(p, 1.0), (q, -1.0)] {
+                    if r.0 > 0 && c.0 > 0 {
+                        a[(r.0 - 1, c.0 - 1)] += sr * sc * di;
+                    }
+                }
+            }
+        }
+        let x_ref = LuDecomposition::new(a).unwrap().solve(rhs).unwrap();
+        let scale = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let err = x
+            .iter()
+            .zip(&x_ref)
+            .fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
+        assert!(
+            err <= 1e-10 * scale,
+            "{case}: error {err:e} vs scale {scale:e}"
+        );
+    }
+
     /// The Woodbury step against a dense LU of the explicit matrix
-    /// `A₀ + U·D·Uᵀ`, in both phases and at several drive levels.
+    /// `A₀ + U·D·Uᵀ`, in both phases and at several drive levels. A phase
+    /// that reuses its `k×k` factor across a drive sequence that repeats
+    /// and revisits levels, with settle and main calls interleaved, gives
+    /// bit for bit the solution of a freshly built phase.
     #[test]
     fn woodbury_step_matches_dense_reference() {
         let spec = TransientSpec::new(8e-9, 0.01e-9).with_settle(2e-9);
         for (ckt, k) in [(driver_circuit(), 2), (driver_bank(), 16)] {
-            let phases = Phases::new(&ckt, &spec).unwrap();
+            let mut phases = Phases::new(&ckt, &spec).unwrap();
             assert_eq!(phases.switches.len(), k);
             let dim = ckt.n_nodes + ckt.n_vsources;
             let rhs: Vec<f64> = (0..dim).map(|i| ((7 * i + 3) % 11) as f64 - 5.0).collect();
-            for phase in [&phases.settle, &phases.main] {
+            for phase in [&mut phases.settle, &mut phases.main] {
                 for level in [0.0, 0.2, 0.5, 0.9, 1.0] {
-                    // Alternate pull-ups (plain drive) and pull-downs
-                    // (inverted), staggering the level per driver.
-                    let d: Vec<f64> = phases
-                        .switches
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(_, _, g_on))| {
-                            let drive = (level + 0.05 * (i / 2) as f64).min(1.0);
-                            switch_conductance(g_on, drive, i % 2 == 1) - 0.5 * g_on
-                        })
-                        .collect();
+                    let d = deviations(&phases.switches, level);
                     let x = phase.solve(&phases.switches, &d, &rhs).unwrap();
-                    let mut a = ckt.mna_matrix(phase.integration, phase.dt);
-                    for (&(p, q, _), &di) in phases.switches.iter().zip(&d) {
-                        for (r, sr) in [(p, 1.0), (q, -1.0)] {
-                            for (c, sc) in [(p, 1.0), (q, -1.0)] {
-                                if r.0 > 0 && c.0 > 0 {
-                                    a[(r.0 - 1, c.0 - 1)] += sr * sc * di;
-                                }
-                            }
-                        }
-                    }
-                    let x_ref = LuDecomposition::new(a).unwrap().solve(&rhs).unwrap();
-                    let scale = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                    let err = x
-                        .iter()
-                        .zip(&x_ref)
-                        .fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
-                    assert!(
-                        err <= 1e-10 * scale,
-                        "k = {k}, level {level}: error {err:e} vs scale {scale:e}"
-                    );
+                    let case = format!("k = {k}, level {level}");
+                    assert_matches_dense(&case, &ckt, phase, &phases.switches, &d, &rhs, &x);
                 }
             }
+
+            let mut reused = Phases::new(&ckt, &spec).unwrap();
+            for (step, level) in [0.2, 0.2, 0.9, 0.2, 1.0, 1.0].into_iter().enumerate() {
+                let d = deviations(&reused.switches, level);
+                for settle in [step % 2 == 0, step % 2 == 1] {
+                    let mut fresh = Phases::new(&ckt, &spec).unwrap();
+                    let (phase, fresh_phase) = if settle {
+                        (&mut reused.settle, &mut fresh.settle)
+                    } else {
+                        (&mut reused.main, &mut fresh.main)
+                    };
+                    let x = phase.solve(&reused.switches, &d, &rhs).unwrap();
+                    let x_fresh = fresh_phase.solve(&fresh.switches, &d, &rhs).unwrap();
+                    let case = format!("k = {k}, step {step}, level {level}, settle {settle}");
+                    assert!(
+                        x.iter()
+                            .zip(&x_fresh)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{case}: reused factor differs from a fresh one"
+                    );
+                    assert_matches_dense(&case, &ckt, phase, &reused.switches, &d, &rhs, &x);
+                }
+            }
+            // Each phase factored on the levels 0.2, 0.9, 0.2 and 1.0 and
+            // reused the factor on the two repeats.
+            assert_eq!(reused.settle.factorizations, 4);
+            assert_eq!(reused.main.factorizations, 4);
         }
     }
 

@@ -1196,6 +1196,27 @@ mod tests {
         assert!(msg.contains("at least one driver count"), "got: {msg}");
     }
 
+    /// Study A at 0.4 in with all sixteen drivers switching, run 10 ns at
+    /// 0.1 ns: 256 settle steps and 101 main steps. The drives hold
+    /// through the settle (one factorization). The main phase factors on
+    /// its first step and on the eleven steps from 2.1 to 3.1 ns where
+    /// the 2–3 ns data edge moves them (round-off leaves 3.0 ns just short
+    /// of the top), so the run factors its switch system 13 times, not 357.
+    #[test]
+    fn woodbury_factors_only_when_the_switches_change() {
+        let board = crate::boards::ssn_study_a_board(0.4).unwrap();
+        let model = board.extract_model(&NodeSelection::PortsOnly).unwrap();
+        let switching = board.wire(&model, 16).unwrap();
+        let spec = switching.transient_spec(10e-9, 0.1e-9);
+        let res = switching.circuit().transient(&spec).unwrap();
+        assert_eq!(res.len(), 101);
+        assert_eq!(res.woodbury_factorizations(), 13);
+
+        let quiet = board.wire(&model, 0).unwrap();
+        let res = quiet.circuit().transient(&spec).unwrap();
+        assert_eq!(res.woodbury_factorizations(), 0);
+    }
+
     #[test]
     fn partition_reflects_structure() {
         let sys = small_board()

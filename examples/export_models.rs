@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     for &f in &freqs {
         mats.push(eq.s_parameters(f, 50.0)?);
     }
-    let ts = pdn_circuit::touchstone(&freqs, &mats, 50.0);
+    let ts = pdn_circuit::touchstone(&freqs, &mats, 50.0)?;
     let s2p_path = out_dir.join("pdn_plane.s2p");
     fs::write(&s2p_path, &ts)?;
     println!("Touchstone       -> {}", s2p_path.display());

@@ -431,3 +431,49 @@ fn equivalent_circuit_resonance_scan_rejects_bad_requests() {
         Vec::<f64>::new()
     );
 }
+
+#[test]
+fn touchstone_rejects_mismatched_sweeps_and_bad_references() {
+    use pdn_circuit::SimulateCircuitError;
+    use pdn_num::c64;
+    let s1 = || Matrix::from_rows(&[&[c64::new(0.1, -0.2)]]);
+    let s2 = || Matrix::from_fn(2, 2, |i, j| c64::new(0.1 * (i + j) as f64, 0.0));
+    let wide = Matrix::from_fn(2, 3, |_, _| c64::new(0.1, 0.0));
+    for (what, freqs, mats, z0, expect) in [
+        (
+            "lengths",
+            vec![1e9, 2e9],
+            vec![s1()],
+            50.0,
+            "2 frequencies, 1 matrices",
+        ),
+        ("non-square", vec![1e9], vec![wide], 50.0, "matrix 0 is 2×3"),
+        (
+            "unequal sizes",
+            vec![1e9, 2e9],
+            vec![s2(), s1()],
+            50.0,
+            "2×2, the size of the first; matrix 1 is 1×1",
+        ),
+        ("NaN z0", vec![1e9], vec![s1()], f64::NAN, "got NaN"),
+        (
+            "infinite z0",
+            vec![1e9],
+            vec![s1()],
+            f64::INFINITY,
+            "got inf",
+        ),
+        ("zero z0", vec![1e9], vec![s1()], 0.0, "got 0"),
+        ("negative z0", vec![1e9], vec![s1()], -50.0, "got -50"),
+    ] {
+        match pdn_circuit::touchstone(&freqs, &mats, z0) {
+            Err(SimulateCircuitError::InvalidSpec(msg)) => {
+                assert!(msg.contains(expect), "{what}: {msg}");
+            }
+            other => panic!("{what}: expected InvalidSpec, got {other:?}"),
+        }
+    }
+    // An empty sweep is a valid (header-only) document.
+    let doc = pdn_circuit::touchstone(&[], &[], 50.0).expect("empty sweep");
+    assert!(doc.contains("# HZ S RI R 50"));
+}

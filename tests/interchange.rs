@@ -51,7 +51,7 @@ fn touchstone_sweep_is_self_consistent() {
         .iter()
         .map(|&f| eq.s_parameters(f, 50.0).expect("solvable"))
         .collect();
-    let doc = pdn_circuit::touchstone(&freqs, &mats, 50.0);
+    let doc = pdn_circuit::touchstone(&freqs, &mats, 50.0).expect("valid sweep");
     // Header + one data row per frequency.
     assert!(doc.contains("# HZ S RI R 50"));
     let data: Vec<&str> = doc.lines().filter(|l| !l.starts_with(['!', '#'])).collect();
