@@ -22,15 +22,14 @@ use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{c64, LuDecomposition, Matrix};
 use std::f64::consts::PI;
 
-/// Dense kernel storage: the assembled matrices plus the incidence
-/// promoted to complex once at assembly (every per-frequency solve needs
-/// it and it is ω-independent).
+/// Dense kernel storage: the assembled matrices plus the incidence,
+/// built in complex form once at assembly (every per-frequency solve
+/// needs it and it is ω-independent).
 #[derive(Debug, Clone)]
 struct DenseKernels {
     p_coef: Matrix<f64>,
     c: Matrix<f64>,
     l: Matrix<f64>,
-    incidence: Matrix<f64>,
     incidence_c: Matrix<c64>,
 }
 
@@ -137,11 +136,10 @@ impl BemSystem {
         }
         let c = pdn_num::lu::invert(p_coef.clone())
             .map_err(|e| AssembleBemError::NumericalBreakdown(e.to_string()))?;
-        let mut incidence = Matrix::zeros(m, n);
+        let mut incidence_c = Matrix::zeros(m, n);
         for (link, cell, sign) in mesh.incidence() {
-            incidence[(link, cell)] = sign;
+            incidence_c[(link, cell)] = c64::from_re(sign);
         }
-        let incidence_c = incidence.to_complex();
         Ok(BemSystem {
             mesh,
             pair: *pair,
@@ -150,7 +148,6 @@ impl BemSystem {
                 p_coef,
                 c,
                 l,
-                incidence,
                 incidence_c,
             })),
             r_link,
@@ -243,16 +240,6 @@ impl BemSystem {
         } else {
             1.0
         }
-    }
-
-    /// Signed link↔cell incidence `A` (M×N): the discrete gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a compressed system, which never densifies `A` —
-    /// iterate [`PlaneMesh::incidence`] triples instead.
-    pub fn incidence(&self) -> &Matrix<f64> {
-        &self.dense().incidence
     }
 
     /// Full nodal admittance `Y(ω) = jωC + Aᵀ(Zs + jωL)⁻¹A` at frequency

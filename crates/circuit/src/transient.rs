@@ -934,8 +934,11 @@ impl Circuit {
     }
 }
 
-/// Free-function version of [`LineState::incoming`] usable while the state
-/// is mutably borrowed elsewhere.
+/// The wave of `mode` arriving at `step` from the opposite line end: that
+/// end's outgoing history `hist` delayed by the mode's delay, linearly
+/// interpolated between samples (zero before the first arrival). A free
+/// function over the [`LineState`] buffers, so it can read them while the
+/// state is mutably borrowed elsewhere.
 fn ls_incoming(hist: &[Vec<f64>], delay_steps: &[f64], mode: usize, step: usize) -> f64 {
     let pos = step as f64 - delay_steps[mode];
     if pos < 0.0 {

@@ -516,8 +516,9 @@ impl BoardSpec {
     ///
     /// Returns [`BuildBoardError::Wiring`] when the model's port layout
     /// does not match this board (different supply point, chip locations,
-    /// or site plan; a decap placed off every declared site), or when an
-    /// element model is invalid (bad line parameters…).
+    /// or site plan; a decap placed off every declared site; a port table
+    /// or reduced model whose port count differs from that layout), or
+    /// when an element model is invalid (bad line parameters…).
     pub fn wire(
         &self,
         model: &ExtractedModel,
@@ -568,11 +569,31 @@ impl BoardSpec {
             decap_sites.push(site);
         }
 
+        // The port table lists the plane spec's own ports first, then the
+        // supply, one port per chip and one per site (`extract_model`).
+        let eq = model.equivalent();
+        let first = self.plane.ports().len();
+        let expected = first + 1 + self.chips.len() + model.sites.len();
+        if eq.port_count() != expected {
+            return Err(BuildBoardError::Wiring(format!(
+                "extracted model has {} ports but its layout names {expected}: \
+                 {first} plane, 1 supply, {} chip and {} site ports",
+                eq.port_count(),
+                self.chips.len(),
+                model.sites.len()
+            )));
+        }
+        if let Some(rom) = model.reduced_model().filter(|rom| rom.ports() != expected) {
+            return Err(BuildBoardError::Wiring(format!(
+                "reduced model has {} ports but its layout names {expected}",
+                rom.ports()
+            )));
+        }
+
         // 2. Stamp the macromodel into the netlist: the full R–L‖C branch
         //    network, or — when the model carries a reduction — one
         //    recursive-convolution block over the port nodes only.
         let mut ckt = Circuit::new();
-        let eq = model.equivalent();
         let (port_nodes, pdn_nodes) = match model.reduced_model() {
             Some(rom) => {
                 let nodes: Vec<NodeId> = (0..eq.port_count())
@@ -589,7 +610,7 @@ impl BoardSpec {
                 (ports, eq.node_count())
             }
         };
-        let port_node = |p: usize| port_nodes[p];
+        let port_node = |p: usize| port_nodes[first + p];
 
         // 3. Supply.
         let vrm_plane = port_node(0);

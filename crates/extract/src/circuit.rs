@@ -1,8 +1,10 @@
 //! The distributed R–L‖C equivalent circuit (paper Figure 2, eqs. 20–27).
 
-use crate::reduce::{kron_reduce, kron_reduce_blocks};
-use pdn_bem::BemSystem;
+use crate::reduce::{kron_reduce_blocks, kron_reduce_operator, schur, symmetrize, Partition, Slot};
+use pdn_bem::{BemSystem, CompressedKernels, SolverSpec};
 use pdn_circuit::{Circuit, NodeId};
+use pdn_geom::mesh::Link;
+use pdn_geom::PlaneMesh;
 use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{
     c64, CholeskyDecomposition, LuDecomposition, Matrix, PoleResidueModel, PromError, PromOptions,
@@ -247,81 +249,21 @@ impl EquivalentCircuit {
         keep.sort_unstable();
         keep.dedup();
 
-        // Compressed kernels: B, G, and C are assembled block-wise with
-        // iterative solves on the compressed operators — the dense
-        // factorizations below would densify the kernels.
-        if sys.is_compressed() {
-            return Self::from_bem_compressed(sys, &keep);
-        }
-
-        // Full-grid B = AᵀL⁻¹A via Cholesky of L (SPD).
-        let ch = CholeskyDecomposition::new(sys.inductance())
-            .map_err(|e| ExtractCircuitError::NumericalBreakdown(format!("L not SPD: {e}")))?;
-        let links = mesh.links();
-        let m = links.len();
-        // Columns of A are sparse: column i has +1 at links leaving cell i
-        // and −1 at links entering. Solve L·X = A column-block-wise.
-        let mut a_mat = Matrix::zeros(m, n);
-        for (l, link) in links.iter().enumerate() {
-            a_mat[(l, link.a)] = 1.0;
-            a_mat[(l, link.b)] = -1.0;
-        }
-        let mut x = Matrix::zeros(m, n);
-        for j in 0..n {
-            let col = ch
-                .solve(&a_mat.col(j))
-                .map_err(|e| ExtractCircuitError::NumericalBreakdown(e.to_string()))?;
-            for i in 0..m {
-                x[(i, j)] = col[i];
-            }
-        }
-        let b_full = a_mat.transpose().matmul(&x);
-
-        // DC conductance Laplacian from link resistances.
-        let mut g_full = Matrix::zeros(n, n);
-        for (l, link) in links.iter().enumerate() {
-            let r = sys.link_resistances()[l];
-            if r > 0.0 {
-                let g = 1.0 / r;
-                g_full[(link.a, link.a)] += g;
-                g_full[(link.b, link.b)] += g;
-                g_full[(link.a, link.b)] -= g;
-                g_full[(link.b, link.a)] -= g;
-            }
-        }
-
-        let reduce = |mat: &Matrix<f64>, what: &str| {
-            kron_reduce(mat, &keep).map_err(|e| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "Kron reduction of {what} failed: {e} \
-                     (does every net keep at least one node?)"
-                ))
-            })
+        // One skeleton for every kernel store (paper §4): the kept and
+        // eliminated cells, the sparse incidence behind B = AᵀL⁻¹A, and
+        // the link-resistance Laplacian G. A route only decides how it
+        // solves with L and P and how it takes the Schur complement.
+        let part = Partition::new(n, keep);
+        let inc = Incidence::new(mesh);
+        let lap = Laplacian::stamp(&part, mesh.links(), sys.link_resistances());
+        let (b, g, c) = match sys.compressed() {
+            None => dense_route(sys, &part, &inc, &lap)?,
+            Some(ck) => match ck.spec.solver {
+                SolverSpec::ScalarJacobi => scalar_cg_route(ck, mesh, &part, &inc, &lap)?,
+                SolverSpec::BlockCg => block_cg_route(ck, mesh, &part, &inc, &lap)?,
+            },
         };
-        // B and G: Kron reduction (internal nodes carry no external
-        // injection in the inductive/resistive sub-network).
-        let b = reduce(&b_full, "B")?;
-        // A lossless system has an identically zero G; skip the reduction.
-        let g = if g_full.max_abs() == 0.0 {
-            Matrix::zeros(keep.len(), keep.len())
-        } else {
-            reduce(&g_full, "G")?
-        };
-        // C: cluster aggregation, NOT Kron. Eliminated cells are still
-        // plane metal, locally equipotential with the nearest retained cell
-        // through the tiny link inductance, so their charge must aggregate
-        // onto that node. (Kron on C would leave them floating and lose
-        // most of the plate capacitance.) Clusters never cross nets.
-        let cluster = capacitance_clusters(mesh, &keep)?;
-        let c_full = sys.capacitance();
-        let mut c = Matrix::zeros(keep.len(), keep.len());
-        for i in 0..n {
-            for j in 0..n {
-                c[(cluster[i], cluster[j])] += c_full[(i, j)];
-            }
-        }
-
-        let (names, ports) = node_names_and_ports(mesh, &keep);
+        let (names, ports) = node_names_and_ports(mesh, &part.keep);
         Ok((
             EquivalentCircuit {
                 names,
@@ -331,569 +273,7 @@ impl EquivalentCircuit {
                 c,
                 tan_d: sys.pair().loss_tangent,
             },
-            keep,
-        ))
-    }
-
-    /// The compressed-kernel extraction path: `B`, `G`, and `C` are
-    /// assembled directly in kept/eliminated block form — the full cell
-    /// grid matrices are never materialized — with CG solves on the
-    /// compressed `L` and `P` operators standing in for the dense
-    /// Cholesky/LU factorizations, then reduced by
-    /// [`kron_reduce_blocks`].
-    ///
-    /// Columns are fanned across [`pdn_num::parallel`] workers in fixed
-    /// index order and each CG solve is serial, so the result is
-    /// bit-identical for any `PDN_THREADS`.
-    fn from_bem_compressed(
-        sys: &BemSystem,
-        keep: &[usize],
-    ) -> Result<(Self, Vec<usize>), ExtractCircuitError> {
-        let ck = sys.compressed().expect("compressed extraction path");
-        // Block-iterative route: panels of right-hand sides through block
-        // CG under hierarchical preconditioners, with the eliminated
-        // B-block held in certified low-rank column form instead of a
-        // dense e² array.
-        if ck.spec.solver.is_block() {
-            return Self::from_bem_compressed_block(sys, keep);
-        }
-        let mesh = sys.mesh();
-        let n = mesh.cell_count();
-        let links = mesh.links();
-        let m = links.len();
-        let k = keep.len();
-        // CG two decades tighter than the certified kernel tolerance:
-        // iteration error stays negligible against the compression error.
-        let cg_tol = (ck.spec.tol * 1e-2).max(1e-14);
-        let max_iter_l = 10 * m.max(10) + 100;
-        let max_iter_p = 10 * n.max(10) + 100;
-        let breakdown =
-            |e: pdn_bem::AssembleBemError| ExtractCircuitError::NumericalBreakdown(e.to_string());
-
-        // Kept/eliminated index maps.
-        let mut kept_pos = vec![usize::MAX; n];
-        for (p, &cell) in keep.iter().enumerate() {
-            kept_pos[cell] = p;
-        }
-        let elim: Vec<usize> = (0..n).filter(|&i| kept_pos[i] == usize::MAX).collect();
-        let mut elim_pos = vec![usize::MAX; n];
-        for (p, &cell) in elim.iter().enumerate() {
-            elim_pos[cell] = p;
-        }
-        let e = elim.len();
-
-        // --- B = AᵀL⁻¹A, directly in block form -------------------------
-        // One compressed-L CG solve per cell column; each column of B is
-        // scattered straight into the kept/eliminated blocks, so peak
-        // storage is K² + K·E + E² + E·K ≈ n² at worst but without the
-        // full matrix *plus* its four submatrix copies the dense
-        // kron_reduce would hold. Columns run in batches to bound the
-        // in-flight column memory; batch boundaries only group work, so
-        // the per-column results (and the blocks) are thread-invariant.
-        let mut b_kk = Matrix::zeros(k, k);
-        let mut b_ke = Matrix::zeros(k, e);
-        let mut b_ek = Matrix::zeros(e, k);
-        let mut b_ee = Matrix::zeros(e, e);
-        let batch = (pdn_num::parallel::worker_count() * 4).max(16);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + batch).min(n);
-            let cols: Vec<Vec<f64>> = pdn_num::parallel::try_par_map_indexed(j1 - j0, |t| {
-                let j = j0 + t;
-                let mut a_col = vec![0.0; m];
-                for (l, link) in links.iter().enumerate() {
-                    if link.a == j {
-                        a_col[l] += 1.0;
-                    }
-                    if link.b == j {
-                        a_col[l] -= 1.0;
-                    }
-                }
-                let x = ck.l.solve(&a_col, cg_tol, max_iter_l).map_err(breakdown)?;
-                let mut y = vec![0.0; n];
-                for (l, link) in links.iter().enumerate() {
-                    y[link.a] += x[l];
-                    y[link.b] -= x[l];
-                }
-                Ok(y)
-            })?;
-            for (t, y) in cols.iter().enumerate() {
-                let j = j0 + t;
-                let jk = kept_pos[j];
-                for (i, &v) in y.iter().enumerate() {
-                    match (kept_pos[i], jk) {
-                        (ik, jk) if ik != usize::MAX && jk != usize::MAX => b_kk[(ik, jk)] = v,
-                        (ik, jk) if ik != usize::MAX => {
-                            debug_assert_eq!(jk, usize::MAX);
-                            b_ke[(ik, elim_pos[j])] = v;
-                        }
-                        (_, jk) if jk != usize::MAX => b_ek[(elim_pos[i], jk)] = v,
-                        _ => b_ee[(elim_pos[i], elim_pos[j])] = v,
-                    }
-                }
-            }
-            j0 = j1;
-        }
-        // B is symmetric up to the CG tolerance; symmetrize
-        // deterministically before the Schur reduction assumes it.
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (b_kk[(a, bcol)] + b_kk[(bcol, a)]);
-                b_kk[(a, bcol)] = v;
-                b_kk[(bcol, a)] = v;
-            }
-        }
-        for a in 0..e {
-            for bcol in (a + 1)..e {
-                let v = 0.5 * (b_ee[(a, bcol)] + b_ee[(bcol, a)]);
-                b_ee[(a, bcol)] = v;
-                b_ee[(bcol, a)] = v;
-            }
-        }
-        for a in 0..k {
-            for bcol in 0..e {
-                b_ke[(a, bcol)] = 0.5 * (b_ke[(a, bcol)] + b_ek[(bcol, a)]);
-            }
-        }
-        drop(b_ek);
-        let b = kron_reduce_blocks(&b_kk, &b_ke, b_ee).map_err(|err| {
-            ExtractCircuitError::NumericalBreakdown(format!(
-                "Kron reduction of B failed: {err} (does every net keep at least one node?)"
-            ))
-        })?;
-        drop(b_kk);
-        drop(b_ke);
-
-        // --- G: the DC Laplacian is sparse — stamp blocks directly ------
-        let mut g_kk = Matrix::zeros(k, k);
-        let mut g_ke = Matrix::zeros(k, e);
-        let mut g_ee = Matrix::zeros(e, e);
-        let mut has_g = false;
-        {
-            let mut stamp = |i: usize, j: usize, v: f64| {
-                match (kept_pos[i], kept_pos[j]) {
-                    (ik, jk) if ik != usize::MAX && jk != usize::MAX => g_kk[(ik, jk)] += v,
-                    (ik, _) if ik != usize::MAX => g_ke[(ik, elim_pos[j])] += v,
-                    (_, jk) if jk != usize::MAX => {} // transpose of a (keep, elim) stamp
-                    _ => g_ee[(elim_pos[i], elim_pos[j])] += v,
-                }
-            };
-            for (l, link) in links.iter().enumerate() {
-                let r = sys.link_resistances()[l];
-                if r > 0.0 {
-                    has_g = true;
-                    let g = 1.0 / r;
-                    stamp(link.a, link.a, g);
-                    stamp(link.b, link.b, g);
-                    stamp(link.a, link.b, -g);
-                    stamp(link.b, link.a, -g);
-                }
-            }
-        }
-        let g = if has_g {
-            kron_reduce_blocks(&g_kk, &g_ke, g_ee).map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "Kron reduction of G failed: {err} (does every net keep at least one node?)"
-                ))
-            })?
-        } else {
-            Matrix::zeros(k, k)
-        };
-
-        // --- C = Sᵀ P⁻¹ S with S the cluster indicator matrix -----------
-        // Identical aggregation to the dense path (C summed over nearest-
-        // retained-node clusters), computed as one compressed-P CG solve
-        // per retained node instead of inverting P.
-        let cluster = capacitance_clusters(mesh, keep)?;
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, &cl) in cluster.iter().enumerate() {
-            members[cl].push(i);
-        }
-        let c_cols: Vec<Vec<f64>> = pdn_num::parallel::try_par_map_indexed(k, |q| {
-            let mut s = vec![0.0; n];
-            for &i in &members[q] {
-                s[i] = 1.0;
-            }
-            let z = ck.p.solve(&s, cg_tol, max_iter_p).map_err(breakdown)?;
-            Ok((0..k)
-                .map(|r| members[r].iter().map(|&i| z[i]).sum::<f64>())
-                .collect())
-        })?;
-        let mut c = Matrix::zeros(k, k);
-        for (q, col) in c_cols.iter().enumerate() {
-            for r in 0..k {
-                c[(r, q)] = col[r];
-            }
-        }
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (c[(a, bcol)] + c[(bcol, a)]);
-                c[(a, bcol)] = v;
-                c[(bcol, a)] = v;
-            }
-        }
-
-        let (names, ports) = node_names_and_ports(mesh, keep);
-        Ok((
-            EquivalentCircuit {
-                names,
-                ports,
-                b,
-                g,
-                c,
-                tan_d: sys.pair().loss_tangent,
-            },
-            keep.to_vec(),
-        ))
-    }
-
-    /// The block-iterative compressed extraction path
-    /// ([`pdn_bem::SolverSpec::BlockCg`]): right-hand sides are solved in
-    /// panels of [`pdn_bem::BLOCK_CG_PANEL`] columns by
-    /// [`pdn_num::cg::solve_spd_block`] under hierarchical
-    /// block-Jacobi preconditioners built from the kernels' ACA cluster
-    /// trees, and the eliminated B-block — the dense `e²` working set of
-    /// the scalar path — is assembled as a certified
-    /// [`pdn_bem::CompressedColumns`] operator and eliminated by the
-    /// operator-form Schur complement
-    /// [`kron_reduce_operator`](crate::kron_reduce_operator).
-    ///
-    /// Panels run serially in fixed order and every inner parallel fan is
-    /// per-column in index order, so the result is bit-identical for any
-    /// `PDN_THREADS`.
-    fn from_bem_compressed_block(
-        sys: &BemSystem,
-        keep: &[usize],
-    ) -> Result<(Self, Vec<usize>), ExtractCircuitError> {
-        use crate::reduce::kron_reduce_operator;
-
-        let ck = sys.compressed().expect("compressed extraction path");
-        let panel = pdn_bem::BLOCK_CG_PANEL;
-        let mesh = sys.mesh();
-        let n = mesh.cell_count();
-        let links = mesh.links();
-        let m = links.len();
-        let k = keep.len();
-        // Same tolerance contract as the scalar route: CG two decades
-        // tighter than the certified kernel tolerance.
-        let cg_tol = (ck.spec.tol * 1e-2).max(1e-14);
-        let max_iter_l = 10 * m.max(10) + 100;
-        let max_iter_p = 10 * n.max(10) + 100;
-        let breakdown =
-            |e: pdn_bem::AssembleBemError| ExtractCircuitError::NumericalBreakdown(e.to_string());
-
-        // Hierarchical preconditioners over the kernels' coarsened
-        // cluster trees.
-        let l_pc = ck.l.block_jacobi(true).map_err(breakdown)?;
-        let p_pc = ck.p.block_jacobi(true).map_err(breakdown)?;
-
-        // Kept/eliminated index maps.
-        let mut kept_pos = vec![usize::MAX; n];
-        for (p, &cell) in keep.iter().enumerate() {
-            kept_pos[cell] = p;
-        }
-        let elim: Vec<usize> = (0..n).filter(|&i| kept_pos[i] == usize::MAX).collect();
-        let mut elim_pos = vec![usize::MAX; n];
-        for (p, &cell) in elim.iter().enumerate() {
-            elim_pos[cell] = p;
-        }
-        let e = elim.len();
-
-        // Per-cell incidence lists make the sparse A columns O(links per
-        // cell) instead of a scan over every link.
-        let mut cell_links: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (l, link) in links.iter().enumerate() {
-            cell_links[link.a].push((l, 1.0));
-            cell_links[link.b].push((l, -1.0));
-        }
-
-        // One panel of B = AᵀL⁻¹A columns for the given cells.
-        let b_panel = |cells: &[usize]| -> Result<Vec<Vec<f64>>, pdn_bem::AssembleBemError> {
-            let rhs: Vec<Vec<f64>> = cells
-                .iter()
-                .map(|&j| {
-                    let mut a_col = vec![0.0; m];
-                    for &(l, s) in &cell_links[j] {
-                        a_col[l] += s;
-                    }
-                    a_col
-                })
-                .collect();
-            let xs = ck.l.solve_block(&rhs, &l_pc, cg_tol, max_iter_l)?;
-            Ok(xs
-                .into_iter()
-                .map(|x| {
-                    let mut y = vec![0.0; n];
-                    for (l, link) in links.iter().enumerate() {
-                        y[link.a] += x[l];
-                        y[link.b] -= x[l];
-                    }
-                    y
-                })
-                .collect())
-        };
-
-        // Kept cells in the P cluster tree's traversal order: panels of
-        // geometrically coherent right-hand sides share a Krylov subspace
-        // much better than keep-index-ordered ones, so the block solves
-        // converge in fewer iterations. The order depends only on the
-        // deterministic tree, never on the worker count.
-        let kept_tree_order: Vec<usize> =
-            ck.p.leaf_clusters(false)
-                .into_iter()
-                .flatten()
-                .filter(|&i| kept_pos[i] != usize::MAX)
-                .collect();
-
-        // --- Kept columns of B: dense (k × k) and (k × e) blocks --------
-        let mut b_kk = Matrix::zeros(k, k);
-        let mut b_ke = Matrix::zeros(k, e);
-        for chunk in kept_tree_order.chunks(panel) {
-            let cols = b_panel(chunk).map_err(breakdown)?;
-            for (t, y) in cols.iter().enumerate() {
-                let jk = kept_pos[chunk[t]];
-                for (i, &v) in y.iter().enumerate() {
-                    if kept_pos[i] != usize::MAX {
-                        b_kk[(kept_pos[i], jk)] = v;
-                    } else {
-                        // B is symmetric up to the CG tolerance: the
-                        // eliminated rows of kept columns are the kept
-                        // rows of eliminated columns, so the coupling
-                        // block never needs eliminated-column solves.
-                        b_ke[(jk, elim_pos[i])] = v;
-                    }
-                }
-            }
-        }
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (b_kk[(a, bcol)] + b_kk[(bcol, a)]);
-                b_kk[(a, bcol)] = v;
-                b_kk[(bcol, a)] = v;
-            }
-        }
-
-        // --- B_ee as a certified low-rank column compression ------------
-        // The eliminated block dominates the scalar path's working set
-        // (dense 8·e² bytes). Here its columns are generated panel-wise by
-        // the same block solves and compressed on the fly; the Schur
-        // complement is then taken iteratively against the compressed
-        // operator, so the dense e² array is never materialized.
-        let (b, elim_clusters) = if e == 0 {
-            (b_kk.clone(), Vec::new())
-        } else {
-            let elim_points: Vec<(f64, f64)> = elim
-                .iter()
-                .map(|&i| {
-                    let c = mesh.cell_center(i);
-                    (c.x, c.y)
-                })
-                .collect();
-            let bee = pdn_bem::CompressedColumns::build(
-                &elim_points,
-                &ck.spec,
-                panel,
-                &mut |local: &[usize]| {
-                    let cells: Vec<usize> = local.iter().map(|&q| elim[q]).collect();
-                    let cols = b_panel(&cells)?;
-                    Ok(cols
-                        .into_iter()
-                        .map(|y| elim.iter().map(|&i| y[i]).collect())
-                        .collect())
-                },
-            )
-            .map_err(breakdown)?;
-            let elim_clusters = bee.leaf_clusters(true);
-            let mats = bee.cluster_restrictions(&elim_clusters);
-            let bee_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
-                e,
-                elim_clusters.iter().cloned().zip(mats).collect(),
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "hierarchical B_ee preconditioner construction failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?;
-            let apply_bee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { bee.matvec_block(cols) };
-            let b = kron_reduce_operator(
-                &b_kk,
-                &b_ke,
-                &apply_bee,
-                &bee_pc,
-                panel,
-                cg_tol,
-                10 * e.max(10) + 100,
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "iterative Kron reduction of B failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?;
-            (b, elim_clusters)
-        };
-        drop(b_kk);
-        drop(b_ke);
-
-        // --- G: sparse DC Laplacian, Schur complement in operator form --
-        let mut g_kk = Matrix::zeros(k, k);
-        let mut g_ke = Matrix::zeros(k, e);
-        let mut g_ee_diag = vec![0.0; e];
-        let mut g_ee_off: Vec<(usize, usize, f64)> = Vec::new();
-        let mut has_g = false;
-        for (l, link) in links.iter().enumerate() {
-            let r = sys.link_resistances()[l];
-            if r > 0.0 {
-                has_g = true;
-                let g = 1.0 / r;
-                let (a, b2) = (link.a, link.b);
-                match (kept_pos[a], kept_pos[b2]) {
-                    (ak, bk) if ak != usize::MAX && bk != usize::MAX => {
-                        g_kk[(ak, ak)] += g;
-                        g_kk[(bk, bk)] += g;
-                        g_kk[(ak, bk)] -= g;
-                        g_kk[(bk, ak)] -= g;
-                    }
-                    (ak, _) if ak != usize::MAX => {
-                        g_kk[(ak, ak)] += g;
-                        g_ee_diag[elim_pos[b2]] += g;
-                        g_ke[(ak, elim_pos[b2])] -= g;
-                    }
-                    (_, bk) if bk != usize::MAX => {
-                        g_kk[(bk, bk)] += g;
-                        g_ee_diag[elim_pos[a]] += g;
-                        g_ke[(bk, elim_pos[a])] -= g;
-                    }
-                    _ => {
-                        let (pa, pb) = (elim_pos[a], elim_pos[b2]);
-                        g_ee_diag[pa] += g;
-                        g_ee_diag[pb] += g;
-                        g_ee_off.push((pa.min(pb), pa.max(pb), -g));
-                    }
-                }
-            }
-        }
-        let g = if !has_g {
-            Matrix::zeros(k, k)
-        } else if e == 0 {
-            g_kk
-        } else {
-            // Block-Jacobi over the same geometric clusters as B_ee; the
-            // per-cluster restrictions of the sparse Laplacian are stamped
-            // directly.
-            let mut cluster_of = vec![(usize::MAX, usize::MAX); e];
-            for (ci, cl) in elim_clusters.iter().enumerate() {
-                for (p, &i) in cl.iter().enumerate() {
-                    cluster_of[i] = (ci, p);
-                }
-            }
-            let mut g_mats: Vec<Matrix<f64>> = elim_clusters
-                .iter()
-                .map(|cl| {
-                    let mut mat = Matrix::zeros(cl.len(), cl.len());
-                    for (p, &i) in cl.iter().enumerate() {
-                        mat[(p, p)] = g_ee_diag[i];
-                    }
-                    mat
-                })
-                .collect();
-            for &(i, j, v) in &g_ee_off {
-                let (ci, pi) = cluster_of[i];
-                let (cj, pj) = cluster_of[j];
-                if ci == cj {
-                    g_mats[ci][(pi, pj)] += v;
-                    g_mats[ci][(pj, pi)] += v;
-                }
-            }
-            let g_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
-                e,
-                elim_clusters.iter().cloned().zip(g_mats).collect(),
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "hierarchical G_ee preconditioner construction failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?;
-            let apply_gee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> {
-                pdn_num::parallel::par_map_indexed(cols.len(), |t| {
-                    let x = &cols[t];
-                    let mut y: Vec<f64> = (0..e).map(|i| g_ee_diag[i] * x[i]).collect();
-                    for &(i, j, v) in &g_ee_off {
-                        y[i] += v * x[j];
-                        y[j] += v * x[i];
-                    }
-                    y
-                })
-            };
-            kron_reduce_operator(
-                &g_kk,
-                &g_ke,
-                &apply_gee,
-                &g_pc,
-                panel,
-                cg_tol,
-                10 * e.max(10) + 100,
-            )
-            .map_err(|err| {
-                ExtractCircuitError::NumericalBreakdown(format!(
-                    "iterative Kron reduction of G failed: {err} \
-                     (does every net keep at least one node?)"
-                ))
-            })?
-        };
-
-        // --- C = Sᵀ P⁻¹ S, cluster indicators solved in panels ----------
-        let cluster = capacitance_clusters(mesh, keep)?;
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, &cl) in cluster.iter().enumerate() {
-            members[cl].push(i);
-        }
-        let mut c = Matrix::zeros(k, k);
-        // Same tree-coherent panel order as the B columns (indicator
-        // clusters sit around their kept cell).
-        let kept_cols: Vec<usize> = kept_tree_order.iter().map(|&i| kept_pos[i]).collect();
-        for chunk in kept_cols.chunks(panel) {
-            let rhs: Vec<Vec<f64>> = chunk
-                .iter()
-                .map(|&q| {
-                    let mut s = vec![0.0; n];
-                    for &i in &members[q] {
-                        s[i] = 1.0;
-                    }
-                    s
-                })
-                .collect();
-            let zs =
-                ck.p.solve_block(&rhs, &p_pc, cg_tol, max_iter_p)
-                    .map_err(breakdown)?;
-            for (t, z) in zs.iter().enumerate() {
-                let q = chunk[t];
-                for r in 0..k {
-                    c[(r, q)] = members[r].iter().map(|&i| z[i]).sum::<f64>();
-                }
-            }
-        }
-        for a in 0..k {
-            for bcol in (a + 1)..k {
-                let v = 0.5 * (c[(a, bcol)] + c[(bcol, a)]);
-                c[(a, bcol)] = v;
-                c[(bcol, a)] = v;
-            }
-        }
-
-        let (names, ports) = node_names_and_ports(mesh, keep);
-        Ok((
-            EquivalentCircuit {
-                names,
-                ports,
-                b,
-                g,
-                c,
-                tan_d: sys.pair().loss_tangent,
-            },
-            keep.to_vec(),
+            part.keep,
         ))
     }
 
@@ -1480,12 +860,20 @@ impl EquivalentCircuit {
     }
 }
 
-/// Maps every cell onto the nearest retained cell *of the same net* —
-/// the aggregation clusters used to condense the capacitance matrix.
-/// Shared by the dense and compressed extraction paths so both produce
-/// the identical node grouping.
-fn capacitance_clusters(
-    mesh: &pdn_geom::PlaneMesh,
+/// Maps every cell onto the nearest cell of `keep` *of the same net*,
+/// returned as a position in `keep`: the aggregation clusters used to
+/// condense the capacitance matrix. A tie goes to the earlier entry of
+/// `keep`.
+///
+/// Every extraction route and the sharded composition in `pdn-shard` use
+/// this one rule, so all of them produce the identical node grouping.
+///
+/// # Errors
+///
+/// Returns [`ExtractCircuitError::NumericalBreakdown`] when a net has no
+/// cell in `keep`.
+pub fn capacitance_clusters(
+    mesh: &PlaneMesh,
     keep: &[usize],
 ) -> Result<Vec<usize>, ExtractCircuitError> {
     let n = mesh.cell_count();
@@ -1515,7 +903,7 @@ fn capacitance_clusters(
 
 /// Equivalent-circuit node names (port names where bound, `n{cell}`
 /// otherwise) and port→node index mapping for a kept cell set.
-fn node_names_and_ports(mesh: &pdn_geom::PlaneMesh, keep: &[usize]) -> (Vec<String>, Vec<usize>) {
+fn node_names_and_ports(mesh: &PlaneMesh, keep: &[usize]) -> (Vec<String>, Vec<usize>) {
     let mut names = Vec::with_capacity(keep.len());
     let pos_of = |cell: usize| keep.binary_search(&cell).expect("kept cell");
     for &cell in keep {
@@ -1529,9 +917,500 @@ fn node_names_and_ports(mesh: &pdn_geom::PlaneMesh, keep: &[usize]) -> (Vec<Stri
     (names, ports)
 }
 
+/// The `B`, `G` and `C` matrices an extraction route returns, on the
+/// kept cells.
+type Reduced = (Matrix<f64>, Matrix<f64>, Matrix<f64>);
+
+/// The sparse cell–link incidence `A` (links × cells): `+1` where a link
+/// leaves a cell and `−1` where it enters, as in
+/// [`PlaneMesh::incidence`](pdn_geom::PlaneMesh::incidence).
+struct Incidence<'a> {
+    links: &'a [Link],
+    /// Each cell's `(link, sign)` entries, in link order.
+    by_cell: Vec<Vec<(usize, f64)>>,
+}
+
+impl<'a> Incidence<'a> {
+    fn new(mesh: &'a PlaneMesh) -> Self {
+        let mut by_cell = vec![Vec::new(); mesh.cell_count()];
+        for (l, cell, sign) in mesh.incidence() {
+            by_cell[cell].push((l, sign));
+        }
+        Incidence {
+            links: mesh.links(),
+            by_cell,
+        }
+    }
+
+    /// Columns `AᵀL⁻¹A·e_j` of the full-grid reluctance for the given
+    /// cells `j`, from one panel solve with `L`.
+    fn reluctance_columns<E>(
+        &self,
+        cells: &[usize],
+        solve_l: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E>,
+    ) -> Result<Vec<Vec<f64>>, E> {
+        let rhs: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|&j| {
+                let mut a = vec![0.0; self.links.len()];
+                for &(l, s) in &self.by_cell[j] {
+                    a[l] += s;
+                }
+                a
+            })
+            .collect();
+        // Aᵀx, accumulated in ascending link order.
+        Ok(solve_l(&rhs)?
+            .iter()
+            .map(|x| {
+                let mut y = vec![0.0; self.by_cell.len()];
+                for (link, &v) in self.links.iter().zip(x) {
+                    y[link.a] += v;
+                    y[link.b] -= v;
+                }
+                y
+            })
+            .collect())
+    }
+}
+
+/// A panel solve that takes its columns one by one on
+/// [`pdn_num::parallel`] workers. Each column is solved serially and
+/// lands by index, so the panel is bit-identical for any `PDN_THREADS`.
+fn per_column<E: Send>(
+    solve: impl Fn(&[f64]) -> Result<Vec<f64>, E> + Sync,
+) -> impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E> {
+    move |rhs| pdn_num::parallel::try_par_map_indexed(rhs.len(), |t| solve(&rhs[t]))
+}
+
+/// Panel width of the per-column routes: enough columns to keep every
+/// worker busy, few enough to bound the in-flight column memory.
+fn per_column_width() -> usize {
+    (pdn_num::parallel::worker_count() * 4).max(16)
+}
+
+/// The four blocks of a full-grid matrix over a [`Partition`].
+struct Blocks {
+    kk: Matrix<f64>,
+    ke: Matrix<f64>,
+    ek: Matrix<f64>,
+    ee: Matrix<f64>,
+}
+
+/// Every column of the full-grid reluctance `B = AᵀL⁻¹A`, solved in
+/// panels of `width` cells in index order and placed straight into the
+/// partition's four blocks; the full matrix and its submatrix copies are
+/// never held.
+fn reluctance_blocks<E: fmt::Display>(
+    part: &Partition,
+    inc: &Incidence<'_>,
+    width: usize,
+    solve_l: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E>,
+) -> Result<Blocks, ExtractCircuitError> {
+    let (k, e) = (part.keep.len(), part.elim.len());
+    let mut bl = Blocks {
+        kk: Matrix::zeros(k, k),
+        ke: Matrix::zeros(k, e),
+        ek: Matrix::zeros(e, k),
+        ee: Matrix::zeros(e, e),
+    };
+    let cells: Vec<usize> = (0..k + e).collect();
+    for chunk in cells.chunks(width) {
+        let cols = inc.reluctance_columns(chunk, &solve_l).map_err(breakdown)?;
+        for (&j, y) in chunk.iter().zip(&cols) {
+            for (i, &v) in y.iter().enumerate() {
+                match (part.slot[i], part.slot[j]) {
+                    (Slot::Kept(p), Slot::Kept(q)) => bl.kk[(p, q)] = v,
+                    (Slot::Kept(p), Slot::Elim(q)) => bl.ke[(p, q)] = v,
+                    (Slot::Elim(p), Slot::Kept(q)) => bl.ek[(p, q)] = v,
+                    (Slot::Elim(p), Slot::Elim(q)) => bl.ee[(p, q)] = v,
+                }
+            }
+        }
+    }
+    Ok(bl)
+}
+
+/// The DC link-resistance Laplacian `G` over a partition: the kept and
+/// coupling blocks dense, the eliminated block as its diagonal plus its
+/// few off-diagonal entries. It is stamped exactly symmetric, so the
+/// coupling block's transpose is never stored.
+struct Laplacian {
+    kk: Matrix<f64>,
+    ke: Matrix<f64>,
+    ee_diag: Vec<f64>,
+    /// Off-diagonal eliminated entries `(i, j, v)` with `i < j`, in link
+    /// order; each stands for both `(i, j)` and `(j, i)`.
+    ee_off: Vec<(usize, usize, f64)>,
+    /// Whether any link has a finite positive resistance. A lossless
+    /// system has an identically zero `G` and skips its reduction.
+    lossy: bool,
+}
+
+impl Laplacian {
+    /// Stamps `1/r` of every resistive link: `+g` on the diagonals of its
+    /// two cells, `−g` between them.
+    fn stamp(part: &Partition, links: &[Link], r: &[f64]) -> Self {
+        let (k, e) = (part.keep.len(), part.elim.len());
+        let mut lap = Laplacian {
+            kk: Matrix::zeros(k, k),
+            ke: Matrix::zeros(k, e),
+            ee_diag: vec![0.0; e],
+            ee_off: Vec::new(),
+            lossy: false,
+        };
+        for (link, &r) in links.iter().zip(r) {
+            if !(r > 0.0 && r.is_finite()) {
+                continue;
+            }
+            lap.lossy = true;
+            let g = 1.0 / r;
+            let (a, b) = (link.a, link.b);
+            for (i, j, v) in [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)] {
+                match (part.slot[i], part.slot[j]) {
+                    (Slot::Kept(p), Slot::Kept(q)) => lap.kk[(p, q)] += v,
+                    (Slot::Kept(p), Slot::Elim(q)) => lap.ke[(p, q)] += v,
+                    // The transpose of a coupling entry.
+                    (Slot::Elim(_), Slot::Kept(_)) => {}
+                    (Slot::Elim(p), Slot::Elim(q)) if p == q => lap.ee_diag[p] += v,
+                    (Slot::Elim(p), Slot::Elim(q)) => {
+                        if p < q {
+                            lap.ee_off.push((p, q, v));
+                        }
+                    }
+                }
+            }
+        }
+        lap
+    }
+
+    /// `G` Kron-reduced by a dense LU of the eliminated block.
+    fn reduce_dense(&self) -> Result<Matrix<f64>, ExtractCircuitError> {
+        let (k, e) = (self.kk.nrows(), self.ee_diag.len());
+        if !self.lossy {
+            return Ok(Matrix::zeros(k, k));
+        }
+        let mut ee = Matrix::zeros(e, e);
+        for (i, &d) in self.ee_diag.iter().enumerate() {
+            ee[(i, i)] = d;
+        }
+        for &(i, j, v) in &self.ee_off {
+            ee[(i, j)] += v;
+            ee[(j, i)] += v;
+        }
+        kron_reduce_blocks(&self.kk, &self.ke, ee)
+            .map_err(|err| no_node("Kron reduction of G", err))
+    }
+
+    /// Applies the eliminated block to a panel of columns.
+    fn apply_ee(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        pdn_num::parallel::par_map_indexed(cols.len(), |t| {
+            let x = &cols[t];
+            let mut y: Vec<f64> = self.ee_diag.iter().zip(x).map(|(d, v)| d * v).collect();
+            for &(i, j, v) in &self.ee_off {
+                y[i] += v * x[j];
+                y[j] += v * x[i];
+            }
+            y
+        })
+    }
+}
+
+/// `C = SᵀP⁻¹S` with `S` the indicator matrix of the capacitance
+/// clusters ([`capacitance_clusters`]): the indicators of the nodes in
+/// `order` are solved with `P` in panels of `width`, each solution summed
+/// per cluster, and the result symmetrized.
+fn cluster_capacitance<E: fmt::Display>(
+    mesh: &PlaneMesh,
+    keep: &[usize],
+    order: &[usize],
+    width: usize,
+    solve_p: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E>,
+) -> Result<Matrix<f64>, ExtractCircuitError> {
+    let n = mesh.cell_count();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); keep.len()];
+    for (i, q) in capacitance_clusters(mesh, keep)?.into_iter().enumerate() {
+        members[q].push(i);
+    }
+    let mut c = Matrix::zeros(keep.len(), keep.len());
+    for chunk in order.chunks(width) {
+        let rhs: Vec<Vec<f64>> = chunk
+            .iter()
+            .map(|&q| {
+                let mut s = vec![0.0; n];
+                for &i in &members[q] {
+                    s[i] = 1.0;
+                }
+                s
+            })
+            .collect();
+        for (&q, z) in chunk.iter().zip(&solve_p(&rhs).map_err(breakdown)?) {
+            for (r, cells) in members.iter().enumerate() {
+                c[(r, q)] = cells.iter().map(|&i| z[i]).sum::<f64>();
+            }
+        }
+    }
+    symmetrize(&mut c);
+    Ok(c)
+}
+
+/// A solver failure as an extraction breakdown.
+fn breakdown(e: impl fmt::Display) -> ExtractCircuitError {
+    ExtractCircuitError::NumericalBreakdown(e.to_string())
+}
+
+/// A failed reduction step, with its usual cause spelled out.
+fn no_node(what: &str, err: impl fmt::Display) -> ExtractCircuitError {
+    ExtractCircuitError::NumericalBreakdown(format!(
+        "{what} failed: {err} (does every net keep at least one node?)"
+    ))
+}
+
+/// CG tolerance of the compressed routes: two decades tighter than the
+/// certified kernel tolerance, so iteration error stays negligible
+/// against the compression error.
+fn cg_tol(ck: &CompressedKernels) -> f64 {
+    (ck.spec.tol * 1e-2).max(1e-14)
+}
+
+/// CG iteration cap for a system of dimension `dim`.
+fn max_iter(dim: usize) -> usize {
+    10 * dim.max(10) + 100
+}
+
+/// The dense route: Cholesky solves with `L`, LU Schur complements of
+/// the unsymmetrized blocks, and the cluster sums of the dense `C`.
+fn dense_route(
+    sys: &BemSystem,
+    part: &Partition,
+    inc: &Incidence<'_>,
+    lap: &Laplacian,
+) -> Result<Reduced, ExtractCircuitError> {
+    let ch = CholeskyDecomposition::new(sys.inductance())
+        .map_err(|e| ExtractCircuitError::NumericalBreakdown(format!("L not SPD: {e}")))?;
+    let bl = reluctance_blocks(part, inc, per_column_width(), per_column(|a| ch.solve(a)))?;
+    // B and G: Kron reduction (internal nodes carry no external
+    // injection in the inductive/resistive sub-network).
+    let b =
+        schur(&bl.kk, &bl.ke, &bl.ek, bl.ee).map_err(|err| no_node("Kron reduction of B", err))?;
+    let g = lap.reduce_dense()?;
+    // C: cluster aggregation, NOT Kron. Eliminated cells are still plane
+    // metal, locally equipotential with the nearest retained cell through
+    // the tiny link inductance, so their charge must aggregate onto that
+    // node. (Kron on C would leave them floating and lose most of the
+    // plate capacitance.) Clusters never cross nets.
+    let cluster = capacitance_clusters(sys.mesh(), &part.keep)?;
+    let c_full = sys.capacitance();
+    let k = part.keep.len();
+    let mut c = Matrix::zeros(k, k);
+    for (i, &ci) in cluster.iter().enumerate() {
+        for (j, &cj) in cluster.iter().enumerate() {
+            c[(ci, cj)] += c_full[(i, j)];
+        }
+    }
+    Ok((b, g, c))
+}
+
+/// The per-column CG route ([`SolverSpec::ScalarJacobi`]): Jacobi CG on
+/// the compressed `L` and `P` stands in for the dense factorizations,
+/// one solve per column, then dense Schur complements of the symmetrized
+/// blocks by [`kron_reduce_blocks`].
+fn scalar_cg_route(
+    ck: &CompressedKernels,
+    mesh: &PlaneMesh,
+    part: &Partition,
+    inc: &Incidence<'_>,
+    lap: &Laplacian,
+) -> Result<Reduced, ExtractCircuitError> {
+    let tol = cg_tol(ck);
+    let (n, m) = (part.slot.len(), inc.links.len());
+    let width = per_column_width();
+    let solve_l = per_column(|a| ck.l.solve(a, tol, max_iter(m)));
+    let Blocks {
+        mut kk,
+        mut ke,
+        ek,
+        mut ee,
+    } = reluctance_blocks(part, inc, width, solve_l)?;
+    // B is symmetric up to the CG tolerance; symmetrize deterministically
+    // before the Schur reduction assumes it.
+    symmetrize(&mut kk);
+    symmetrize(&mut ee);
+    for p in 0..kk.nrows() {
+        for q in 0..ee.nrows() {
+            ke[(p, q)] = 0.5 * (ke[(p, q)] + ek[(q, p)]);
+        }
+    }
+    drop(ek);
+    let b = kron_reduce_blocks(&kk, &ke, ee).map_err(|err| no_node("Kron reduction of B", err))?;
+    drop((kk, ke));
+    let g = lap.reduce_dense()?;
+    let order: Vec<usize> = (0..part.keep.len()).collect();
+    let solve_p = per_column(|s| ck.p.solve(s, tol, max_iter(n)));
+    let c = cluster_capacitance(mesh, &part.keep, &order, width, solve_p)?;
+    Ok((b, g, c))
+}
+
+/// The block-CG route ([`SolverSpec::BlockCg`]): right-hand sides are
+/// solved in panels of [`pdn_bem::BLOCK_CG_PANEL`] columns by
+/// [`pdn_num::cg::solve_spd_block`] under hierarchical block-Jacobi
+/// preconditioners built from the kernels' ACA cluster trees. The
+/// eliminated B-block, the dense `e²` working set of the other routes, is
+/// assembled as a certified [`pdn_bem::CompressedColumns`] operator, and
+/// both `B` and `G` are reduced by the operator-form Schur complement
+/// [`kron_reduce_operator`].
+///
+/// Panels run serially in fixed order and every inner parallel fan is
+/// per-column in index order, so the result is bit-identical for any
+/// `PDN_THREADS`.
+fn block_cg_route(
+    ck: &CompressedKernels,
+    mesh: &PlaneMesh,
+    part: &Partition,
+    inc: &Incidence<'_>,
+    lap: &Laplacian,
+) -> Result<Reduced, ExtractCircuitError> {
+    let panel = pdn_bem::BLOCK_CG_PANEL;
+    let tol = cg_tol(ck);
+    let (n, m) = (part.slot.len(), inc.links.len());
+    let (k, e) = (part.keep.len(), part.elim.len());
+
+    // Hierarchical preconditioners over the kernels' coarsened cluster
+    // trees.
+    let l_pc = ck.l.block_jacobi(true).map_err(breakdown)?;
+    let p_pc = ck.p.block_jacobi(true).map_err(breakdown)?;
+    let solve_l = |rhs: &[Vec<f64>]| ck.l.solve_block(rhs, &l_pc, tol, max_iter(m));
+
+    // Retained nodes in the P cluster tree's traversal order: panels of
+    // geometrically coherent right-hand sides share a Krylov subspace
+    // much better than keep-index-ordered ones, so the block solves
+    // converge in fewer iterations. The order depends only on the
+    // deterministic tree, never on the worker count.
+    let tree_order: Vec<usize> =
+        ck.p.leaf_clusters(false)
+            .into_iter()
+            .flatten()
+            .filter_map(|i| part.kept(i))
+            .collect();
+
+    // --- Kept columns of B: dense (k × k) and (k × e) blocks --------
+    let mut b_kk = Matrix::zeros(k, k);
+    let mut b_ke = Matrix::zeros(k, e);
+    for chunk in tree_order.chunks(panel) {
+        let cells: Vec<usize> = chunk.iter().map(|&q| part.keep[q]).collect();
+        let cols = inc.reluctance_columns(&cells, solve_l).map_err(breakdown)?;
+        for (&q, y) in chunk.iter().zip(&cols) {
+            for (i, &v) in y.iter().enumerate() {
+                match part.slot[i] {
+                    Slot::Kept(p) => b_kk[(p, q)] = v,
+                    // B is symmetric up to the CG tolerance: the
+                    // eliminated rows of kept columns are the kept rows
+                    // of eliminated columns, so the coupling block never
+                    // needs eliminated-column solves.
+                    Slot::Elim(p) => b_ke[(q, p)] = v,
+                }
+            }
+        }
+    }
+    symmetrize(&mut b_kk);
+
+    // --- B_ee as a certified low-rank column compression ------------
+    // Its columns are generated panel-wise by the same block solves and
+    // compressed on the fly; the Schur complement is then taken
+    // iteratively against the compressed operator, so the dense e²
+    // array is never materialized.
+    let (b, elim_clusters) = if e == 0 {
+        (b_kk.clone(), Vec::new())
+    } else {
+        let elim_points: Vec<(f64, f64)> = part
+            .elim
+            .iter()
+            .map(|&i| {
+                let c = mesh.cell_center(i);
+                (c.x, c.y)
+            })
+            .collect();
+        let bee = pdn_bem::CompressedColumns::build(
+            &elim_points,
+            &ck.spec,
+            panel,
+            &mut |local: &[usize]| {
+                let cells: Vec<usize> = local.iter().map(|&q| part.elim[q]).collect();
+                let cols = inc.reluctance_columns(&cells, solve_l)?;
+                Ok(cols
+                    .into_iter()
+                    .map(|y| part.elim.iter().map(|&i| y[i]).collect())
+                    .collect())
+            },
+        )
+        .map_err(breakdown)?;
+        let elim_clusters = bee.leaf_clusters(true);
+        let mats = bee.cluster_restrictions(&elim_clusters);
+        let bee_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
+            e,
+            elim_clusters.iter().cloned().zip(mats).collect(),
+        )
+        .map_err(|err| no_node("hierarchical B_ee preconditioner construction", err))?;
+        let apply_bee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { bee.matvec_block(cols) };
+        let b = kron_reduce_operator(&b_kk, &b_ke, &apply_bee, &bee_pc, panel, tol, max_iter(e))
+            .map_err(|err| no_node("iterative Kron reduction of B", err))?;
+        (b, elim_clusters)
+    };
+    drop((b_kk, b_ke));
+
+    // --- G: Schur complement in operator form ------------------------
+    let g = if !lap.lossy {
+        Matrix::zeros(k, k)
+    } else if e == 0 {
+        lap.kk.clone()
+    } else {
+        // Block-Jacobi over the same geometric clusters as B_ee; the
+        // per-cluster restrictions of the sparse Laplacian are stamped
+        // directly.
+        let mut cluster_of = vec![(usize::MAX, usize::MAX); e];
+        for (ci, cl) in elim_clusters.iter().enumerate() {
+            for (p, &i) in cl.iter().enumerate() {
+                cluster_of[i] = (ci, p);
+            }
+        }
+        let mut g_mats: Vec<Matrix<f64>> = elim_clusters
+            .iter()
+            .map(|cl| {
+                let mut mat = Matrix::zeros(cl.len(), cl.len());
+                for (p, &i) in cl.iter().enumerate() {
+                    mat[(p, p)] = lap.ee_diag[i];
+                }
+                mat
+            })
+            .collect();
+        for &(i, j, v) in &lap.ee_off {
+            let (ci, pi) = cluster_of[i];
+            let (cj, pj) = cluster_of[j];
+            if ci == cj {
+                g_mats[ci][(pi, pj)] += v;
+                g_mats[ci][(pj, pi)] += v;
+            }
+        }
+        let g_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
+            e,
+            elim_clusters.iter().cloned().zip(g_mats).collect(),
+        )
+        .map_err(|err| no_node("hierarchical G_ee preconditioner construction", err))?;
+        let apply_gee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { lap.apply_ee(cols) };
+        kron_reduce_operator(&lap.kk, &lap.ke, &apply_gee, &g_pc, panel, tol, max_iter(e))
+            .map_err(|err| no_node("iterative Kron reduction of G", err))?
+    };
+
+    // --- C in the B columns' tree-coherent panels ---------------------
+    // (indicator clusters sit around their kept cell).
+    let solve_p = |rhs: &[Vec<f64>]| ck.p.solve_block(rhs, &p_pc, tol, max_iter(n));
+    let c = cluster_capacitance(mesh, &part.keep, &tree_order, panel, solve_p)?;
+    Ok((b, g, c))
+}
+
 /// Spreads `count` equivalent-circuit retained nodes across a mesh —
 /// convenience for choosing a stride producing roughly `count` nodes.
-pub fn stride_for_node_budget(mesh: &pdn_geom::PlaneMesh, count: usize) -> usize {
+pub fn stride_for_node_budget(mesh: &PlaneMesh, count: usize) -> usize {
     let n = mesh.cell_count().max(1);
     let ratio = (n as f64 / count.max(1) as f64).sqrt();
     (ratio.round() as usize).max(1)
@@ -1920,6 +1799,71 @@ mod tests {
             EquivalentCircuit::from_bem(&sys, &NodeSelection::All).unwrap_err(),
             ExtractCircuitError::NoPorts
         );
+    }
+
+    /// The dense route against the formulas it replaced, recomputed here:
+    /// `B` as `Aᵀ·X` from the dense incidence `A` and `X = L⁻¹A`, `G` from
+    /// the full link Laplacian, each Kron-reduced by [`kron_reduce`]. The
+    /// extracted matrices must match them bit for bit.
+    fn assert_matches_dense_formulas(sys: &BemSystem, selection: &NodeSelection) {
+        use crate::reduce::kron_reduce;
+        let (eq, keep) = EquivalentCircuit::from_bem_detailed(sys, selection).unwrap();
+        let mesh = sys.mesh();
+        let (n, m) = (mesh.cell_count(), mesh.link_count());
+        let mut a_mat = Matrix::zeros(m, n);
+        for (l, link) in mesh.links().iter().enumerate() {
+            a_mat[(l, link.a)] = 1.0;
+            a_mat[(l, link.b)] = -1.0;
+        }
+        let ch = CholeskyDecomposition::new(sys.inductance()).unwrap();
+        let mut x = Matrix::zeros(m, n);
+        for j in 0..n {
+            let col = ch.solve(&a_mat.col(j)).unwrap();
+            for i in 0..m {
+                x[(i, j)] = col[i];
+            }
+        }
+        let b = kron_reduce(&a_mat.transpose().matmul(&x), &keep).unwrap();
+        let mut g_full = Matrix::zeros(n, n);
+        for (link, &r) in mesh.links().iter().zip(sys.link_resistances()) {
+            let g = 1.0 / r;
+            g_full[(link.a, link.a)] += g;
+            g_full[(link.b, link.b)] += g;
+            g_full[(link.a, link.b)] -= g;
+            g_full[(link.b, link.a)] -= g;
+        }
+        let g = kron_reduce(&g_full, &keep).unwrap();
+        let bits = |mat: &Matrix<f64>| -> Vec<u64> {
+            mat.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(eq.reluctance()), bits(&b), "B under {selection:?}");
+        assert_eq!(bits(eq.conductance()), bits(&g), "G under {selection:?}");
+    }
+
+    #[test]
+    fn dense_route_is_bit_identical_to_the_dense_formulas() {
+        let single = bem(true, &[(mm(2.0), mm(2.0)), (mm(17.0), mm(17.0))]);
+        let split = {
+            let shapes = [
+                Polygon::rectangle(mm(10.0), mm(12.0)),
+                Polygon::rectangle_at(mm(12.0), 0.0, mm(8.0), mm(12.0)),
+            ];
+            let mut mesh = PlaneMesh::build_multi(&shapes, mm(2.0)).unwrap();
+            mesh.bind_port("A", Point::new(mm(3.0), mm(5.0))).unwrap();
+            mesh.bind_port("B", Point::new(mm(17.0), mm(7.0))).unwrap();
+            let pair = PlanePair::new(0.5e-3, 4.5).unwrap();
+            let zs = SurfaceImpedance::from_sheet_resistance(4e-3);
+            BemSystem::assemble(mesh, &pair, &zs, &BemOptions::default()).unwrap()
+        };
+        assert_eq!(split.mesh().net_count(), 2);
+        for sys in [&single, &split] {
+            for sel in [
+                NodeSelection::PortsOnly,
+                NodeSelection::PortsAndGrid { stride: 2 },
+            ] {
+                assert_matches_dense_formulas(sys, &sel);
+            }
+        }
     }
 
     #[test]

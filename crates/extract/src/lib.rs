@@ -48,6 +48,7 @@ pub mod spice;
 pub mod taylor;
 
 pub use circuit::{
-    Branch, EquivalentCircuit, ExtractCircuitError, NodeSelection, Realization, RomSpec,
+    capacitance_clusters, Branch, EquivalentCircuit, ExtractCircuitError, NodeSelection,
+    Realization, RomSpec,
 };
 pub use reduce::{kron_reduce, kron_reduce_blocks, kron_reduce_operator};

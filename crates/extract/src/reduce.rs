@@ -17,6 +17,52 @@
 use pdn_num::cg::{solve_spd_block, IterativeSolveError};
 use pdn_num::{LuDecomposition, Matrix, Preconditioner, SolveMatrixError};
 
+/// Where a node lands in a kept/eliminated split.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    /// Position among the kept nodes.
+    Kept(usize),
+    /// Position among the eliminated nodes.
+    Elim(usize),
+}
+
+/// The kept/eliminated split of `0..n` that a Kron reduction works over.
+pub(crate) struct Partition {
+    /// Kept nodes, ascending.
+    pub(crate) keep: Vec<usize>,
+    /// Eliminated nodes, ascending.
+    pub(crate) elim: Vec<usize>,
+    /// Each node's block and position in it.
+    pub(crate) slot: Vec<Slot>,
+}
+
+impl Partition {
+    /// Splits `0..n` into the strictly increasing, in-range `keep` and
+    /// the rest.
+    pub(crate) fn new(n: usize, keep: Vec<usize>) -> Self {
+        let mut slot = vec![Slot::Elim(0); n];
+        for (p, &node) in keep.iter().enumerate() {
+            slot[node] = Slot::Kept(p);
+        }
+        let mut elim = Vec::with_capacity(n - keep.len());
+        for (node, s) in slot.iter_mut().enumerate() {
+            if let Slot::Elim(p) = s {
+                *p = elim.len();
+                elim.push(node);
+            }
+        }
+        Partition { keep, elim, slot }
+    }
+
+    /// The kept position of `node`, if it is kept.
+    pub(crate) fn kept(&self, node: usize) -> Option<usize> {
+        match self.slot[node] {
+            Slot::Kept(p) => Some(p),
+            Slot::Elim(_) => None,
+        }
+    }
+}
+
 /// Reduces a symmetric nodal matrix onto the `keep` node set.
 ///
 /// `keep` must be strictly increasing and in range; eliminated nodes are
@@ -63,25 +109,13 @@ pub fn kron_reduce(m: &Matrix<f64>, keep: &[usize]) -> Result<Matrix<f64>, Solve
     if let Some(&last) = keep.last() {
         assert!(last < n, "keep index out of range");
     }
-    let keep_set: Vec<bool> = {
-        let mut s = vec![false; n];
-        for &k in keep {
-            s[k] = true;
-        }
-        s
-    };
-    let elim: Vec<usize> = (0..n).filter(|&i| !keep_set[i]).collect();
-    if elim.is_empty() {
-        return Ok(m.submatrix(keep, keep));
-    }
-    let m_kk = m.submatrix(keep, keep);
-    let m_ke = m.submatrix(keep, &elim);
-    let m_ek = m.submatrix(&elim, keep);
-    let m_ee = m.submatrix(&elim, &elim);
-    let lu = LuDecomposition::new(m_ee)?;
-    let x = lu.solve_matrix(&m_ek)?; // M_ee⁻¹ M_ek
-    let correction = m_ke.matmul(&x);
-    Ok(&m_kk - &correction)
+    let elim = Partition::new(n, keep.to_vec()).elim;
+    schur(
+        &m.submatrix(keep, keep),
+        &m.submatrix(keep, &elim),
+        &m.submatrix(&elim, keep),
+        m.submatrix(&elim, &elim),
+    )
 }
 
 /// [`kron_reduce`] from pre-extracted blocks of a symmetric matrix:
@@ -110,14 +144,38 @@ pub fn kron_reduce_blocks(
     assert!(m_ee.is_square(), "eliminated block must be square");
     assert_eq!(m_ke.nrows(), m_kk.nrows(), "coupling block row count");
     assert_eq!(m_ke.ncols(), m_ee.nrows(), "coupling block column count");
+    schur(m_kk, m_ke, &m_ke.transpose(), m_ee)
+}
+
+/// The dense Schur complement `M_kk − M_ke · M_ee⁻¹ · M_ek` from all four
+/// blocks, by an LU factorization of `M_ee` (consumed). With no
+/// eliminated rows it is `M_kk`.
+pub(crate) fn schur(
+    m_kk: &Matrix<f64>,
+    m_ke: &Matrix<f64>,
+    m_ek: &Matrix<f64>,
+    m_ee: Matrix<f64>,
+) -> Result<Matrix<f64>, SolveMatrixError> {
     if m_ee.nrows() == 0 {
         return Ok(m_kk.clone());
     }
-    let m_ek = m_ke.transpose();
     let lu = LuDecomposition::new(m_ee)?;
-    let x = lu.solve_matrix(&m_ek)?; // M_ee⁻¹ M_keᵀ
-    let correction = m_ke.matmul(&x);
-    Ok(m_kk - &correction)
+    let x = lu.solve_matrix(m_ek)?; // M_ee⁻¹ M_ek
+    Ok(m_kk - &m_ke.matmul(&x))
+}
+
+/// Restores exact symmetry deterministically: each off-diagonal pair of
+/// the square matrix `m` becomes its mean. Iterative solves leave an
+/// asymmetry at their tolerance, and the Schur steps assume symmetry.
+pub(crate) fn symmetrize(m: &mut Matrix<f64>) {
+    let n = m.nrows();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let v = 0.5 * (m[(i, j)] + m[(j, i)]);
+            m[(i, j)] = v;
+            m[(j, i)] = v;
+        }
+    }
 }
 
 /// [`kron_reduce_blocks`] with the eliminated block in operator form:
@@ -179,15 +237,8 @@ pub fn kron_reduce_operator(
             }
         }
     }
-    // The inner solves are only accurate to `tol`, so restore exact
-    // symmetry deterministically.
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let avg = 0.5 * (reduced[(i, j)] + reduced[(j, i)]);
-            reduced[(i, j)] = avg;
-            reduced[(j, i)] = avg;
-        }
-    }
+    // The inner solves are only accurate to `tol`.
+    symmetrize(&mut reduced);
     Ok(reduced)
 }
 

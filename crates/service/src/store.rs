@@ -61,8 +61,9 @@ pub enum ModelFileError {
     Truncated,
     /// The trailing SHA-256 does not match the content.
     ChecksumMismatch,
-    /// The checksummed payload failed to decode (should not happen for a
-    /// file we wrote; indicates a version-skew bug rather than bit-rot).
+    /// The checksummed payload failed to decode, or decodes to a model
+    /// whose port table disagrees with its layout (should not happen for
+    /// a file we wrote; indicates a version-skew bug rather than bit-rot).
     Codec(CodecError),
 }
 
@@ -175,6 +176,21 @@ pub fn deserialize_model(bytes: &[u8]) -> Result<ModelParts, ModelFileError> {
         let chip_locations = point_list(r)?;
         let sites = point_list(r)?;
         r.finish()?;
+        // `BoardSpec::wire` reads the last 1 + chips + sites ports as the
+        // supply, chips and sites; any plane-spec ports come before them.
+        let board_ports = 1 + chip_locations.len() + sites.len();
+        let ports = equivalent.port_count();
+        if ports < board_ports {
+            return Err(CodecError::Invalid(format!(
+                "model has {ports} ports but its layout names {board_ports}"
+            )));
+        }
+        if let Some(rom) = reduced.as_ref().filter(|rom| rom.ports() != ports) {
+            return Err(CodecError::Invalid(format!(
+                "reduced model has {} ports, the equivalent circuit {ports}",
+                rom.ports()
+            )));
+        }
         Ok(ModelParts {
             equivalent,
             shard_report,

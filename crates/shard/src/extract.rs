@@ -7,7 +7,7 @@ use pdn_bem::{
     assemble_link_matrices, assemble_matrices, compress_link_matrices, cross_block_lumping,
     BemOptions, BemSystem,
 };
-use pdn_extract::{kron_reduce, EquivalentCircuit, NodeSelection};
+use pdn_extract::{capacitance_clusters, kron_reduce, EquivalentCircuit, NodeSelection};
 use pdn_geom::mesh::{Link, PlaneMesh};
 use pdn_geom::{PlanePair, Point, Polygon};
 use pdn_greens::SurfaceImpedance;
@@ -565,38 +565,24 @@ pub fn extract_sharded(
     // port-to-port capacitance split (measured O(1) transfer-impedance
     // error under `PortsOnly` on fine meshes).
     let pos_in_keep = |node: usize| keep.binary_search(&node).expect("kept node");
-    // Ascending cell index reproduces the monolithic tie-break order.
+    // The monolithic cluster rule on the global mesh, with the kept cells
+    // in ascending cell order so its tie-break matches too.
     let mut kept_cells: Vec<(usize, usize)> = keep
         .iter()
         .enumerate()
         .map(|(pos, &node)| (cell_of_node[node], pos))
         .collect();
     kept_cells.sort_unstable();
-    let cluster_of_cell = |cell: usize| -> Result<usize, ShardExtractError> {
-        let ci = mesh.cell_center(cell);
-        let net = mesh.cell_net(cell);
-        kept_cells
-            .iter()
-            .filter(|&&(kc, _)| mesh.cell_net(kc) == net)
-            .min_by(|a, b| {
-                let da = mesh.cell_center(a.0).distance_sq(ci);
-                let db = mesh.cell_center(b.0).distance_sq(ci);
-                da.partial_cmp(&db).expect("finite distances")
-            })
-            .map(|&(_, pos)| pos)
-            .ok_or_else(|| {
-                ShardExtractError::Composition(
-                    "a net has no retained node for capacitance aggregation".into(),
-                )
-            })
-    };
+    let ascending: Vec<usize> = kept_cells.iter().map(|&(cell, _)| cell).collect();
+    let cluster_of_cell: Vec<usize> = capacitance_clusters(&mesh, &ascending)
+        .map_err(|e| ShardExtractError::Composition(e.to_string()))?
+        .into_iter()
+        .map(|q| kept_cells[q].1)
+        .collect();
     let mut c_red = Matrix::zeros(keep.len(), keep.len());
     for (r, mdl) in models.iter().enumerate() {
         let cells = &regions[r];
-        let cluster: Vec<usize> = cells
-            .iter()
-            .map(|&cell| cluster_of_cell(cell))
-            .collect::<Result<_, _>>()?;
+        let cluster: Vec<usize> = cells.iter().map(|&cell| cluster_of_cell[cell]).collect();
         for i in 0..cells.len() {
             for j in 0..cells.len() {
                 c_red[(cluster[i], cluster[j])] += mdl.c_full[(i, j)];

@@ -141,3 +141,28 @@ fn partition_counts_scale_with_board_contents() {
     assert_eq!(big.partition().packages, 4);
     assert!(big.partition().pdn_nodes > small.partition().pdn_nodes);
 }
+
+#[test]
+fn plane_spec_ports_precede_the_board_ports() {
+    // A port on the plane spec at S and an unpopulated decap site at S
+    // retain the same cells; only their place in the port table differs
+    // (plane ports come first, sites last). Wiring must find the supply
+    // and the chip behind the plane port, so both boards run the same
+    // netlist.
+    let s = Point::new(mm(20.0), mm(12.0));
+    let mut sensed = board();
+    sensed.plane = sensed.plane.with_port("sense", s.x, s.y);
+    let sited = board().with_decap_site(s);
+    for sel in [
+        NodeSelection::PortsOnly,
+        NodeSelection::PortsAndGrid { stride: 3 },
+    ] {
+        let run = |b: &BoardSpec| {
+            b.build(&sel, 4)
+                .expect("buildable")
+                .run(10e-9, 0.1e-9)
+                .expect("runnable")
+        };
+        assert_eq!(run(&sensed), run(&sited), "{sel:?}");
+    }
+}

@@ -477,3 +477,69 @@ fn touchstone_rejects_mismatched_sweeps_and_bad_references() {
     let doc = pdn_circuit::touchstone(&[], &[], 50.0).expect("empty sweep");
     assert!(doc.contains("# HZ S RI R 50"));
 }
+
+#[test]
+fn model_port_table_that_disagrees_with_its_layout_is_a_wiring_error() {
+    // The bare study-A board has two ports (supply, chip); the sited one
+    // adds two decap sites. Wiring must refuse a port table or reduced
+    // model of the wrong size instead of indexing past it, with or
+    // without a populated site.
+    let bare = boards::ssn_study_a_board(0.5).expect("valid board");
+    let sites = vec![
+        Point::new(inch(4.0), inch(3.5)),
+        Point::new(inch(6.0), inch(3.5)),
+    ];
+    let sited = bare
+        .clone()
+        .with_decap_site(sites[0])
+        .with_decap_site(sites[1]);
+    let sel = NodeSelection::PortsOnly;
+    let rom = RomSpec {
+        f_min: 1e6,
+        f_max: 3e8,
+        points: 16,
+        ..RomSpec::default()
+    };
+    let bare_model = bare
+        .clone()
+        .with_reduced_order(rom)
+        .extract_model(&sel)
+        .expect("extractable");
+    let sited_parts = sited.extract_model(&sel).expect("extractable").to_parts();
+    let mismatched = [
+        // The bare board's two-port equivalent under the four-port layout.
+        (
+            pdn_core::ModelParts {
+                sites,
+                reduced: None,
+                ..bare_model.to_parts()
+            },
+            "extracted model has 2 ports",
+        ),
+        // The sited board's equivalent with the bare board's two-port
+        // reduced model.
+        (
+            pdn_core::ModelParts {
+                reduced: bare_model.reduced_model().cloned(),
+                ..sited_parts
+            },
+            "reduced model has 2 ports",
+        ),
+    ];
+    for (parts, expected) in mismatched {
+        let batch = ScenarioBatch::with_model(&sited, ExtractedModel::from_parts(parts))
+            .expect("supply, chip and site locations match");
+        for scenario in [
+            Scenario::switching(4),
+            Scenario::switching(4).with_decaps(vec![(1, DecapValue::ceramic_100nf())]),
+        ] {
+            match batch.run(&[scenario], 2e-9, 0.1e-9) {
+                Err(ScenarioBatchError::Build {
+                    index: 0,
+                    source: BuildBoardError::Wiring(msg),
+                }) => assert!(msg.contains(expected), "{msg}"),
+                other => panic!("expected a wiring error, got {:?}", other.err()),
+            }
+        }
+    }
+}

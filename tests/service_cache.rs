@@ -9,7 +9,7 @@ use common::{hp_board, with_thread_counts};
 use pdn::prelude::*;
 use pdn_service::{
     deserialize_model, serialize_model, AnalysisRequest, CacheOutcome, ExtractionCache, JobEvent,
-    JobQueue,
+    JobQueue, ModelFileError,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -185,6 +185,43 @@ fn damaged_model_files_fail_loudly_and_reextract() {
             "{name}: cache healed with an equivalent entry"
         );
     }
+}
+
+/// A model file with a valid checksum whose port table disagrees with
+/// its layout (the equivalent of a board without sites, filed under a
+/// board with two) is rejected as invalid, counted and re-extracted; it
+/// never reaches the wiring.
+#[test]
+fn inconsistent_model_file_is_discarded_and_reextracted() {
+    let root = CacheRoot::new("inconsistent");
+    let bare = hp_board(mm(2.0));
+    let board = hp_board(mm(2.0))
+        .with_decap_site(Point::new(mm(28.0), mm(8.0)))
+        .with_decap_site(Point::new(mm(12.0), mm(8.0)));
+    let parts = pdn::core::ModelParts {
+        sites: board.decap_sites.clone(),
+        ..bare.extract_model(&sel()).unwrap().to_parts()
+    };
+    // `serialize_model` computes a fresh, valid checksum.
+    let bytes = serialize_model(&parts);
+    assert!(matches!(
+        deserialize_model(&bytes),
+        Err(ModelFileError::Codec(pdn_num::CodecError::Invalid(_)))
+    ));
+    let cache = ExtractionCache::at(&root.0, 4);
+    let path = cache.model_path(&pdn_service::BoardKey::of(&board, &sel()));
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    let (model, outcome) = cache.get_or_extract(&board, &sel()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Extracted, "falls back to extraction");
+    let stats = cache.stats();
+    assert_eq!(stats.load_failures, 1, "failure counted");
+    assert_eq!(stats.extractions, 1, "re-extracted once");
+    let scenario = Scenario::switching(2).with_decaps(vec![(1, DecapValue::ceramic_100nf())]);
+    ScenarioBatch::with_model(&board, model)
+        .unwrap()
+        .run(&[scenario], 4e-9, 0.1e-9)
+        .expect("the fresh model wires and runs");
 }
 
 /// Concurrent jobs on one uncached board perform exactly one extraction:
