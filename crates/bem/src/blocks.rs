@@ -1,0 +1,503 @@
+//! The block store behind every compressed operator.
+//!
+//! [`CompressedKernel`](crate::CompressedKernel) and
+//! [`CompressedColumns`](crate::CompressedColumns) differ only in how
+//! their blocks are generated: the kernel plans a symmetric partition
+//! and evaluates exact kernel rows, the column store descends rows
+//! against streamed column panels. Both end in a list of dense or
+//! low-rank blocks over a cluster tree, and everything downstream lives
+//! here once:
+//!
+//! * the serial matvec, and the 8-lane panel matvec with its fixed-chunk
+//!   parallel fan-out;
+//! * the cluster restrictions behind the block-Jacobi preconditioners,
+//!   and the densifier;
+//! * the `CompressionStats` tally;
+//! * the certified compression of one admissible block: ACA at
+//!   `tol / 16`, recompression at `tol / 4`, the exact dense block when
+//!   the factors do not pay, and `CERT_ROWS` seeded sampled rows checked
+//!   against the exact data, failing with
+//!   [`AssembleBemError::NumericalBreakdown`].
+//!
+//! A store covers a symmetric operator in one of two ways
+//! ([`Symmetry`]): the kernel stores the upper triangle and mirrors it
+//! at weight 1, the column store holds every entry once and applies
+//! `½(M + Mᵀ)`. Blocks apply in list order, so every result is a pure
+//! function of the block list and bit-identical for any `PDN_THREADS`.
+
+use crate::assembly::AssembleBemError;
+use crate::compress::{ClusterTree, CompressionSpec, CompressionStats};
+use pdn_num::aca::{aca, LowRank, PANEL_LANES};
+use pdn_num::{parallel, Matrix};
+
+/// Column-chunk width of the blocked matvecs. Fixed (never derived from
+/// the worker count) so the chunk boundaries — and therefore every
+/// floating-point result — are identical for any `PDN_THREADS`. Wide
+/// enough to amortize streaming a block over many columns, small enough
+/// that a typical 48-column panel still fans across workers.
+const MATVEC_CHUNK: usize = PANEL_LANES;
+
+/// Margin between the internal ACA stopping tolerance and the
+/// user-facing certified tolerance: ACA stops at `tol / ACA_MARGIN`, so
+/// the certification check at `tol` has headroom over the incremental
+/// Frobenius estimate the stopping criterion relies on.
+const ACA_MARGIN: f64 = 16.0;
+/// Recompression truncates at `tol / RECOMPRESS_MARGIN`.
+const RECOMPRESS_MARGIN: f64 = 4.0;
+/// Certified rows sampled per low-rank block.
+const CERT_ROWS: usize = 2;
+
+/// How a store's blocks cover its symmetric operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Symmetry {
+    /// The upper triangle is stored. A mirrored block applies as itself
+    /// and as its transpose, at weight 1; an unmirrored (diagonal) block
+    /// applies once. Every entry of the operator is covered exactly once.
+    Mirrored,
+    /// Every entry is stored once, unsymmetrized, and the operator is
+    /// `½(M + Mᵀ)`: every block is mirrored, at weight ½.
+    Halved,
+}
+
+impl Symmetry {
+    /// The weight each application of a stored block carries.
+    fn weight(self) -> f64 {
+        match self {
+            Symmetry::Mirrored => 1.0,
+            Symmetry::Halved => 0.5,
+        }
+    }
+
+    /// Writes stored entry `v` at `(p, q)` of a densified target and,
+    /// for a mirrored block, at `(q, p)`. Under `Mirrored` every target
+    /// entry is written once, so it is assigned and a stored `−0.0` (a
+    /// rank-0 block's entries) keeps its sign; under `Halved` it sums two
+    /// halves, accumulated from zero.
+    fn place(self, m: &mut Matrix<f64>, (p, q): (usize, usize), v: f64, mirror: bool) {
+        match self {
+            Symmetry::Mirrored => {
+                m[(p, q)] = v;
+                if mirror {
+                    m[(q, p)] = v;
+                }
+            }
+            Symmetry::Halved => {
+                m[(p, q)] += 0.5 * v;
+                if mirror {
+                    m[(q, p)] += 0.5 * v;
+                }
+            }
+        }
+    }
+}
+
+/// The stored form of one block.
+#[derive(Debug, Clone)]
+pub(crate) enum BlockData {
+    Dense(Matrix<f64>),
+    LowRank(LowRank),
+}
+
+impl BlockData {
+    /// Entry `(a, c)` of the block.
+    fn entry(&self, a: usize, c: usize) -> f64 {
+        match self {
+            BlockData::Dense(m) => m[(a, c)],
+            BlockData::LowRank(lr) => lr.entry(a, c),
+        }
+    }
+}
+
+/// One stored block: entry `(a, c)` of `data` sits at operator position
+/// `(rows[a], cols[c])`, and also at `(cols[c], rows[a])` when `mirror`.
+#[derive(Debug, Clone)]
+pub(crate) struct Block {
+    pub(crate) rows: Vec<usize>,
+    pub(crate) cols: Vec<usize>,
+    pub(crate) mirror: bool,
+    pub(crate) data: BlockData,
+}
+
+/// A symmetric operator held as a fixed list of dense and low-rank
+/// blocks over a cluster tree.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockStore {
+    n: usize,
+    symmetry: Symmetry,
+    blocks: Vec<Block>,
+    tree: ClusterTree,
+    stats: CompressionStats,
+}
+
+impl BlockStore {
+    /// Adopts the block list of an `n`-dimensional operator and tallies
+    /// its block, rank and byte accounting.
+    pub(crate) fn new(
+        n: usize,
+        symmetry: Symmetry,
+        tree: ClusterTree,
+        blocks: Vec<Block>,
+    ) -> BlockStore {
+        let mut stats = CompressionStats {
+            blocks: blocks.len(),
+            low_rank_blocks: 0,
+            max_rank: 0,
+            stored_bytes: 0,
+            dense_bytes: 8 * n * n,
+        };
+        for b in &blocks {
+            match &b.data {
+                BlockData::Dense(m) => stats.stored_bytes += 8 * m.nrows() * m.ncols(),
+                BlockData::LowRank(lr) => {
+                    stats.low_rank_blocks += 1;
+                    stats.max_rank = stats.max_rank.max(lr.rank());
+                    stats.stored_bytes += lr.stored_bytes();
+                }
+            }
+        }
+        BlockStore {
+            n,
+            symmetry,
+            blocks,
+            tree,
+            stats,
+        }
+    }
+
+    /// Operator dimension.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Block, rank and byte accounting of the stored blocks.
+    pub(crate) fn stats(&self) -> CompressionStats {
+        self.stats
+    }
+
+    /// `y = A·x`, applying each block (and its mirror) in list order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not match the operator dimension.
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.n, "matvec dimension mismatch");
+        let w = self.symmetry.weight();
+        let mut y = vec![0.0; self.n];
+        for b in &self.blocks {
+            match &b.data {
+                BlockData::Dense(m) => {
+                    for (a, &i) in b.rows.iter().enumerate() {
+                        let mut acc = 0.0;
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            acc += m[(a, c)] * x[j];
+                        }
+                        y[i] += w * acc;
+                    }
+                    if b.mirror {
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            let mut acc = 0.0;
+                            for (a, &i) in b.rows.iter().enumerate() {
+                                acc += m[(a, c)] * x[i];
+                            }
+                            y[j] += w * acc;
+                        }
+                    }
+                }
+                BlockData::LowRank(lr) => {
+                    let xs: Vec<f64> = b.cols.iter().map(|&j| x[j]).collect();
+                    let mut ys = vec![0.0; b.rows.len()];
+                    lr.matvec_into(&xs, w, &mut ys);
+                    for (a, &i) in b.rows.iter().enumerate() {
+                        y[i] += ys[a];
+                    }
+                    if b.mirror {
+                        let xt: Vec<f64> = b.rows.iter().map(|&i| x[i]).collect();
+                        let mut yt = vec![0.0; b.cols.len()];
+                        lr.matvec_transpose_into(&xt, w, &mut yt);
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            y[j] += yt[c];
+                        }
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    /// Blocked matvec: applies the operator to every column at once,
+    /// streaming the stored blocks **once per column chunk** instead of
+    /// once per column, so each block's data stays cache-hot while it is
+    /// applied to the whole chunk.
+    ///
+    /// Chunks have a fixed width (independent of the worker count) and
+    /// fan across [`pdn_num::parallel`] workers in index order; within a
+    /// chunk every column's arithmetic is the serial
+    /// [`matvec`](Self::matvec) sequence, so each result column is
+    /// bit-identical to a serial sweep for any `PDN_THREADS`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when any column does not match the operator dimension.
+    pub(crate) fn matvec_block(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        for x in cols {
+            assert_eq!(x.len(), self.n, "matvec dimension mismatch");
+        }
+        let chunks = cols.len().div_ceil(MATVEC_CHUNK);
+        let outs = parallel::par_map_indexed(chunks, |c| {
+            let lo = c * MATVEC_CHUNK;
+            let hi = (lo + MATVEC_CHUNK).min(cols.len());
+            self.matvec_panel(&cols[lo..hi])
+        });
+        outs.into_iter().flatten().collect()
+    }
+
+    /// One blocked sweep: every stored block is applied to the whole
+    /// chunk before the next block is touched, with the chunk held in an
+    /// interleaved panel layout (`x[j·W + q]` is column `q`'s entry `j`)
+    /// so each coefficient and index is loaded **once** per chunk and
+    /// multiplied across unit-stride panel lanes.
+    fn matvec_panel(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        // The panel stride is the compile-time chunk width, with unused
+        // lanes held at zero on a short tail chunk: every inner loop
+        // then has a constant trip count of `MATVEC_CHUNK` independent
+        // lanes, which vectorizes without any reassociation — lane
+        // arithmetic stays the exact serial sequence, and the zero
+        // lanes never feed a live column.
+        const W: usize = MATVEC_CHUNK;
+        debug_assert!(cols.len() <= W);
+        let w = self.symmetry.weight();
+        let mut xp = vec![0.0; self.n * W];
+        for (q, x) in cols.iter().enumerate() {
+            for (j, &v) in x.iter().enumerate() {
+                xp[j * W + q] = v;
+            }
+        }
+        let mut yp = vec![0.0; self.n * W];
+        let mut acc = [0.0f64; W];
+        let mut scratch = Vec::new();
+        for b in &self.blocks {
+            match &b.data {
+                BlockData::Dense(m) => {
+                    for (a, &i) in b.rows.iter().enumerate() {
+                        acc.fill(0.0);
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            let mv = m[(a, c)];
+                            for (aq, xq) in acc.iter_mut().zip(&xp[j * W..(j + 1) * W]) {
+                                *aq += mv * xq;
+                            }
+                        }
+                        for (yq, aq) in yp[i * W..(i + 1) * W].iter_mut().zip(&acc) {
+                            *yq += w * aq;
+                        }
+                    }
+                    if b.mirror {
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            acc.fill(0.0);
+                            for (a, &i) in b.rows.iter().enumerate() {
+                                let mv = m[(a, c)];
+                                for (aq, xq) in acc.iter_mut().zip(&xp[i * W..(i + 1) * W]) {
+                                    *aq += mv * xq;
+                                }
+                            }
+                            for (yq, aq) in yp[j * W..(j + 1) * W].iter_mut().zip(&acc) {
+                                *yq += w * aq;
+                            }
+                        }
+                    }
+                }
+                BlockData::LowRank(lr) => {
+                    let (nr, nc) = (b.rows.len(), b.cols.len());
+                    scratch.clear();
+                    scratch.resize(2 * (nr + nc) * W, 0.0);
+                    let (xs, rest) = scratch.split_at_mut(nc * W);
+                    let (yr, rest) = rest.split_at_mut(nr * W);
+                    let (xt, yt) = rest.split_at_mut(nr * W);
+                    for (c, &j) in b.cols.iter().enumerate() {
+                        xs[c * W..(c + 1) * W].copy_from_slice(&xp[j * W..(j + 1) * W]);
+                    }
+                    lr.matvec_panel_into(xs, w, yr);
+                    for (a, &i) in b.rows.iter().enumerate() {
+                        for (yq, vq) in yp[i * W..(i + 1) * W]
+                            .iter_mut()
+                            .zip(&yr[a * W..(a + 1) * W])
+                        {
+                            *yq += vq;
+                        }
+                    }
+                    if b.mirror {
+                        for (a, &i) in b.rows.iter().enumerate() {
+                            xt[a * W..(a + 1) * W].copy_from_slice(&xp[i * W..(i + 1) * W]);
+                        }
+                        lr.matvec_transpose_panel_into(xt, w, yt);
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            for (yq, vq) in yp[j * W..(j + 1) * W]
+                                .iter_mut()
+                                .zip(&yt[c * W..(c + 1) * W])
+                            {
+                                *yq += vq;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (0..cols.len())
+            .map(|q| (0..self.n).map(|i| yp[i * W + q]).collect())
+            .collect()
+    }
+
+    /// The disjoint cluster partition backing the hierarchical
+    /// preconditioner: tree leaves, or (with `coarsen`) the maximal tree
+    /// nodes of at most 8× the leaf size.
+    pub(crate) fn leaf_clusters(&self, coarsen: bool) -> Vec<Vec<usize>> {
+        self.tree.clusters(coarsen)
+    }
+
+    /// Materializes the dense restriction `A[c, c]` of the operator to
+    /// every cluster of a disjoint partition, in one pass over the
+    /// stored blocks.
+    pub(crate) fn cluster_restrictions(&self, clusters: &[Vec<usize>]) -> Vec<Matrix<f64>> {
+        // index -> (cluster id, position within the cluster)
+        let mut of: Vec<Option<(usize, usize)>> = vec![None; self.n];
+        for (ci, cl) in clusters.iter().enumerate() {
+            for (k, &i) in cl.iter().enumerate() {
+                of[i] = Some((ci, k));
+            }
+        }
+        let mut mats: Vec<Matrix<f64>> = clusters
+            .iter()
+            .map(|c| Matrix::zeros(c.len(), c.len()))
+            .collect();
+        for b in &self.blocks {
+            // Admissible (well-separated) pairs almost never land inside
+            // one cluster; test membership before paying per-entry
+            // low-rank reconstruction.
+            let row_cl: Vec<(usize, usize, usize)> = b
+                .rows
+                .iter()
+                .enumerate()
+                .filter_map(|(a, &i)| of[i].map(|(ci, pi)| (ci, pi, a)))
+                .collect();
+            if row_cl.is_empty() {
+                continue;
+            }
+            for (c, &j) in b.cols.iter().enumerate() {
+                let Some((cj, pj)) = of[j] else { continue };
+                for &(ci, pi, a) in &row_cl {
+                    if ci == cj {
+                        let v = b.data.entry(a, c);
+                        self.symmetry.place(&mut mats[ci], (pi, pj), v, b.mirror);
+                    }
+                }
+            }
+        }
+        mats
+    }
+
+    /// Densifies the operator — diagnostics and small-problem tests only.
+    pub(crate) fn to_dense(&self) -> Matrix<f64> {
+        let mut out = Matrix::zeros(self.n, self.n);
+        for b in &self.blocks {
+            for (a, &i) in b.rows.iter().enumerate() {
+                for (c, &j) in b.cols.iter().enumerate() {
+                    let v = b.data.entry(a, c);
+                    self.symmetry.place(&mut out, (i, j), v, b.mirror);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The exact dense `r × c` block whose row `a` is `row(a)`.
+pub(crate) fn dense_block(r: usize, c: usize, row: &dyn Fn(usize) -> Vec<f64>) -> BlockData {
+    let mut m = Matrix::zeros(r, c);
+    for a in 0..r {
+        m.row_mut(a).copy_from_slice(&row(a));
+    }
+    BlockData::Dense(m)
+}
+
+/// Compresses one admissible `r × c` block and certifies it: ACA at
+/// `tol / 16` over the exact rows and columns, recompression at
+/// `tol / 4`, and the exact dense block instead when the factors would
+/// not be smaller. A low-rank result must then match `CERT_ROWS` rows,
+/// picked by a fixed-seed LCG keyed on the block's `ordinal` in its
+/// store, to `tol` relative to the larger of the block's and the row's
+/// norm.
+///
+/// # Errors
+///
+/// [`AssembleBemError::NumericalBreakdown`] naming the block shape when
+/// a sampled row fails the check — accuracy is never silently degraded.
+pub(crate) fn certified_block(
+    (r, c): (usize, usize),
+    row: &dyn Fn(usize) -> Vec<f64>,
+    col: &dyn Fn(usize) -> Vec<f64>,
+    spec: &CompressionSpec,
+    ordinal: usize,
+) -> Result<BlockData, AssembleBemError> {
+    let lr = aca(r, c, row, col, spec.tol / ACA_MARGIN, r.min(c))
+        .recompress(spec.tol / RECOMPRESS_MARGIN);
+    if lr.stored_bytes() >= 8 * r * c {
+        return Ok(dense_block(r, c, row));
+    }
+    let frob = lr.frobenius_norm();
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (ordinal as u64).wrapping_mul(0xd134_2543_de82_ef95);
+    for _ in 0..CERT_ROWS.min(r) {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let a = (rng >> 33) as usize % r;
+        let exact = row(a);
+        let approx = lr.row(a);
+        let err = exact
+            .iter()
+            .zip(&approx)
+            .map(|(e, p)| (e - p) * (e - p))
+            .sum::<f64>()
+            .sqrt();
+        let row_norm = exact.iter().map(|e| e * e).sum::<f64>().sqrt();
+        let scale = frob.max(row_norm);
+        if err > spec.tol * scale {
+            return Err(AssembleBemError::NumericalBreakdown(format!(
+                "ACA certification failed on a {r}x{c} block (rank {}): sampled row error \
+                 {err:.3e} exceeds tol {:.1e} x block scale {scale:.3e}",
+                lr.rank(),
+                spec.tol
+            )));
+        }
+    }
+    Ok(BlockData::LowRank(lr))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rows of the rank-1 block `a·bᵀ` against columns of a different
+    /// rank-1 block `c·bᵀ`: ACA builds factors the exact rows disagree
+    /// with, so certification must fail loudly.
+    #[test]
+    fn inconsistent_rows_and_columns_fail_certification() {
+        let (r, c) = (6, 9);
+        let a = |i: usize| 1.0 + i as f64;
+        let b = |j: usize| 1.0 / (1.0 + j as f64);
+        let cc = |i: usize| (1.0 + i as f64).powi(2);
+        let row = |i: usize| -> Vec<f64> { (0..c).map(|j| a(i) * b(j)).collect() };
+        let col = |j: usize| -> Vec<f64> { (0..r).map(|i| cc(i) * b(j)).collect() };
+        let err = certified_block((r, c), &row, &col, &CompressionSpec::default(), 0).unwrap_err();
+        match err {
+            AssembleBemError::NumericalBreakdown(msg) => {
+                assert!(msg.contains("6x9 block"), "names the block shape: {msg}")
+            }
+            other => panic!("expected NumericalBreakdown, got {other:?}"),
+        }
+        // The consistent pair certifies at rank 1.
+        let col = |j: usize| -> Vec<f64> { (0..r).map(|i| a(i) * b(j)).collect() };
+        match certified_block((r, c), &row, &col, &CompressionSpec::default(), 0).unwrap() {
+            BlockData::LowRank(lr) => assert_eq!(lr.rank(), 1),
+            BlockData::Dense(_) => panic!("a rank-1 block must stay low-rank"),
+        }
+    }
+}

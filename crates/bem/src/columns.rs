@@ -10,46 +10,30 @@
 //! per-entry generator:
 //!
 //! 1. a geometric cluster tree over the node positions fixes both the
-//!    column panels (finest tree nodes at most `panel` wide) and the row
+//!    column panels (the tree cut at `panel` points) and the row
 //!    partition;
 //! 2. each column panel is **materialized once** by the caller's
 //!    generator (one block-CG solve on `L` per panel) and immediately
 //!    compressed: the row tree descends against the panel's column
-//!    node — admissible row blocks are re-factored by ACA **on the
-//!    materialized data**, near-field leaves stay dense;
-//! 3. every low-rank block is certified a posteriori against the
-//!    materialized rows with the same fixed-seed sampler used for the
-//!    kernels, failing loudly above `tol`.
+//!    node — admissible row blocks go through the same certified ACA
+//!    step as the kernel blocks, **on the materialized data**, and
+//!    near-field leaves stay dense;
+//! 3. the certification samples rows of the materialized panel and
+//!    fails loudly above `tol`.
 //!
 //! The working set is one `n × panel` slab at a time instead of the
-//! dense `8N²` matrix, and the stored operator supports symmetric
-//! matvecs (`0.5·(Mx + Mᵀx)` — storage covers every entry exactly once,
-//! un-mirrored) for the Schur-complement block-CG solves. Panels are
+//! dense `8N²` matrix. The blocks live in the same block store as the
+//! kernels', which holds every entry once, un-mirrored, and applies
+//! `½(M + Mᵀ)` for the Schur-complement block-CG solves. Panels are
 //! processed serially in tree order and every factorization is
 //! deterministically pivoted, so the result is bit-identical for any
 //! `PDN_THREADS` (the parallelism lives inside the caller's generator,
 //! which must itself be deterministic — the block kernel solves are).
 
 use crate::assembly::AssembleBemError;
-use crate::compress::{
-    ClusterTree, CompressionSpec, CompressionStats, ACA_MARGIN, CERT_ROWS, MATVEC_CHUNK,
-    RECOMPRESS_MARGIN,
-};
-use pdn_num::aca::{aca, LowRank};
-use pdn_num::{parallel, Matrix};
-
-#[derive(Debug, Clone)]
-enum ColBlockData {
-    Dense(Matrix<f64>),
-    LowRank(LowRank),
-}
-
-#[derive(Debug, Clone)]
-struct ColBlock {
-    rows: Vec<usize>,
-    cols: Vec<usize>,
-    data: ColBlockData,
-}
+use crate::blocks::{certified_block, dense_block, Block, BlockStore, Symmetry};
+use crate::compress::{ClusterTree, CompressionSpec, CompressionStats};
+use pdn_num::Matrix;
 
 /// Streaming column-panel generator: returns the dense columns for the
 /// requested indices, or the assembly error to propagate verbatim.
@@ -59,30 +43,7 @@ pub type ColumnGen<'a> = dyn FnMut(&[usize]) -> Result<Vec<Vec<f64>>, AssembleBe
 /// module docs for the construction.
 #[derive(Debug, Clone)]
 pub struct CompressedColumns {
-    n: usize,
-    blocks: Vec<ColBlock>,
-    stats: CompressionStats,
-    tree: ClusterTree,
-}
-
-/// Finest tree nodes with at most `panel` members (leaves are accepted
-/// regardless of size), in left-to-right tree order.
-fn column_nodes(tree: &ClusterTree, panel: usize) -> Vec<usize> {
-    fn walk(tree: &ClusterTree, id: usize, panel: usize, out: &mut Vec<usize>) {
-        let node = &tree.nodes[id];
-        match node.children {
-            Some((l, r)) if node.len() > panel => {
-                walk(tree, l, panel, out);
-                walk(tree, r, panel, out);
-            }
-            _ => out.push(id),
-        }
-    }
-    let mut out = Vec::new();
-    if !tree.nodes.is_empty() {
-        walk(tree, 0, panel, &mut out);
-    }
-    out
+    store: BlockStore,
 }
 
 impl CompressedColumns {
@@ -111,62 +72,40 @@ impl CompressedColumns {
         spec.validate()?;
         let n = points.len();
         let tree = ClusterTree::build(points, spec.leaf_size);
-        let col_nodes = column_nodes(&tree, panel.max(1));
-        let mut blocks: Vec<ColBlock> = Vec::new();
-        for &cn in &col_nodes {
-            let node = &tree.nodes[cn];
-            let cols: Vec<usize> = tree.perm[node.start..node.end].to_vec();
-            let panel_cols = gen(&cols)?;
+        let mut blocks: Vec<Block> = Vec::new();
+        for cn in tree.cut(panel.max(1)) {
+            let cols = tree.members(cn);
+            let panel_cols = gen(cols)?;
             if panel_cols.len() != cols.len() || panel_cols.iter().any(|c| c.len() != n) {
                 return Err(AssembleBemError::NumericalBreakdown(
                     "column generator returned a mis-shaped panel".into(),
                 ));
             }
-            descend_rows(&tree, spec, 0, cn, &cols, &panel_cols, &mut blocks)?;
-        }
-        let mut stats = CompressionStats {
-            blocks: blocks.len(),
-            low_rank_blocks: 0,
-            max_rank: 0,
-            stored_bytes: 0,
-            dense_bytes: 8 * n * n,
-        };
-        for b in &blocks {
-            match &b.data {
-                ColBlockData::Dense(m) => stats.stored_bytes += 8 * m.nrows() * m.ncols(),
-                ColBlockData::LowRank(lr) => {
-                    stats.low_rank_blocks += 1;
-                    stats.max_rank = stats.max_rank.max(lr.rank());
-                    stats.stored_bytes += lr.stored_bytes();
-                }
-            }
+            descend_rows(&tree, spec, 0, cn, &panel_cols, &mut blocks)?;
         }
         Ok(CompressedColumns {
-            n,
-            blocks,
-            stats,
-            tree,
+            store: BlockStore::new(n, Symmetry::Halved, tree, blocks),
         })
     }
 
     /// Operator dimension.
     pub fn len(&self) -> usize {
-        self.n
+        self.store.len()
     }
 
     /// Whether the operator is zero-dimensional.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Block/rank/byte diagnostics.
     pub fn stats(&self) -> CompressionStats {
-        self.stats
+        self.store.stats()
     }
 
     /// Bytes held by the compressed representation.
     pub fn stored_bytes(&self) -> usize {
-        self.stats.stored_bytes
+        self.stats().stored_bytes
     }
 
     /// The symmetric matvec `y = 0.5·(M + Mᵀ)·x` over the stored blocks
@@ -177,163 +116,26 @@ impl CompressedColumns {
     ///
     /// Panics when `x` does not match the operator dimension.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "matvec dimension mismatch");
-        let mut y = vec![0.0; self.n];
-        for b in &self.blocks {
-            match &b.data {
-                ColBlockData::Dense(m) => {
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        let mut acc = 0.0;
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            acc += m[(a, c)] * x[j];
-                        }
-                        y[i] += 0.5 * acc;
-                    }
-                    for (c, &j) in b.cols.iter().enumerate() {
-                        let mut acc = 0.0;
-                        for (a, &i) in b.rows.iter().enumerate() {
-                            acc += m[(a, c)] * x[i];
-                        }
-                        y[j] += 0.5 * acc;
-                    }
-                }
-                ColBlockData::LowRank(lr) => {
-                    let xs: Vec<f64> = b.cols.iter().map(|&j| x[j]).collect();
-                    let mut ys = vec![0.0; b.rows.len()];
-                    lr.matvec_into(&xs, 0.5, &mut ys);
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        y[i] += ys[a];
-                    }
-                    let xt: Vec<f64> = b.rows.iter().map(|&i| x[i]).collect();
-                    let mut yt = vec![0.0; b.cols.len()];
-                    lr.matvec_transpose_into(&xt, 0.5, &mut yt);
-                    for (c, &j) in b.cols.iter().enumerate() {
-                        y[j] += yt[c];
-                    }
-                }
-            }
-        }
-        y
+        self.store.matvec(x)
     }
 
-    /// Blocked symmetric matvec: fixed-width column chunks fan across
-    /// [`pdn_num::parallel`] workers in index order; within a chunk the
-    /// stored blocks stream **once**, each applied to every column from
-    /// an interleaved panel layout while its data is cache-hot. Per
-    /// column the floating-point arithmetic is exactly the serial
-    /// [`CompressedColumns::matvec`] sequence, so every result column is
-    /// bit-identical to a serial sweep for any `PDN_THREADS` (the chunk
-    /// width never depends on the worker count).
+    /// Blocked symmetric matvec over fixed-width column chunks fanned
+    /// across [`pdn_num::parallel`] workers in index order; every result
+    /// column is bit-identical to a serial [`CompressedColumns::matvec`]
+    /// for any `PDN_THREADS`.
     ///
     /// # Panics
     ///
     /// Panics when any column does not match the operator dimension.
     pub fn matvec_block(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        for x in cols {
-            assert_eq!(x.len(), self.n, "matvec dimension mismatch");
-        }
-        let chunks = cols.len().div_ceil(MATVEC_CHUNK);
-        let outs = parallel::par_map_indexed(chunks, |c| {
-            let lo = c * MATVEC_CHUNK;
-            let hi = (lo + MATVEC_CHUNK).min(cols.len());
-            self.matvec_panel(&cols[lo..hi])
-        });
-        outs.into_iter().flatten().collect()
-    }
-
-    /// One blocked symmetric sweep over a chunk in interleaved panel
-    /// layout (`x[j·w + q]` is column `q`'s entry `j`); see
-    /// [`CompressedColumns::matvec_block`] for the contract.
-    fn matvec_panel(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        // Constant panel stride with zero-held tail lanes, as in
-        // `CompressedKernel::matvec_panel`: every inner loop runs
-        // `MATVEC_CHUNK` independent lanes at a compile-time trip
-        // count, which vectorizes without touching any per-column
-        // accumulation order.
-        const W: usize = MATVEC_CHUNK;
-        let w = cols.len();
-        debug_assert!(w <= W);
-        let mut xp = vec![0.0; self.n * W];
-        for (q, x) in cols.iter().enumerate() {
-            for (j, &v) in x.iter().enumerate() {
-                xp[j * W + q] = v;
-            }
-        }
-        let mut yp = vec![0.0; self.n * W];
-        let mut acc = [0.0f64; W];
-        let mut scratch = Vec::new();
-        for b in &self.blocks {
-            match &b.data {
-                ColBlockData::Dense(m) => {
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        acc.fill(0.0);
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            let mv = m[(a, c)];
-                            for (aq, xq) in acc.iter_mut().zip(&xp[j * W..(j + 1) * W]) {
-                                *aq += mv * xq;
-                            }
-                        }
-                        for (yq, aq) in yp[i * W..(i + 1) * W].iter_mut().zip(&acc) {
-                            *yq += 0.5 * aq;
-                        }
-                    }
-                    for (c, &j) in b.cols.iter().enumerate() {
-                        acc.fill(0.0);
-                        for (a, &i) in b.rows.iter().enumerate() {
-                            let mv = m[(a, c)];
-                            for (aq, xq) in acc.iter_mut().zip(&xp[i * W..(i + 1) * W]) {
-                                *aq += mv * xq;
-                            }
-                        }
-                        for (yq, aq) in yp[j * W..(j + 1) * W].iter_mut().zip(&acc) {
-                            *yq += 0.5 * aq;
-                        }
-                    }
-                }
-                ColBlockData::LowRank(lr) => {
-                    let (nr, nc) = (b.rows.len(), b.cols.len());
-                    scratch.clear();
-                    scratch.resize(2 * (nr + nc) * W, 0.0);
-                    let (xs, rest) = scratch.split_at_mut(nc * W);
-                    let (yr, rest) = rest.split_at_mut(nr * W);
-                    let (xt, yt) = rest.split_at_mut(nr * W);
-                    for (c, &j) in b.cols.iter().enumerate() {
-                        xs[c * W..(c + 1) * W].copy_from_slice(&xp[j * W..(j + 1) * W]);
-                    }
-                    lr.matvec_panel_into(xs, W, 0.5, yr);
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        for (yq, vq) in yp[i * W..(i + 1) * W]
-                            .iter_mut()
-                            .zip(&yr[a * W..(a + 1) * W])
-                        {
-                            *yq += vq;
-                        }
-                    }
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        xt[a * W..(a + 1) * W].copy_from_slice(&xp[i * W..(i + 1) * W]);
-                    }
-                    lr.matvec_transpose_panel_into(xt, W, 0.5, yt);
-                    for (c, &j) in b.cols.iter().enumerate() {
-                        for (yq, vq) in yp[j * W..(j + 1) * W]
-                            .iter_mut()
-                            .zip(&yt[c * W..(c + 1) * W])
-                        {
-                            *yq += vq;
-                        }
-                    }
-                }
-            }
-        }
-        (0..w)
-            .map(|q| (0..self.n).map(|i| yp[i * W + q]).collect())
-            .collect()
+        self.store.matvec_block(cols)
     }
 
     /// The disjoint cluster partition for block-Jacobi preconditioning
     /// (tree leaves, or — `coarsen`ed — the maximal tree nodes of at
     /// most 8× the leaf size).
     pub fn leaf_clusters(&self, coarsen: bool) -> Vec<Vec<usize>> {
-        self.tree.clusters(coarsen)
+        self.store.leaf_clusters(coarsen)
     }
 
     /// Materializes the symmetrized dense restrictions
@@ -342,77 +144,27 @@ impl CompressedColumns {
     /// for Schur-complement solves (callers stamp any sparse additions,
     /// e.g. conductance, before factoring).
     pub fn cluster_restrictions(&self, clusters: &[Vec<usize>]) -> Vec<Matrix<f64>> {
-        let mut of: Vec<Option<(usize, usize)>> = vec![None; self.n];
-        for (ci, cl) in clusters.iter().enumerate() {
-            for (k, &i) in cl.iter().enumerate() {
-                of[i] = Some((ci, k));
-            }
-        }
-        let mut mats: Vec<Matrix<f64>> = clusters
-            .iter()
-            .map(|c| Matrix::zeros(c.len(), c.len()))
-            .collect();
-        // Accumulate the un-mirrored storage (each entry covered once),
-        // symmetrizing per entry: both (i,j) and (j,i) positions receive
-        // half of every stored coefficient.
-        for b in &self.blocks {
-            let row_cl: Vec<(usize, usize, usize)> = b
-                .rows
-                .iter()
-                .enumerate()
-                .filter_map(|(a, &i)| of[i].map(|(ci, pi)| (ci, pi, a)))
-                .collect();
-            if row_cl.is_empty() {
-                continue;
-            }
-            for (c, &j) in b.cols.iter().enumerate() {
-                let Some((cj, pj)) = of[j] else { continue };
-                for &(ci, pi, a) in &row_cl {
-                    if ci == cj {
-                        let v = match &b.data {
-                            ColBlockData::Dense(m) => m[(a, c)],
-                            ColBlockData::LowRank(lr) => lr.entry(a, c),
-                        };
-                        mats[ci][(pi, pj)] += 0.5 * v;
-                        mats[ci][(pj, pi)] += 0.5 * v;
-                    }
-                }
-            }
-        }
-        mats
+        self.store.cluster_restrictions(clusters)
     }
 
     /// Densifies the symmetrized operator — diagnostics and
     /// small-problem tests only.
     pub fn to_dense(&self) -> Matrix<f64> {
-        let mut out = Matrix::zeros(self.n, self.n);
-        for b in &self.blocks {
-            for (a, &i) in b.rows.iter().enumerate() {
-                for (c, &j) in b.cols.iter().enumerate() {
-                    let v = match &b.data {
-                        ColBlockData::Dense(m) => m[(a, c)],
-                        ColBlockData::LowRank(lr) => lr.entry(a, c),
-                    };
-                    out[(i, j)] += 0.5 * v;
-                    out[(j, i)] += 0.5 * v;
-                }
-            }
-        }
-        out
+        self.store.to_dense()
     }
 }
 
 /// Recursive row-side descent against a fixed column node: admissible
-/// row blocks become ACA factorizations of the materialized sub-panel,
+/// row blocks go through the certified ACA step on the materialized
+/// sub-panel (the block's index in `out` seeds its certification rows),
 /// inadmissible leaves stay dense slices of the panel.
 fn descend_rows(
     tree: &ClusterTree,
     spec: &CompressionSpec,
     row_node: usize,
     col_node: usize,
-    cols: &[usize],
     panel: &[Vec<f64>],
-    out: &mut Vec<ColBlock>,
+    out: &mut Vec<Block>,
 ) -> Result<(), AssembleBemError> {
     let (rn, cn) = (&tree.nodes[row_node], &tree.nodes[col_node]);
     let dist = rn.distance(cn);
@@ -420,73 +172,27 @@ fn descend_rows(
         row_node != col_node && dist > 0.0 && rn.diameter().min(cn.diameter()) <= spec.eta * dist;
     if !admissible {
         if let Some((l, r)) = rn.children {
-            descend_rows(tree, spec, l, col_node, cols, panel, out)?;
-            descend_rows(tree, spec, r, col_node, cols, panel, out)?;
+            descend_rows(tree, spec, l, col_node, panel, out)?;
+            descend_rows(tree, spec, r, col_node, panel, out)?;
             return Ok(());
         }
     }
-    let rows: Vec<usize> = tree.perm[rn.start..rn.end].to_vec();
-    let (r, c) = (rows.len(), cols.len());
-    if !admissible {
-        out.push(ColBlock {
-            data: ColBlockData::Dense(dense_slice(panel, &rows)),
-            rows,
-            cols: cols.to_vec(),
-        });
-        return Ok(());
-    }
-    let row_fn = |a: usize| -> Vec<f64> { (0..c).map(|b| panel[b][rows[a]]).collect() };
-    let col_fn = |b: usize| -> Vec<f64> { rows.iter().map(|&i| panel[b][i]).collect() };
-    let lr = aca(r, c, &row_fn, &col_fn, spec.tol / ACA_MARGIN, r.min(c))
-        .recompress(spec.tol / RECOMPRESS_MARGIN);
-    if lr.stored_bytes() >= 8 * r * c {
-        out.push(ColBlock {
-            data: ColBlockData::Dense(dense_slice(panel, &rows)),
-            rows,
-            cols: cols.to_vec(),
-        });
-        return Ok(());
-    }
-    // A-posteriori certification against the materialized data, same
-    // fixed-seed sampler as the kernel blocks (ordinal = block index).
-    let ordinal = out.len();
-    let frob = lr.frobenius_norm();
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (ordinal as u64).wrapping_mul(0xd134_2543_de82_ef95);
-    for _ in 0..CERT_ROWS.min(r) {
-        rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let a = (rng >> 33) as usize % r;
-        let exact = row_fn(a);
-        let approx = lr.row(a);
-        let err = exact
-            .iter()
-            .zip(&approx)
-            .map(|(e, p)| (e - p) * (e - p))
-            .sum::<f64>()
-            .sqrt();
-        let row_norm = exact.iter().map(|e| e * e).sum::<f64>().sqrt();
-        let scale = frob.max(row_norm);
-        if err > spec.tol * scale {
-            return Err(AssembleBemError::NumericalBreakdown(format!(
-                "column-panel certification failed on a {r}x{c} block (rank {}): sampled row \
-                 error {err:.3e} exceeds tol {:.1e} x block scale {scale:.3e}",
-                lr.rank(),
-                spec.tol
-            )));
-        }
-    }
-    out.push(ColBlock {
-        rows,
-        cols: cols.to_vec(),
-        data: ColBlockData::LowRank(lr),
+    let rows = tree.members(row_node);
+    let (r, c) = (rows.len(), panel.len());
+    let row = |a: usize| -> Vec<f64> { panel.iter().map(|col| col[rows[a]]).collect() };
+    let col = |b: usize| -> Vec<f64> { rows.iter().map(|&i| panel[b][i]).collect() };
+    let data = if admissible {
+        certified_block((r, c), &row, &col, spec, out.len())?
+    } else {
+        dense_block(r, c, &row)
+    };
+    out.push(Block {
+        rows: rows.to_vec(),
+        cols: tree.members(col_node).to_vec(),
+        mirror: true,
+        data,
     });
     Ok(())
-}
-
-/// Dense `rows × panel` slice of materialized columns.
-fn dense_slice(panel: &[Vec<f64>], rows: &[usize]) -> Matrix<f64> {
-    Matrix::from_fn(rows.len(), panel.len(), |a, b| panel[b][rows[a]])
 }
 
 #[cfg(test)]

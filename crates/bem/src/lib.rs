@@ -48,6 +48,7 @@
 //! ```
 
 pub mod assembly;
+mod blocks;
 pub mod columns;
 pub mod compress;
 pub mod system;

@@ -514,45 +514,24 @@ impl BoardSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildBoardError::Wiring`] when the model's port layout
-    /// does not match this board (different supply point, chip locations,
-    /// or site plan; a decap placed off every declared site; a port table
-    /// or reduced model whose port count differs from that layout), or
-    /// when an element model is invalid (bad line parameters…).
+    /// Returns [`BuildBoardError::Wiring`] when the model does not fit
+    /// this board ([`ExtractedModel::check_fits`]) or a decap sits off
+    /// every declared site, or when an element model is invalid (bad line
+    /// parameters…).
     pub fn wire(
         &self,
         model: &ExtractedModel,
         switching: usize,
     ) -> Result<BoardSystem, BuildBoardError> {
-        // 1. The model's port layout must be the one this board would
-        //    extract: ports are matched positionally below.
-        if model.supply_location != self.supply_location {
-            return Err(BuildBoardError::Wiring(
-                "extracted model was built for a different supply location".into(),
-            ));
-        }
-        let chip_locations: Vec<Point> = self.chips.iter().map(|c| c.location).collect();
-        if model.chip_locations != chip_locations {
-            return Err(BuildBoardError::Wiring(
-                "extracted model was built for different chip locations".into(),
-            ));
-        }
-        if !self.decap_sites.is_empty() && model.sites != self.decap_sites {
-            return Err(BuildBoardError::Wiring(
-                "extracted model was built for a different decap site plan".into(),
-            ));
-        }
+        // 1. The model must be the one this board extracts: its ports
+        //    are matched positionally below.
+        model.check_fits(self).map_err(BuildBoardError::Wiring)?;
         // Map each populated decap onto its mounting site. With no
         // declared sites the decaps *are* the site plan (site k = decap
         // k); with declared sites, match by location.
         let mut decap_sites = Vec::with_capacity(self.decaps.len());
         for (k, d) in self.decaps.iter().enumerate() {
             let site = if self.decap_sites.is_empty() {
-                if model.sites.get(k) != Some(&d.location) {
-                    return Err(BuildBoardError::Wiring(
-                        "extracted model was built for a different decap set".into(),
-                    ));
-                }
                 k
             } else {
                 model
@@ -568,27 +547,8 @@ impl BoardSpec {
             };
             decap_sites.push(site);
         }
-
-        // The port table lists the plane spec's own ports first, then the
-        // supply, one port per chip and one per site (`extract_model`).
         let eq = model.equivalent();
         let first = self.plane.ports().len();
-        let expected = first + 1 + self.chips.len() + model.sites.len();
-        if eq.port_count() != expected {
-            return Err(BuildBoardError::Wiring(format!(
-                "extracted model has {} ports but its layout names {expected}: \
-                 {first} plane, 1 supply, {} chip and {} site ports",
-                eq.port_count(),
-                self.chips.len(),
-                model.sites.len()
-            )));
-        }
-        if let Some(rom) = model.reduced_model().filter(|rom| rom.ports() != expected) {
-            return Err(BuildBoardError::Wiring(format!(
-                "reduced model has {} ports but its layout names {expected}",
-                rom.ports()
-            )));
-        }
 
         // 2. Stamp the macromodel into the netlist: the full R–L‖C branch
         //    network, or — when the model carries a reduction — one
@@ -831,6 +791,54 @@ impl ExtractedModel {
     /// The supply (VRM) attachment point the extraction was ported for.
     pub fn supply_location(&self) -> Point {
         self.supply_location
+    }
+
+    /// Checks that this model fits `board`, the one check made wherever
+    /// a model meets a board ([`BoardSpec::wire`],
+    /// [`ScenarioBatch::with_model`](crate::scenario::ScenarioBatch::with_model)
+    /// and the `pdn-service` disk cache). The model must have been
+    /// extracted for the board's supply point, chip locations and
+    /// [site plan](BoardSpec::site_plan), and its port table — and its
+    /// reduced model, if any — must hold the plane spec's own ports, then
+    /// one port for the supply, each chip and each site.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch.
+    pub fn check_fits(&self, board: &BoardSpec) -> Result<(), String> {
+        let differ =
+            |what: &str| format!("extracted model does not match the board: {what} differ");
+        if self.supply_location != board.supply_location {
+            return Err(differ("supply locations"));
+        }
+        if !self
+            .chip_locations
+            .iter()
+            .eq(board.chips.iter().map(|c| &c.location))
+        {
+            return Err(differ("chip locations"));
+        }
+        if self.sites != board.site_plan() {
+            return Err(differ("decap site plans"));
+        }
+        let first = board.plane.ports().len();
+        let expected = first + 1 + self.chip_locations.len() + self.sites.len();
+        let ports = self.equivalent().port_count();
+        if ports != expected {
+            return Err(format!(
+                "extracted model has {ports} ports but its layout names {expected}: \
+                 {first} plane, 1 supply, {} chip and {} site ports",
+                self.chip_locations.len(),
+                self.sites.len()
+            ));
+        }
+        if let Some(rom) = self.reduced_model().filter(|rom| rom.ports() != expected) {
+            return Err(format!(
+                "reduced model has {} ports but its layout names {expected}",
+                rom.ports()
+            ));
+        }
+        Ok(())
     }
 
     /// Decomposes the model into the serializable [`ModelParts`] closure:

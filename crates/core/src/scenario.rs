@@ -321,8 +321,10 @@ impl ScenarioBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioBatchError::InvalidInput`] when the model's
-    /// supply point, chip locations, or sites differ from the board's.
+    /// Returns [`ScenarioBatchError::InvalidInput`] when the model does
+    /// not fit the board ([`ExtractedModel::check_fits`]): its supply
+    /// point, chip locations or sites differ from the board's, or its
+    /// port table or reduced model has the wrong number of ports.
     pub fn with_model(
         board: &BoardSpec,
         model: impl Into<Arc<ExtractedModel>>,
@@ -330,21 +332,9 @@ impl ScenarioBatch {
         let model = model.into();
         let mut board = board.clone();
         board.decap_sites = board.site_plan();
-        let mismatch = |what: &str| {
-            ScenarioBatchError::InvalidInput(format!(
-                "extracted model does not match the board: {what} differ"
-            ))
-        };
-        if model.supply_location() != board.supply_location {
-            return Err(mismatch("supply locations"));
-        }
-        let chip_locations: Vec<_> = board.chips.iter().map(|c| c.location).collect();
-        if model.chip_locations() != chip_locations.as_slice() {
-            return Err(mismatch("chip locations"));
-        }
-        if model.sites() != board.decap_sites.as_slice() {
-            return Err(mismatch("decap site plans"));
-        }
+        model
+            .check_fits(&board)
+            .map_err(ScenarioBatchError::InvalidInput)?;
         Ok(ScenarioBatch { board, model })
     }
 

@@ -16,17 +16,17 @@
 
 use crate::matrix::Matrix;
 
-/// Interleaved-panel width with a dedicated constant-trip-count matvec
-/// path ([`LowRank::matvec_panel_into`]): lanes are independent columns,
-/// so the fixed-width inner loops vectorize without reassociating any
-/// per-column sum. Callers chunking larger panels should chunk by this.
+/// Interleaved-panel width of [`LowRank::matvec_panel_into`]: lanes are
+/// independent columns, so the fixed-width inner loops vectorize without
+/// reassociating any per-column sum. Callers chunk larger panels by this.
 pub const PANEL_LANES: usize = 8;
 
 /// `y[i·W + q] += s · Σ_l scatter[i,l] · (Σ_j gather[j,l] · x[j·W + q])`
-/// — one `U·Vᵀ`-style panel application with the factor roles picked by
-/// the caller (forward: gather = `V`, scatter = `U`; transpose swaps
-/// them). Lane `q`'s arithmetic is exactly the serial matvec sequence.
-fn panel_apply_fixed<const W: usize>(
+/// over `W =` [`PANEL_LANES`] lanes — one `U·Vᵀ`-style panel application
+/// with the factor roles picked by the caller (forward: gather = `V`,
+/// scatter = `U`; transpose swaps them). Lane `q`'s arithmetic is
+/// exactly the serial matvec sequence.
+fn panel_apply(
     gather: &Matrix<f64>,
     scatter: &Matrix<f64>,
     rank: usize,
@@ -34,6 +34,7 @@ fn panel_apply_fixed<const W: usize>(
     s: f64,
     y: &mut [f64],
 ) {
+    const W: usize = PANEL_LANES;
     let mut t = [0.0f64; W];
     for l in 0..rank {
         t.fill(0.0);
@@ -49,38 +50,6 @@ fn panel_apply_fixed<const W: usize>(
         for i in 0..scatter.nrows() {
             let uu = scatter[(i, l)];
             for (yq, tq) in y[i * W..(i + 1) * W].iter_mut().zip(&t) {
-                *yq += tq * uu;
-            }
-        }
-    }
-}
-
-/// Runtime-width twin of [`panel_apply_fixed`] for panels narrower than
-/// [`PANEL_LANES`]; identical arithmetic order per lane.
-fn panel_apply_dyn(
-    gather: &Matrix<f64>,
-    scatter: &Matrix<f64>,
-    rank: usize,
-    x: &[f64],
-    w: usize,
-    s: f64,
-    y: &mut [f64],
-) {
-    let mut t = vec![0.0f64; w];
-    for l in 0..rank {
-        t.fill(0.0);
-        for j in 0..gather.nrows() {
-            let vv = gather[(j, l)];
-            for (tq, xq) in t.iter_mut().zip(&x[j * w..(j + 1) * w]) {
-                *tq += vv * xq;
-            }
-        }
-        for tq in t.iter_mut() {
-            *tq *= s;
-        }
-        for i in 0..scatter.nrows() {
-            let uu = scatter[(i, l)];
-            for (yq, tq) in y[i * w..(i + 1) * w].iter_mut().zip(&t) {
                 *yq += tq * uu;
             }
         }
@@ -177,27 +146,23 @@ impl LowRank {
         }
     }
 
-    /// Panel variant of [`LowRank::matvec_into`] over `w` interleaved
-    /// columns (`x[j·w + q]` is column `q`'s entry `j`, likewise `y`):
-    /// every factor entry is loaded once and applied across the whole
-    /// panel, while each column's floating-point arithmetic is exactly
-    /// the serial [`LowRank::matvec_into`] sequence — the panel result
-    /// is bit-identical to `w` serial applications. Panels of exactly
-    /// [`PANEL_LANES`] columns take a constant-width path whose inner
-    /// loops vectorize across the independent lanes.
+    /// Panel variant of [`LowRank::matvec_into`] over [`PANEL_LANES`]
+    /// interleaved columns (`x[j·W + q]` is column `q`'s entry `j`,
+    /// likewise `y`): every factor entry is loaded once and applied
+    /// across the whole panel, while each column's floating-point
+    /// arithmetic is exactly the serial [`LowRank::matvec_into`]
+    /// sequence — the panel result is bit-identical to `W` serial
+    /// applications.
     ///
     /// # Panics
     ///
-    /// Panics when the interleaved buffers do not match `w` columns of
-    /// the factor dimensions.
-    pub fn matvec_panel_into(&self, x: &[f64], w: usize, s: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols() * w, "panel x dimension mismatch");
-        assert_eq!(y.len(), self.nrows() * w, "panel y dimension mismatch");
-        if w == PANEL_LANES {
-            panel_apply_fixed::<PANEL_LANES>(&self.v, &self.u, self.rank(), x, s, y);
-        } else {
-            panel_apply_dyn(&self.v, &self.u, self.rank(), x, w, s, y);
-        }
+    /// Panics when the interleaved buffers do not match [`PANEL_LANES`]
+    /// columns of the factor dimensions.
+    pub fn matvec_panel_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
+        const W: usize = PANEL_LANES;
+        assert_eq!(x.len(), self.ncols() * W, "panel x dimension mismatch");
+        assert_eq!(y.len(), self.nrows() * W, "panel y dimension mismatch");
+        panel_apply(&self.v, &self.u, self.rank(), x, s, y);
     }
 
     /// Panel variant of [`LowRank::matvec_transpose_into`]; same
@@ -206,16 +171,13 @@ impl LowRank {
     ///
     /// # Panics
     ///
-    /// Panics when the interleaved buffers do not match `w` columns of
-    /// the factor dimensions.
-    pub fn matvec_transpose_panel_into(&self, x: &[f64], w: usize, s: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.nrows() * w, "panel x dimension mismatch");
-        assert_eq!(y.len(), self.ncols() * w, "panel y dimension mismatch");
-        if w == PANEL_LANES {
-            panel_apply_fixed::<PANEL_LANES>(&self.u, &self.v, self.rank(), x, s, y);
-        } else {
-            panel_apply_dyn(&self.u, &self.v, self.rank(), x, w, s, y);
-        }
+    /// Panics when the interleaved buffers do not match [`PANEL_LANES`]
+    /// columns of the factor dimensions.
+    pub fn matvec_transpose_panel_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
+        const W: usize = PANEL_LANES;
+        assert_eq!(x.len(), self.nrows() * W, "panel x dimension mismatch");
+        assert_eq!(y.len(), self.ncols() * W, "panel y dimension mismatch");
+        panel_apply(&self.u, &self.v, self.rank(), x, s, y);
     }
 
     /// `y += s · (U·Vᵀ)ᵀ·x = s · V·Uᵀ·x`.

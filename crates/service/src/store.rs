@@ -14,9 +14,11 @@
 //! The trailing digest makes truncation and bit-rot loud: a file that
 //! does not verify is reported on stderr, counted in
 //! [`CacheStats::load_failures`], and treated as a miss (the model is
-//! re-extracted and the entry rewritten). A version bump invalidates old
-//! files the same way — there is no migration, extraction being the
-//! source of truth.
+//! re-extracted and the entry rewritten). So is a file that decodes but
+//! does not fit the board it was requested for
+//! ([`ExtractedModel::check_fits`](pdn_core::ExtractedModel::check_fits)).
+//! A version bump invalidates old files the same way — there is no
+//! migration, extraction being the source of truth.
 //!
 //! # Tiers and keys
 //!
@@ -373,7 +375,7 @@ impl ExtractionCache {
         key: &BoardKey,
     ) -> Result<(Arc<ExtractedModel>, CacheOutcome), BuildBoardError> {
         let path = self.model_path(key);
-        if let Some(model) = self.load_disk(&path) {
+        if let Some(model) = self.load_disk(&path, board) {
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::new(model), CacheOutcome::DiskHit));
         }
@@ -399,10 +401,11 @@ impl ExtractionCache {
         }
     }
 
-    /// Loads and verifies a model file; any failure (other than the file
+    /// Loads and verifies a model file, which must decode and fit `board`
+    /// ([`ExtractedModel::check_fits`]); any failure (other than the file
     /// simply not existing) warns on stderr, bumps `load_failures`, and
-    /// reads as a miss.
-    fn load_disk(&self, path: &Path) -> Option<ExtractedModel> {
+    /// reads as a miss, so the entry is re-extracted and overwritten.
+    fn load_disk(&self, path: &Path, board: &BoardSpec) -> Option<ExtractedModel> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
@@ -411,10 +414,14 @@ impl ExtractionCache {
                 return None;
             }
         };
-        match deserialize_model(&bytes) {
-            Ok(parts) => Some(ExtractedModel::from_parts(parts)),
-            Err(e) => {
-                self.warn_load(path, &e.to_string());
+        let checked = deserialize_model(&bytes)
+            .map_err(|e| e.to_string())
+            .map(ExtractedModel::from_parts)
+            .and_then(|model| model.check_fits(board).map(|()| model));
+        match checked {
+            Ok(model) => Some(model),
+            Err(why) => {
+                self.warn_load(path, &why);
                 None
             }
         }

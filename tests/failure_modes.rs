@@ -481,9 +481,10 @@ fn touchstone_rejects_mismatched_sweeps_and_bad_references() {
 #[test]
 fn model_port_table_that_disagrees_with_its_layout_is_a_wiring_error() {
     // The bare study-A board has two ports (supply, chip); the sited one
-    // adds two decap sites. Wiring must refuse a port table or reduced
-    // model of the wrong size instead of indexing past it, with or
-    // without a populated site.
+    // adds two decap sites. A batch must refuse a port table or reduced
+    // model of the wrong size up front, naming both counts, and wiring
+    // must refuse it instead of indexing past it, with or without a
+    // populated site.
     let bare = boards::ssn_study_a_board(0.5).expect("valid board");
     let sites = vec![
         Point::new(inch(4.0), inch(3.5)),
@@ -514,7 +515,7 @@ fn model_port_table_that_disagrees_with_its_layout_is_a_wiring_error() {
                 reduced: None,
                 ..bare_model.to_parts()
             },
-            "extracted model has 2 ports",
+            "extracted model has 2 ports but its layout names 4",
         ),
         // The sited board's equivalent with the bare board's two-port
         // reduced model.
@@ -523,21 +524,22 @@ fn model_port_table_that_disagrees_with_its_layout_is_a_wiring_error() {
                 reduced: bare_model.reduced_model().cloned(),
                 ..sited_parts
             },
-            "reduced model has 2 ports",
+            "reduced model has 2 ports but its layout names 4",
         ),
     ];
     for (parts, expected) in mismatched {
-        let batch = ScenarioBatch::with_model(&sited, ExtractedModel::from_parts(parts))
-            .expect("supply, chip and site locations match");
+        let model = ExtractedModel::from_parts(parts);
+        match ScenarioBatch::with_model(&sited, model.clone()) {
+            Err(ScenarioBatchError::InvalidInput(msg)) => assert!(msg.contains(expected), "{msg}"),
+            other => panic!("expected InvalidInput, got {:?}", other.err()),
+        }
         for scenario in [
             Scenario::switching(4),
             Scenario::switching(4).with_decaps(vec![(1, DecapValue::ceramic_100nf())]),
         ] {
-            match batch.run(&[scenario], 2e-9, 0.1e-9) {
-                Err(ScenarioBatchError::Build {
-                    index: 0,
-                    source: BuildBoardError::Wiring(msg),
-                }) => assert!(msg.contains(expected), "{msg}"),
+            let board = scenario.apply_to(&sited).expect("site 1 is declared");
+            match board.wire(&model, scenario.switching) {
+                Err(BuildBoardError::Wiring(msg)) => assert!(msg.contains(expected), "{msg}"),
                 other => panic!("expected a wiring error, got {:?}", other.err()),
             }
         }

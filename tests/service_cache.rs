@@ -188,9 +188,11 @@ fn damaged_model_files_fail_loudly_and_reextract() {
 }
 
 /// A model file with a valid checksum whose port table disagrees with
-/// its layout (the equivalent of a board without sites, filed under a
-/// board with two) is rejected as invalid, counted and re-extracted; it
-/// never reaches the wiring.
+/// its layout is rejected, counted and re-extracted; it never reaches
+/// the wiring. Two cases: the equivalent of a board without sites, filed
+/// under a board with two (the codec rejects it), and a one-site model
+/// filed with an empty site list under the bare board's key (the file
+/// decodes, but does not fit the board it is served for).
 #[test]
 fn inconsistent_model_file_is_discarded_and_reextracted() {
     let root = CacheRoot::new("inconsistent");
@@ -222,6 +224,26 @@ fn inconsistent_model_file_is_discarded_and_reextracted() {
         .unwrap()
         .run(&[scenario], 4e-9, 0.1e-9)
         .expect("the fresh model wires and runs");
+
+    let root = CacheRoot::new("inconsistent-unsited");
+    let sited = hp_board(mm(2.0)).with_decap_site(Point::new(mm(28.0), mm(8.0)));
+    let parts = pdn::core::ModelParts {
+        sites: Vec::new(),
+        ..sited.extract_model(&sel()).unwrap().to_parts()
+    };
+    let bytes = serialize_model(&parts);
+    assert!(deserialize_model(&bytes).is_ok(), "the file alone decodes");
+    let cache = ExtractionCache::at(&root.0, 4);
+    let path = cache.model_path(&pdn_service::BoardKey::of(&bare, &sel()));
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    let (_, outcome) = cache.get_or_extract(&bare, &sel()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Extracted, "falls back to extraction");
+    assert_eq!(cache.stats().load_failures, 1, "failure counted");
+    let fresh = ExtractionCache::at(&root.0, 4);
+    let (_, outcome) = fresh.get_or_extract(&bare, &sel()).unwrap();
+    assert_eq!(outcome, CacheOutcome::DiskHit, "the rewritten entry serves");
+    assert_eq!(fresh.stats().load_failures, 0);
 }
 
 /// Concurrent jobs on one uncached board perform exactly one extraction:
