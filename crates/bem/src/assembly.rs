@@ -15,10 +15,11 @@
 //!   loop current, so pass the series sheet resistance of the pair (e.g.
 //!   `2 × 6 mΩ/sq` for two identical tungsten planes).
 
+use crate::offsets::{LinkOffsets, OffsetTable};
 use pdn_geom::mesh::{Link, LinkDirection};
 use pdn_geom::{PlaneMesh, PlanePair};
-use pdn_greens::{LayeredKernel, Rectangle, SurfaceImpedance};
-use pdn_num::{parallel, GaussLegendre, Matrix};
+use pdn_greens::{LayeredKernel, SurfaceImpedance};
+use pdn_num::{parallel, Matrix};
 use std::error::Error;
 use std::fmt;
 
@@ -193,24 +194,6 @@ pub(crate) fn scalar_kernel(pair: &PlanePair, opts: &BemOptions) -> LayeredKerne
     }
 }
 
-/// Fills `out` with the panel integral of `g` at every center offset,
-/// through the lane-batched kernels — point matching or Galerkin according
-/// to `quad`. Per element bit-identical to the scalar `panel_integral` /
-/// `panel_galerkin` calls the assembly loops used to make.
-pub(crate) fn kernel_row(
-    g: &LayeredKernel,
-    off_x: &[f64],
-    off_y: &[f64],
-    cell: Rectangle,
-    quad: &Option<GaussLegendre>,
-    out: &mut [f64],
-) {
-    match quad {
-        None => g.panel_integral_batch(off_x, off_y, cell, out),
-        Some(q) => g.panel_galerkin_batch(off_x, off_y, cell, cell, q, out),
-    }
-}
-
 /// Assembles `P`, `L`, and `R` for a meshed plane over the given pair.
 ///
 /// # Errors
@@ -227,32 +210,18 @@ pub fn assemble_matrices(
     if n == 0 {
         return Err(AssembleBemError::EmptyMesh);
     }
-    let g_phi = scalar_kernel(pair, opts);
-    let cell = Rectangle::new(mesh.dx(), mesh.dy());
     let area = mesh.cell_area();
-    let quad = match opts.testing {
-        Testing::PointMatching => None,
-        Testing::Galerkin { order } => Some(GaussLegendre::new(order.max(2))),
-    };
 
     // --- Potential coefficients -----------------------------------------
-    // The O(N²) kernel-integration loop dominates assembly; rows are
-    // independent, so fan them out. Only the upper triangle (j ≥ i) is
-    // integrated — row cost shrinks with i, which the dynamic scheduler in
-    // `par_map_indexed` balances across workers. Within a row the offsets
-    // are batched into SoA lanes for the vectorized kernel; per-entry
-    // values are bit-identical to the scalar calls.
-    let centers = mesh.cell_centers();
+    // Rows are independent, so fan them out. Only the upper triangle
+    // (j ≥ i) is read — row cost shrinks with i, which the dynamic
+    // scheduler in `par_map_indexed` balances across workers. Each
+    // distinct centre offset is integrated once, by the row that first
+    // needs it; per entry the value is bit-identical to a direct call.
+    let table = OffsetTable::cells(mesh, pair, opts);
     let p_rows: Vec<Vec<f64>> = parallel::par_map_indexed(n, |i| {
-        let len = n - i;
-        let mut ox = Vec::with_capacity(len);
-        let mut oy = Vec::with_capacity(len);
-        for j in i..n {
-            ox.push(centers[i].x - centers[j].x);
-            oy.push(centers[i].y - centers[j].y);
-        }
-        let mut row = vec![0.0; len];
-        kernel_row(&g_phi, &ox, &oy, cell, &quad, &mut row);
+        let mut row = vec![0.0; n - i];
+        table.fill((i..n).map(|j| (i, j)), &mut row);
         for v in &mut row {
             *v /= area;
         }
@@ -290,33 +259,21 @@ pub fn assemble_link_matrices(
     opts: &BemOptions,
 ) -> (Matrix<f64>, Vec<f64>) {
     let m = links.len();
-    let g_a = LayeredKernel::vector_potential(pair.separation);
-    let cell = Rectangle::new(dx, dy);
     let area = dx * dy;
-    let quad = match opts.testing {
-        Testing::PointMatching => None,
-        Testing::Galerkin { order } => Some(GaussLegendre::new(order.max(2))),
-    };
+    let table = LinkOffsets::new(links, dx, dy, pair, opts.testing);
     // Orthogonal links have zero quasi-static mutual, so each row batches
     // only its same-direction partners and scatters the results back.
     let l_rows: Vec<Vec<f64>> = parallel::par_map_indexed(m, |i| {
         // L = (1/(wᵢwⱼ))·∬∬ G_A; the patch width is the dimension
         // transverse to current flow.
-        let w = match links[i].direction {
+        let dir = links[i].direction;
+        let w = match dir {
             LinkDirection::X => dy,
             LinkDirection::Y => dx,
         };
-        let idx: Vec<usize> = (i..m)
-            .filter(|&j| links[j].direction == links[i].direction)
-            .collect();
-        let mut ox = Vec::with_capacity(idx.len());
-        let mut oy = Vec::with_capacity(idx.len());
-        for &j in &idx {
-            ox.push(links[i].center.x - links[j].center.x);
-            oy.push(links[i].center.y - links[j].center.y);
-        }
+        let idx: Vec<usize> = (i..m).filter(|&j| links[j].direction == dir).collect();
         let mut vals = vec![0.0; idx.len()];
-        kernel_row(&g_a, &ox, &oy, cell, &quad, &mut vals);
+        table.fill(dir, idx.iter().map(|&j| (i, j)), &mut vals);
         let mut row = vec![0.0; m - i];
         for (t, &j) in idx.iter().enumerate() {
             let integral = vals[t] * area;
@@ -372,39 +329,35 @@ pub fn assemble_link_matrices(
 /// their mutuals). The kernels and quadrature match [`assemble_matrices`]
 /// entry by entry, and the result is bit-identical for any worker count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when a block slice does not match the mesh's cell/link count.
+/// [`AssembleBemError::InvalidInput`] naming both lengths when a block
+/// slice does not match the mesh's cell or link count.
 pub fn cross_block_lumping(
     mesh: &PlaneMesh,
     cell_block: &[usize],
     link_block: &[usize],
     pair: &PlanePair,
     opts: &BemOptions,
-) -> (Vec<f64>, Vec<f64>) {
+) -> Result<(Vec<f64>, Vec<f64>), AssembleBemError> {
     let n = mesh.cell_count();
     let m = mesh.link_count();
-    assert_eq!(cell_block.len(), n, "cell_block length mismatch");
-    assert_eq!(link_block.len(), m, "link_block length mismatch");
-    let g_phi = scalar_kernel(pair, opts);
-    let g_a = LayeredKernel::vector_potential(pair.separation);
-    let cell = Rectangle::new(mesh.dx(), mesh.dy());
+    for (what, len, want) in [
+        ("cell_block", cell_block.len(), n),
+        ("link_block", link_block.len(), m),
+    ] {
+        if len != want {
+            return Err(AssembleBemError::InvalidInput(format!(
+                "{what} has {len} entries but the mesh has {want}"
+            )));
+        }
+    }
     let area = mesh.cell_area();
-    let quad = match opts.testing {
-        Testing::PointMatching => None,
-        Testing::Galerkin { order } => Some(GaussLegendre::new(order.max(2))),
-    };
-    let centers = mesh.cell_centers();
+    let cells = OffsetTable::cells(mesh, pair, opts);
     let p_lump = parallel::par_map_indexed(n, |i| {
         let idx: Vec<usize> = (0..n).filter(|&j| cell_block[j] != cell_block[i]).collect();
-        let mut ox = Vec::with_capacity(idx.len());
-        let mut oy = Vec::with_capacity(idx.len());
-        for &j in &idx {
-            ox.push(centers[i].x - centers[j].x);
-            oy.push(centers[i].y - centers[j].y);
-        }
         let mut vals = vec![0.0; idx.len()];
-        kernel_row(&g_phi, &ox, &oy, cell, &quad, &mut vals);
+        cells.fill(idx.iter().map(|&j| (i, j)), &mut vals);
         // Same ascending-j accumulation as the dropped-row-sum contract.
         let mut s = 0.0;
         for &p in &vals {
@@ -413,22 +366,18 @@ pub fn cross_block_lumping(
         s
     });
     let links = mesh.links();
+    let link_table = LinkOffsets::new(links, mesh.dx(), mesh.dy(), pair, opts.testing);
     let l_lump = parallel::par_map_indexed(m, |i| {
-        let w = match links[i].direction {
+        let dir = links[i].direction;
+        let w = match dir {
             LinkDirection::X => mesh.dy(),
             LinkDirection::Y => mesh.dx(),
         };
         let idx: Vec<usize> = (0..m)
-            .filter(|&j| link_block[j] != link_block[i] && links[j].direction == links[i].direction)
+            .filter(|&j| link_block[j] != link_block[i] && links[j].direction == dir)
             .collect();
-        let mut ox = Vec::with_capacity(idx.len());
-        let mut oy = Vec::with_capacity(idx.len());
-        for &j in &idx {
-            ox.push(links[i].center.x - links[j].center.x);
-            oy.push(links[i].center.y - links[j].center.y);
-        }
         let mut vals = vec![0.0; idx.len()];
-        kernel_row(&g_a, &ox, &oy, cell, &quad, &mut vals);
+        link_table.fill(dir, idx.iter().map(|&j| (i, j)), &mut vals);
         let mut s = 0.0;
         for &v in &vals {
             let integral = v * area;
@@ -436,7 +385,7 @@ pub fn cross_block_lumping(
         }
         s
     });
-    (p_lump, l_lump)
+    Ok((p_lump, l_lump))
 }
 
 #[cfg(test)]
@@ -628,7 +577,8 @@ mod tests {
             &link_block,
             &pair,
             &BemOptions::default(),
-        );
+        )
+        .unwrap();
         for i in 0..mesh.cell_count() {
             let want: f64 = (0..mesh.cell_count())
                 .filter(|&j| cell_block[j] != cell_block[i])
@@ -649,6 +599,25 @@ mod tests {
                 l_lump[i]
             );
             assert!(l_lump[i] >= 0.0);
+        }
+    }
+
+    #[test]
+    fn lumping_rejects_mismatched_block_slices() {
+        let (mesh, pair, _) = small_system();
+        let (n, m) = (mesh.cell_count(), mesh.link_count());
+        let opts = BemOptions::default();
+        for (cells, links, named) in [(n - 1, m, [n - 1, n]), (n, m + 2, [m + 2, m])] {
+            let err = cross_block_lumping(&mesh, &vec![0; cells], &vec![0; links], &pair, &opts)
+                .unwrap_err();
+            match err {
+                AssembleBemError::InvalidInput(msg) => {
+                    for len in named {
+                        assert!(msg.contains(&len.to_string()), "names {len}: {msg}");
+                    }
+                }
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
         }
     }
 

@@ -176,6 +176,15 @@ impl BlockStore {
 
     /// `y = A·x`, applying each block (and its mirror) in list order.
     ///
+    /// Every output is summed in a fixed sequence: a dense block's
+    /// primary pass sums each row over its columns in ascending order
+    /// from `0.0` and adds `w·sum`; its mirror pass sums each column over
+    /// the rows in ascending order; a low-rank block goes through
+    /// [`LowRank::matvec_into`] into a zeroed buffer. Independent sums
+    /// run interleaved ([`ROWS`] rows, [`COLS`] columns at once), so the
+    /// pass is bound by multiply-add throughput rather than latency
+    /// without reordering any addition.
+    ///
     /// # Panics
     ///
     /// Panics when `x` does not match the operator dimension.
@@ -183,40 +192,28 @@ impl BlockStore {
         assert_eq!(x.len(), self.n, "matvec dimension mismatch");
         let w = self.symmetry.weight();
         let mut y = vec![0.0; self.n];
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for b in &self.blocks {
+            gather(&mut xs, x, &b.cols);
             match &b.data {
                 BlockData::Dense(m) => {
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        let mut acc = 0.0;
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            acc += m[(a, c)] * x[j];
-                        }
-                        y[i] += w * acc;
-                    }
+                    dense_rows(m, &xs, w, &b.rows, &mut y);
                     if b.mirror {
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            let mut acc = 0.0;
-                            for (a, &i) in b.rows.iter().enumerate() {
-                                acc += m[(a, c)] * x[i];
-                            }
-                            y[j] += w * acc;
-                        }
+                        gather(&mut xs, x, &b.rows);
+                        dense_cols(m, &xs, w, &b.cols, &mut y);
                     }
                 }
                 BlockData::LowRank(lr) => {
-                    let xs: Vec<f64> = b.cols.iter().map(|&j| x[j]).collect();
-                    let mut ys = vec![0.0; b.rows.len()];
+                    ys.clear();
+                    ys.resize(b.rows.len(), 0.0);
                     lr.matvec_into(&xs, w, &mut ys);
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        y[i] += ys[a];
-                    }
+                    scatter_add(&mut y, &b.rows, &ys);
                     if b.mirror {
-                        let xt: Vec<f64> = b.rows.iter().map(|&i| x[i]).collect();
-                        let mut yt = vec![0.0; b.cols.len()];
-                        lr.matvec_transpose_into(&xt, w, &mut yt);
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            y[j] += yt[c];
-                        }
+                        gather(&mut xs, x, &b.rows);
+                        ys.clear();
+                        ys.resize(b.cols.len(), 0.0);
+                        lr.matvec_transpose_into(&xs, w, &mut ys);
+                        scatter_add(&mut y, &b.cols, &ys);
                     }
                 }
             }
@@ -409,6 +406,78 @@ impl BlockStore {
     }
 }
 
+/// Rows a dense block's primary pass sums at once.
+const ROWS: usize = 8;
+/// Columns a dense block's mirror pass sums at once.
+const COLS: usize = 16;
+
+/// `xs = x[idx]`, reusing the buffer.
+fn gather(xs: &mut Vec<f64>, x: &[f64], idx: &[usize]) {
+    xs.clear();
+    xs.extend(idx.iter().map(|&j| x[j]));
+}
+
+/// `y[idx[a]] += v[a]` for every `a`.
+fn scatter_add(y: &mut [f64], idx: &[usize], v: &[f64]) {
+    for (&i, &va) in idx.iter().zip(v) {
+        y[i] += va;
+    }
+}
+
+/// Primary pass of a dense block: `y[rows[a]] += w·Σ_c m[a, c]·xs[c]`,
+/// each sum from `0.0` in ascending `c`, [`ROWS`] rows at a time.
+fn dense_rows(m: &Matrix<f64>, xs: &[f64], w: f64, rows: &[usize], y: &mut [f64]) {
+    let c = xs.len();
+    let full = rows.len() / ROWS * ROWS;
+    for a0 in (0..full).step_by(ROWS) {
+        let r: [&[f64]; ROWS] = std::array::from_fn(|k| &m.row(a0 + k)[..c]);
+        let mut acc = [0.0f64; ROWS];
+        for (j, &xj) in xs.iter().enumerate() {
+            for (ak, rk) in acc.iter_mut().zip(&r) {
+                *ak += rk[j] * xj;
+            }
+        }
+        for (&i, &ak) in rows[a0..a0 + ROWS].iter().zip(&acc) {
+            y[i] += w * ak;
+        }
+    }
+    for (a, &i) in rows.iter().enumerate().skip(full) {
+        let mut acc = 0.0;
+        for (&mv, &xj) in m.row(a).iter().zip(xs) {
+            acc += mv * xj;
+        }
+        y[i] += w * acc;
+    }
+}
+
+/// Mirror pass of a dense block: `y[cols[c]] += w·Σ_a m[a, c]·xs[a]`,
+/// each sum from `0.0` in ascending `a`, over contiguous row segments
+/// of [`COLS`] columns.
+fn dense_cols(m: &Matrix<f64>, xs: &[f64], w: f64, cols: &[usize], y: &mut [f64]) {
+    let full = cols.len() / COLS * COLS;
+    for c0 in (0..full).step_by(COLS) {
+        column_sums(m, xs, w, c0, &cols[c0..c0 + COLS], y);
+    }
+    if full < cols.len() {
+        column_sums(m, xs, w, full, &cols[full..], y);
+    }
+}
+
+/// The mirror-pass sums of the at most [`COLS`] block columns from `c0`,
+/// scattered to `idx`. Inlined so a full segment's width is a constant.
+#[inline(always)]
+fn column_sums(m: &Matrix<f64>, xs: &[f64], w: f64, c0: usize, idx: &[usize], y: &mut [f64]) {
+    let mut acc = [0.0f64; COLS];
+    for (a, &xa) in xs.iter().enumerate() {
+        for (ak, &mv) in acc.iter_mut().zip(&m.row(a)[c0..c0 + idx.len()]) {
+            *ak += mv * xa;
+        }
+    }
+    for (&j, &ak) in idx.iter().zip(&acc) {
+        y[j] += w * ak;
+    }
+}
+
 /// The exact dense `r × c` block whose row `a` is `row(a)`.
 pub(crate) fn dense_block(r: usize, c: usize, row: &dyn Fn(usize) -> Vec<f64>) -> BlockData {
     let mut m = Matrix::zeros(r, c);
@@ -474,6 +543,204 @@ pub(crate) fn certified_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain serial matvec: one dependent sum per output, low-rank
+    /// inner products through `Iterator::sum`. The reference the
+    /// interleaved matvec must match bit for bit.
+    fn reference_matvec(store: &BlockStore, x: &[f64]) -> Vec<f64> {
+        let w = store.symmetry.weight();
+        let mut y = vec![0.0; store.n];
+        for b in &store.blocks {
+            match &b.data {
+                BlockData::Dense(m) => {
+                    for (a, &i) in b.rows.iter().enumerate() {
+                        let mut acc = 0.0;
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            acc += m[(a, c)] * x[j];
+                        }
+                        y[i] += w * acc;
+                    }
+                    if b.mirror {
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            let mut acc = 0.0;
+                            for (a, &i) in b.rows.iter().enumerate() {
+                                acc += m[(a, c)] * x[i];
+                            }
+                            y[j] += w * acc;
+                        }
+                    }
+                }
+                BlockData::LowRank(lr) => {
+                    let xs: Vec<f64> = b.cols.iter().map(|&j| x[j]).collect();
+                    let mut ys = vec![0.0; b.rows.len()];
+                    reference_low_rank(lr.v(), lr.u(), &xs, w, &mut ys);
+                    for (a, &i) in b.rows.iter().enumerate() {
+                        y[i] += ys[a];
+                    }
+                    if b.mirror {
+                        let xt: Vec<f64> = b.rows.iter().map(|&i| x[i]).collect();
+                        let mut yt = vec![0.0; b.cols.len()];
+                        reference_low_rank(lr.u(), lr.v(), &xt, w, &mut yt);
+                        for (c, &j) in b.cols.iter().enumerate() {
+                            y[j] += yt[c];
+                        }
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    /// `y += s·scatter·gatherᵀ·x`, one rank at a time.
+    fn reference_low_rank(
+        gather: &Matrix<f64>,
+        scatter: &Matrix<f64>,
+        x: &[f64],
+        s: f64,
+        y: &mut [f64],
+    ) {
+        for l in 0..gather.ncols() {
+            let t: f64 = (0..gather.nrows()).map(|j| gather[(j, l)] * x[j]).sum();
+            let st = s * t;
+            for (i, yi) in y.iter_mut().enumerate() {
+                *yi += st * scatter[(i, l)];
+            }
+        }
+    }
+
+    /// Entries spread over many magnitudes and both signs, so any
+    /// reordered sum rounds differently.
+    fn wild(seed: &mut u64) -> f64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let u = (*seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        u * 10f64.powi((*seed % 9) as i32 - 4)
+    }
+
+    fn dense(r: usize, c: usize, seed: &mut u64) -> BlockData {
+        BlockData::Dense(Matrix::from_fn(r, c, |_, _| wild(seed)))
+    }
+
+    fn low_rank(r: usize, c: usize, k: usize, seed: &mut u64) -> BlockData {
+        let u = Matrix::from_fn(r, k, |_, _| wild(seed));
+        let v = Matrix::from_fn(c, k, |_, _| wild(seed));
+        BlockData::LowRank(LowRank::new(u, v))
+    }
+
+    /// A 61-point store: a diagonal block, off-diagonal dense blocks
+    /// whose sides are not multiples of `ROWS` or `COLS`, a wide one,
+    /// low-rank blocks and a rank-0 block.
+    fn store(symmetry: Symmetry) -> BlockStore {
+        let n = 61;
+        let mut seed = 0x5eed_u64;
+        let span = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
+        let shapes: Vec<(Vec<usize>, Vec<usize>, bool, BlockData)> = vec![
+            (span(0, 13), span(0, 13), false, dense(13, 13, &mut seed)),
+            (span(0, 13), span(13, 30), true, dense(13, 17, &mut seed)),
+            (span(13, 30), span(13, 30), false, dense(17, 17, &mut seed)),
+            (span(30, 33), span(33, 61), true, dense(3, 28, &mut seed)),
+            (
+                span(0, 30),
+                span(30, 33),
+                true,
+                low_rank(30, 3, 2, &mut seed),
+            ),
+            (span(30, 61), span(30, 61), false, dense(31, 31, &mut seed)),
+            (
+                span(0, 13),
+                span(33, 61),
+                true,
+                low_rank(13, 28, 5, &mut seed),
+            ),
+            (
+                span(13, 30),
+                span(33, 61),
+                true,
+                BlockData::LowRank(LowRank::zero(17, 28)),
+            ),
+        ];
+        let blocks = shapes
+            .into_iter()
+            .map(|(rows, cols, mirror, data)| Block {
+                rows,
+                cols,
+                mirror: mirror || symmetry == Symmetry::Halved,
+                data,
+            })
+            .collect();
+        let points: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, 0.0)).collect();
+        BlockStore::new(n, symmetry, ClusterTree::build(&points, 16), blocks)
+    }
+
+    #[test]
+    fn interleaved_matvec_matches_plain_sums_bit_for_bit() {
+        let mut seed = 0xface_u64;
+        let mut xs: Vec<Vec<f64>> = (0..4)
+            .map(|k| {
+                (0..61)
+                    .map(|i| {
+                        if (i + k) % 5 == 0 {
+                            -0.0
+                        } else {
+                            wild(&mut seed)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        xs.push(vec![-0.0; 61]);
+        for symmetry in [Symmetry::Mirrored, Symmetry::Halved] {
+            let st = store(symmetry);
+            for x in &xs {
+                let (got, want) = (st.matvec(x), reference_matvec(&st, x));
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{symmetry:?} y[{i}]: {g:e} vs {w:e}"
+                    );
+                }
+            }
+        }
+        // Both serial low-rank products, with a scale and accumulation
+        // into a non-zero y.
+        let mut seed = 0xbeef_u64;
+        for (r, c, k) in [(7, 23, 6), (19, 5, 1), (9, 11, 0)] {
+            let BlockData::LowRank(lr) = low_rank(r, c, k, &mut seed) else {
+                unreachable!()
+            };
+            for (x_len, y_len, transpose) in [(c, r, false), (r, c, true)] {
+                let x: Vec<f64> = (0..x_len)
+                    .map(|j| if j % 3 == 0 { -0.0 } else { wild(&mut seed) })
+                    .collect();
+                let y0: Vec<f64> = (0..y_len).map(|_| wild(&mut seed)).collect();
+                let (mut got, mut want) = (y0.clone(), y0);
+                if transpose {
+                    lr.matvec_transpose_into(&x, 0.5, &mut got);
+                    reference_low_rank(lr.u(), lr.v(), &x, 0.5, &mut want);
+                } else {
+                    lr.matvec_into(&x, 0.5, &mut got);
+                    reference_low_rank(lr.v(), lr.u(), &x, 0.5, &mut want);
+                }
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "rank {k}, transpose {transpose}");
+                }
+            }
+        }
+        // Positive factors against `−0.0` inputs: every inner product is a
+        // sum of `−0.0` terms, whose sign survives into a `−0.0` output
+        // only when the sum starts at `−0.0`.
+        let pos = |r: usize, c: usize| Matrix::from_fn(r, c, |i, j| 1.0 + (i + 2 * j) as f64);
+        let lr = LowRank::new(pos(6, 3), pos(4, 3));
+        let (mut got, mut want) = (vec![-0.0; 6], vec![-0.0; 6]);
+        lr.matvec_into(&[-0.0; 4], 1.0, &mut got);
+        reference_low_rank(lr.v(), lr.u(), &[-0.0; 4], 1.0, &mut want);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "signed zero");
+            assert!(g.is_sign_negative());
+        }
+    }
 
     /// Rows of the rank-1 block `a·bᵀ` against columns of a different
     /// rank-1 block `c·bᵀ`: ACA builds factors the exact rows disagree

@@ -32,13 +32,14 @@
 //! rank and byte accounting through [`CompressedKernel::stats`] and
 //! [`CompressedLinkKernel::stats`].
 
-use crate::assembly::{kernel_row, scalar_kernel, AssembleBemError, BemOptions, Testing};
+use crate::assembly::{AssembleBemError, BemOptions};
 use crate::blocks::{certified_block, dense_block, Block, BlockData, BlockStore, Symmetry};
+use crate::offsets::{LinkOffsets, OffsetTable};
 use pdn_geom::mesh::LinkDirection;
 use pdn_geom::{PlaneMesh, PlanePair};
-use pdn_greens::{LayeredKernel, Rectangle, SurfaceImpedance};
+use pdn_greens::SurfaceImpedance;
 use pdn_num::precond::{BlockJacobiPreconditioner, Preconditioner};
-use pdn_num::{cg, parallel, GaussLegendre, Matrix};
+use pdn_num::{cg, parallel, Matrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Global kernel-matvec counter: every [`CompressedKernel::matvec`] (and
@@ -725,18 +726,22 @@ impl CompressedLinkKernel {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompressedKernel::build`].
+    /// [`AssembleBemError::InvalidInput`] naming both lengths when
+    /// `centers` and `directions` differ in length; otherwise the
+    /// contract of [`CompressedKernel::build`].
     pub fn build(
         centers: &[(f64, f64)],
         directions: &[LinkDirection],
         spec: &CompressionSpec,
         row_gen: &RowGen<'_>,
     ) -> Result<CompressedLinkKernel, AssembleBemError> {
-        assert_eq!(
-            centers.len(),
-            directions.len(),
-            "center/direction length mismatch"
-        );
+        if centers.len() != directions.len() {
+            return Err(AssembleBemError::InvalidInput(format!(
+                "{} link centers but {} link directions",
+                centers.len(),
+                directions.len()
+            )));
+        }
         let m = centers.len();
         let x_idx: Vec<usize> = (0..m)
             .filter(|&i| directions[i] == LinkDirection::X)
@@ -985,35 +990,22 @@ pub fn assemble_compressed(
     if n == 0 {
         return Err(AssembleBemError::EmptyMesh);
     }
-    let g_phi = scalar_kernel(pair, opts);
-    let cell = Rectangle::new(mesh.dx(), mesh.dy());
     let area = mesh.cell_area();
-    let quad = match opts.testing {
-        Testing::PointMatching => None,
-        Testing::Galerkin { order } => Some(GaussLegendre::new(order.max(2))),
-    };
 
     // Entries are canonicalized to (lo, hi) index order so the generator
     // is symmetric by construction and every evaluation matches the
     // upper-triangle orientation of the dense assembly loops exactly.
-    // Rows are generated through the lane-batched panel kernels; per
-    // element they are bit-identical to the scalar entry closures this
-    // path used to pass.
-    let centers = mesh.cell_centers();
+    // Each distinct offset is integrated once, on first use, so the
+    // near-field fill, ACA pivots and certification rows share values;
+    // per element they are bit-identical to direct kernel calls.
+    let table = OffsetTable::cells(mesh, pair, opts);
     let p_row = |i: usize, cols: &[usize], out: &mut [f64]| {
-        let mut ox = Vec::with_capacity(cols.len());
-        let mut oy = Vec::with_capacity(cols.len());
-        for &j in cols {
-            let (a, b) = if i <= j { (i, j) } else { (j, i) };
-            ox.push(centers[a].x - centers[b].x);
-            oy.push(centers[a].y - centers[b].y);
-        }
-        kernel_row(&g_phi, &ox, &oy, cell, &quad, out);
+        table.fill(cols.iter().map(|&j| (i.min(j), i.max(j))), out);
         for v in out.iter_mut() {
             *v /= area;
         }
     };
-    let cell_points: Vec<(f64, f64)> = centers.iter().map(|c| (c.x, c.y)).collect();
+    let cell_points: Vec<(f64, f64)> = mesh.cell_centers().iter().map(|c| (c.x, c.y)).collect();
     let p = CompressedKernel::build(&cell_points, spec, &p_row)?;
 
     let (l, r_link) = compress_link_matrices(
@@ -1043,12 +1035,9 @@ pub fn assemble_compressed(
 ///
 /// # Errors
 ///
-/// Same contract as [`CompressedLinkKernel::build`].
-///
-/// # Panics
-///
-/// Panics when `diag_lump` is non-empty with a length other than
-/// `links.len()`.
+/// [`AssembleBemError::InvalidInput`] naming both lengths when
+/// `diag_lump` is non-empty with a length other than `links.len()`;
+/// otherwise the contract of [`CompressedLinkKernel::build`].
 #[allow(clippy::too_many_arguments)]
 pub fn compress_link_matrices(
     links: &[pdn_geom::mesh::Link],
@@ -1061,36 +1050,28 @@ pub fn compress_link_matrices(
     diag_lump: &[f64],
 ) -> Result<(CompressedLinkKernel, Vec<f64>), AssembleBemError> {
     spec.validate()?;
-    assert!(
-        diag_lump.is_empty() || diag_lump.len() == links.len(),
-        "diag_lump must be empty or match the link count"
-    );
-    let g_a = LayeredKernel::vector_potential(pair.separation);
-    let cell = Rectangle::new(dx, dy);
+    if !(diag_lump.is_empty() || diag_lump.len() == links.len()) {
+        return Err(AssembleBemError::InvalidInput(format!(
+            "diag_lump has {} entries but there are {} links",
+            diag_lump.len(),
+            links.len()
+        )));
+    }
     let area = dx * dy;
-    let quad = match opts.testing {
-        Testing::PointMatching => None,
-        Testing::Galerkin { order } => Some(GaussLegendre::new(order.max(2))),
-    };
+    let table = LinkOffsets::new(links, dx, dy, pair, opts.testing);
     let l_row = |i: usize, cols: &[usize], out: &mut [f64]| {
-        let w = match links[i].direction {
+        let dir = links[i].direction;
+        let w = match dir {
             LinkDirection::X => dy,
             LinkDirection::Y => dx,
         };
-        let mut ox = Vec::with_capacity(cols.len());
-        let mut oy = Vec::with_capacity(cols.len());
-        let mut keep = Vec::with_capacity(cols.len());
-        for (t, &j) in cols.iter().enumerate() {
-            let (a, b) = if i <= j { (i, j) } else { (j, i) };
-            if links[a].direction != links[b].direction {
-                continue; // orthogonal currents: zero quasi-static mutual
-            }
-            keep.push(t);
-            ox.push(links[a].center.x - links[b].center.x);
-            oy.push(links[a].center.y - links[b].center.y);
-        }
+        // Orthogonal currents have zero quasi-static mutual.
+        let keep: Vec<usize> = (0..cols.len())
+            .filter(|&t| links[cols[t]].direction == dir)
+            .collect();
         let mut vals = vec![0.0; keep.len()];
-        kernel_row(&g_a, &ox, &oy, cell, &quad, &mut vals);
+        let pairs = keep.iter().map(|&t| (i.min(cols[t]), i.max(cols[t])));
+        table.fill(dir, pairs, &mut vals);
         out.fill(0.0);
         for (k, &t) in keep.iter().enumerate() {
             let j = cols[t];
@@ -1340,6 +1321,53 @@ mod tests {
         let ck = CompressedKernel::build(&[], &CompressionSpec::default(), &|_, _, _| {}).unwrap();
         assert!(ck.is_empty());
         assert_eq!(ck.matvec(&[]), Vec::<f64>::new());
+    }
+
+    fn invalid_input(err: AssembleBemError) -> String {
+        match err {
+            AssembleBemError::InvalidInput(msg) => msg,
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn link_kernel_rejects_mismatched_centers_and_directions() {
+        let centers = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)];
+        let dirs = [LinkDirection::X, LinkDirection::Y];
+        let err = CompressedLinkKernel::build(
+            &centers,
+            &dirs,
+            &CompressionSpec::default(),
+            &|_, _, out| out.fill(1.0),
+        )
+        .unwrap_err();
+        let msg = invalid_input(err);
+        assert!(
+            msg.contains('3') && msg.contains('2'),
+            "names both lengths: {msg}"
+        );
+    }
+
+    #[test]
+    fn link_compression_rejects_a_mismatched_lump() {
+        let (mesh, pair, zs) = plane(mm(8.0), mm(6.0), mm(1.0));
+        let m = mesh.link_count();
+        let err = compress_link_matrices(
+            mesh.links(),
+            mesh.dx(),
+            mesh.dy(),
+            &pair,
+            &zs,
+            &BemOptions::default(),
+            &CompressionSpec::default(),
+            &vec![0.0; m + 1],
+        )
+        .unwrap_err();
+        let msg = invalid_input(err);
+        assert!(
+            msg.contains(&(m + 1).to_string()) && msg.contains(&m.to_string()),
+            "names both lengths: {msg}"
+        );
     }
 
     #[test]

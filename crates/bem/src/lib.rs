@@ -51,6 +51,7 @@ pub mod assembly;
 mod blocks;
 pub mod columns;
 pub mod compress;
+mod offsets;
 pub mod system;
 
 pub use assembly::{

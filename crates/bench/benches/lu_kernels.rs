@@ -11,11 +11,15 @@
 //! faster than the scalar baseline at `n = 1024`, and the batched panel
 //! quadrature must beat the per-entry scalar fill on the 1120-cell
 //! SSN-study board (where it is also checked bit-identical entry by
-//! entry). A machine-readable summary is written to `BENCH_lu.json` in
-//! the crate directory.
+//! entry), and the offset-table dense fill (`pdn_bem::assemble_matrices`,
+//! each distinct centre offset integrated once) must equal the batched
+//! `P` and `L` fills bit for bit and beat them by
+//! [`TABLE_SPEEDUP_FLOOR`]. A machine-readable summary is written to
+//! `BENCH_lu.json` in the crate directory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdn_core::prelude::*;
+use pdn_geom::mesh::LinkDirection;
 use pdn_greens::{LayeredKernel, Rectangle};
 use pdn_num::{c64, LuDecomposition, Matrix, Scalar};
 use std::fmt::Write as _;
@@ -23,6 +27,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const NRHS: usize = 32;
+/// Floor on the offset-table dense fill's speedup over the per-entry
+/// batched P+L fill on the 1120-cell board: about half the ratio
+/// measured with one worker.
+const TABLE_SPEEDUP_FLOOR: f64 = 4.5;
 
 fn rng_f64(state: &mut u64) -> f64 {
     *state = state
@@ -203,8 +211,8 @@ fn scalar_p_fill(g: &LayeredKernel, centers: &[Point], cell: Rectangle, area: f6
     p
 }
 
-/// Row-at-a-time batched fill using `panel_integral_batch` — the path
-/// dense assembly takes today.
+/// Row-at-a-time batched fill using `panel_integral_batch` — the dense
+/// `P` loop before assembly read each distinct offset from a table.
 fn batched_p_fill(g: &LayeredKernel, centers: &[Point], cell: Rectangle, area: f64) -> Matrix<f64> {
     let n = centers.len();
     let mut p = Matrix::zeros(n, n);
@@ -227,6 +235,42 @@ fn batched_p_fill(g: &LayeredKernel, centers: &[Point], cell: Rectangle, area: f
         }
     }
     p
+}
+
+/// Row-at-a-time batched link fill: each row batches its same-direction
+/// partners through `panel_integral_batch` and scales by `area/(w·w)` —
+/// the dense `L` loop before the offset table.
+fn batched_l_fill(g: &LayeredKernel, mesh: &PlaneMesh) -> Matrix<f64> {
+    let links = mesh.links();
+    let m = links.len();
+    let cell = Rectangle::new(mesh.dx(), mesh.dy());
+    let area = mesh.dx() * mesh.dy();
+    let mut l = Matrix::zeros(m, m);
+    for i in 0..m {
+        let w = match links[i].direction {
+            LinkDirection::X => mesh.dy(),
+            LinkDirection::Y => mesh.dx(),
+        };
+        let idx: Vec<usize> = (i..m)
+            .filter(|&j| links[j].direction == links[i].direction)
+            .collect();
+        let ox: Vec<f64> = idx
+            .iter()
+            .map(|&j| links[i].center.x - links[j].center.x)
+            .collect();
+        let oy: Vec<f64> = idx
+            .iter()
+            .map(|&j| links[i].center.y - links[j].center.y)
+            .collect();
+        let mut vals = vec![0.0; idx.len()];
+        g.panel_integral_batch(&ox, &oy, cell, &mut vals);
+        for (&j, &v) in idx.iter().zip(&vals) {
+            let integral = v * area;
+            l[(i, j)] = integral / (w * w);
+            l[(j, i)] = integral / (w * w);
+        }
+    }
+    l
 }
 
 fn lu_kernels_bench(c: &mut Criterion) {
@@ -308,6 +352,52 @@ fn lu_kernels_bench(c: &mut Criterion) {
         "  {{\"kind\": \"bem_dense_p\", \"cells\": {n}, \
          \"scalar_seconds\": {t_scalar:.6}, \"batched_seconds\": {t_batch:.6}, \
          \"speedup\": {bem_speedup:.2}, \"bit_identical\": true}},"
+    )
+    .unwrap();
+
+    // --- offset-table dense fill (`assemble_matrices`) vs batched -------
+    // The library evaluates each distinct centre offset once: 44,289 P
+    // slots for 627,760 upper-triangle entries on this board. Both
+    // matrices must equal the per-entry batched fills bit for bit.
+    let g_a = LayeredKernel::vector_potential(mil(30.0));
+    let (t_l_batch, l_batch) = timed(|| batched_l_fill(&g_a, &mesh));
+    let pair = PlanePair::new(mil(30.0), 4.5).expect("valid pair");
+    let zs = SurfaceImpedance::lossless();
+    let (t_table, raw) = timed(|| {
+        pdn_bem::assemble_matrices(&mesh, &pair, &zs, &BemOptions::default()).expect("assembles")
+    });
+    assert_eq!(
+        raw.p_coef.as_slice(),
+        p_batch.as_slice(),
+        "table P fill must be bit-identical to the batched fill"
+    );
+    assert_eq!(
+        raw.l.as_slice(),
+        l_batch.as_slice(),
+        "table L fill must be bit-identical to the batched fill"
+    );
+    let t_fill = t_batch + t_l_batch;
+    let table_speedup = t_fill / t_table;
+    println!(
+        "  bem n={n:5}, m={:5}: dense P+L fill {:9.3} ms -> {:9.3} ms with the offset table \
+         ({table_speedup:5.2}x, bit-identical, {} workers)",
+        mesh.link_count(),
+        t_fill * 1e3,
+        t_table * 1e3,
+        pdn_num::parallel::worker_count(),
+    );
+    assert!(
+        table_speedup >= TABLE_SPEEDUP_FLOOR,
+        "offset-table fill speedup {table_speedup:.2}x below the {TABLE_SPEEDUP_FLOOR}x floor"
+    );
+    writeln!(
+        json,
+        "  {{\"kind\": \"bem_dense_table\", \"cells\": {n}, \"links\": {}, \
+         \"batched_seconds\": {t_fill:.6}, \"table_seconds\": {t_table:.6}, \
+         \"speedup\": {table_speedup:.2}, \"floor\": {TABLE_SPEEDUP_FLOOR}, \
+         \"workers\": {}, \"bit_identical\": true}},",
+        mesh.link_count(),
+        pdn_num::parallel::worker_count(),
     )
     .unwrap();
 

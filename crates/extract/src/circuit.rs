@@ -95,6 +95,15 @@ pub enum Realization {
     Exact,
 }
 
+/// The frequency-independent terms of
+/// [`EquivalentCircuit::admittance`].
+struct AdmittanceTerms {
+    /// [`EquivalentCircuit::branches`].
+    branches: Vec<Branch>,
+    /// Per node: the row sums of `C`, `B` and `G`.
+    shunts: Vec<(f64, f64, f64)>,
+}
+
 /// One branch of the equivalent circuit between retained nodes `m < n`:
 /// an inductance (as inverse inductance) in series with a resistance (as
 /// conductance), in parallel with a capacitance.
@@ -451,12 +460,35 @@ impl EquivalentCircuit {
         out
     }
 
+    /// The frequency-independent part of
+    /// [`admittance`](Self::admittance): the branch list and the shunt
+    /// row sums. Sweeps build it once and apply it at every frequency.
+    fn admittance_terms(&self) -> AdmittanceTerms {
+        let n = self.node_count();
+        AdmittanceTerms {
+            branches: self.branches(),
+            shunts: (0..n)
+                .map(|m| {
+                    let c_sh = self.shunt_capacitance(m);
+                    let b_sh: f64 = (0..n).map(|k| self.b[(m, k)]).sum();
+                    let g_sh: f64 = (0..n).map(|k| self.g[(m, k)]).sum();
+                    (c_sh, b_sh, g_sh)
+                })
+                .collect(),
+        }
+    }
+
     /// Nodal admittance of the branch circuit at frequency `f` (Hz).
     ///
     /// Lossless extraction reproduces `Y = B/(jω) + jωC` exactly; with
     /// loss, each inductive branch gets its DC resistance in series —
     /// the paper's first-order loss model.
     pub fn admittance(&self, f: f64) -> Matrix<c64> {
+        self.admittance_at(&self.admittance_terms(), f)
+    }
+
+    /// [`admittance`](Self::admittance) at `f` from prebuilt terms.
+    fn admittance_at(&self, terms: &AdmittanceTerms, f: f64) -> Matrix<c64> {
         let omega = 2.0 * PI * f;
         let n = self.node_count();
         let mut y = Matrix::<c64>::zeros(n, n);
@@ -468,7 +500,7 @@ impl EquivalentCircuit {
         };
         // Lossy dielectric: Y_C = jωC(1 − j·tanδ) = ω·tanδ·C + jωC.
         let cap_y = |c: f64| c64::new(omega * self.tan_d * c, omega * c);
-        for br in self.branches() {
+        for br in &terms.branches {
             let mut yb = cap_y(br.capacitance);
             if br.inverse_inductance > 0.0 {
                 // Series R + jωL with L = 1/binv.
@@ -496,10 +528,7 @@ impl EquivalentCircuit {
         // Shunt terms (row sums): capacitance to the reference plane plus
         // any residual B/G row sums (≈ 0 for a pure branch network).
         // y_shunt = g_sh + jω·c_sh + b_sh/(jω) = g_sh + j(ω·c_sh − b_sh/ω).
-        for m in 0..n {
-            let c_sh = self.shunt_capacitance(m);
-            let b_sh: f64 = (0..n).map(|k| self.b[(m, k)]).sum();
-            let g_sh: f64 = (0..n).map(|k| self.g[(m, k)]).sum();
+        for (m, &(c_sh, b_sh, g_sh)) in terms.shunts.iter().enumerate() {
             y[(m, m)] += cap_y(c_sh) + c64::new(g_sh, -b_sh / omega);
         }
         y
@@ -513,12 +542,21 @@ impl EquivalentCircuit {
     /// and positive, and [`ExtractCircuitError::NumericalBreakdown`] for a
     /// singular admittance.
     pub fn impedance(&self, f: f64) -> Result<Matrix<c64>, ExtractCircuitError> {
+        self.impedance_at(&self.admittance_terms(), f)
+    }
+
+    /// [`impedance`](Self::impedance) at `f` from prebuilt terms.
+    fn impedance_at(
+        &self,
+        terms: &AdmittanceTerms,
+        f: f64,
+    ) -> Result<Matrix<c64>, ExtractCircuitError> {
         if !(f.is_finite() && f > 0.0) {
             return Err(ExtractCircuitError::InvalidInput(format!(
                 "impedance requires a finite f > 0, got f = {f}"
             )));
         }
-        let y = self.admittance(f);
+        let y = self.admittance_at(terms, f);
         let lu = LuDecomposition::new(y)
             .map_err(|e| ExtractCircuitError::NumericalBreakdown(e.to_string()))?;
         let n = self.node_count();
@@ -543,7 +581,17 @@ impl EquivalentCircuit {
     ///
     /// Propagates impedance/conversion failures.
     pub fn s_parameters(&self, f: f64, z0: f64) -> Result<Matrix<c64>, ExtractCircuitError> {
-        let z = self.impedance(f)?;
+        self.s_parameters_at(&self.admittance_terms(), f, z0)
+    }
+
+    /// [`s_parameters`](Self::s_parameters) at `f` from prebuilt terms.
+    fn s_parameters_at(
+        &self,
+        terms: &AdmittanceTerms,
+        f: f64,
+        z0: f64,
+    ) -> Result<Matrix<c64>, ExtractCircuitError> {
+        let z = self.impedance_at(terms, f)?;
         pdn_circuit::s_from_z(&z, z0)
             .map_err(|e| ExtractCircuitError::NumericalBreakdown(e.to_string()))
     }
@@ -581,7 +629,8 @@ impl EquivalentCircuit {
         freqs: &[f64],
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
-        rational::sweep(freqs, accuracy, |f| self.impedance(f))
+        let terms = self.admittance_terms();
+        rational::sweep(freqs, accuracy, |f| self.impedance_at(&terms, f))
             .map_err(|e| e.into_error(ExtractCircuitError::InvalidInput))
     }
 
@@ -620,7 +669,8 @@ impl EquivalentCircuit {
         z0: f64,
         accuracy: SweepAccuracy,
     ) -> Result<SweepOutcome, ExtractCircuitError> {
-        rational::sweep(freqs, accuracy, |f| self.s_parameters(f, z0))
+        let terms = self.admittance_terms();
+        rational::sweep(freqs, accuracy, |f| self.s_parameters_at(&terms, f, z0))
             .map_err(|e| e.into_error(ExtractCircuitError::InvalidInput))
     }
 

@@ -56,6 +56,32 @@ fn panel_apply(
     }
 }
 
+/// `y[i] += Σ_l (s·t_l)·scatter[i, l]` in ascending `l`, where
+/// `t_l = Σ_j gather[j, l]·x[j]` is summed from `−0.0` (as
+/// `Iterator::sum` does) in ascending `j` — the serial low-rank matvec,
+/// with all `k` sums formed in one pass over the rows of `gather`.
+fn apply(gather: &Matrix<f64>, scatter: &Matrix<f64>, x: &[f64], s: f64, y: &mut [f64]) {
+    let k = gather.ncols();
+    if k == 0 {
+        return;
+    }
+    let mut t = vec![-0.0f64; k];
+    for (j, &xj) in x[..gather.nrows()].iter().enumerate() {
+        for (tl, &g) in t.iter_mut().zip(gather.row(j)) {
+            *tl += g * xj;
+        }
+    }
+    for tl in &mut t {
+        // s·t_l: an IEEE product does not depend on operand order.
+        *tl *= s;
+    }
+    for (i, yi) in y.iter_mut().enumerate() {
+        for (&st, &sc) in t.iter().zip(scatter.row(i)) {
+            *yi += st * sc;
+        }
+    }
+}
+
 /// A rank-`k` factorization `A ≈ U·Vᵀ` (`U` is `m×k`, `V` is `n×k`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LowRank {
@@ -135,15 +161,13 @@ impl LowRank {
     }
 
     /// `y += s · (U·Vᵀ)·x`.
+    ///
+    /// Each inner product `t_l = Σ_j V[j, l]·x[j]` is summed from `−0.0`
+    /// in ascending `j`, and each `y_i` then receives `(s·t_l)·U[i, l]`
+    /// in ascending `l`. All `k` inner products are formed in one pass
+    /// over the contiguous rows of `V`, so they run as independent sums.
     pub fn matvec_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
-        let k = self.rank();
-        for l in 0..k {
-            let t: f64 = (0..self.ncols()).map(|j| self.v[(j, l)] * x[j]).sum();
-            let st = s * t;
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi += st * self.u[(i, l)];
-            }
-        }
+        apply(&self.v, &self.u, x, s, y);
     }
 
     /// Panel variant of [`LowRank::matvec_into`] over [`PANEL_LANES`]
@@ -180,16 +204,10 @@ impl LowRank {
         panel_apply(&self.u, &self.v, self.rank(), x, s, y);
     }
 
-    /// `y += s · (U·Vᵀ)ᵀ·x = s · V·Uᵀ·x`.
+    /// `y += s · (U·Vᵀ)ᵀ·x = s · V·Uᵀ·x`, with the summation order of
+    /// [`LowRank::matvec_into`] and the factor roles swapped.
     pub fn matvec_transpose_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
-        let k = self.rank();
-        for l in 0..k {
-            let t: f64 = (0..self.nrows()).map(|i| self.u[(i, l)] * x[i]).sum();
-            let st = s * t;
-            for (j, yj) in y.iter_mut().enumerate() {
-                *yj += st * self.v[(j, l)];
-            }
-        }
+        apply(&self.u, &self.v, x, s, y);
     }
 
     /// Densifies the approximation (diagnostics and small-block tests).

@@ -281,7 +281,8 @@ pub fn extract_sharded(
     // total capacitance and exact uniform-crossing reluctance (see
     // `pdn_bem::cross_block_lumping`).
     let (p_lump, l_lump) =
-        cross_block_lumping(&mesh, &region_of_cell, &link_block, req.pair, req.options);
+        cross_block_lumping(&mesh, &region_of_cell, &link_block, req.pair, req.options)
+            .map_err(|e| ShardExtractError::Composition(format!("seam lumping failed: {e}")))?;
     let mut boundary: Vec<Vec<usize>> = vec![Vec::new(); regions.len()];
     for l in &cut_links {
         boundary[region_of_cell[l.a]].push(l.a);
