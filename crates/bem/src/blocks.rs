@@ -1,17 +1,11 @@
-//! The block store behind every compressed operator.
+//! The block store behind the compressed kernels.
 //!
-//! [`CompressedKernel`](crate::CompressedKernel) and
-//! [`CompressedColumns`](crate::CompressedColumns) differ only in how
-//! their blocks are generated: the kernel plans a symmetric partition
-//! and evaluates exact kernel rows, the column store descends rows
-//! against streamed column panels. Both end in a list of dense or
-//! low-rank blocks over a cluster tree, and everything downstream lives
-//! here once:
+//! [`CompressedKernel`](crate::CompressedKernel) plans a symmetric
+//! partition and evaluates exact kernel rows into a list of dense or
+//! low-rank blocks; everything downstream of that list lives here once:
 //!
-//! * the serial matvec, and the 8-lane panel matvec with its fixed-chunk
-//!   parallel fan-out;
-//! * the cluster restrictions behind the block-Jacobi preconditioners,
-//!   and the densifier;
+//! * the serial matvec;
+//! * the densifier;
 //! * the `CompressionStats` tally;
 //! * the certified compression of one admissible block: ACA at
 //!   `tol / 16`, recompression at `tol / 4`, the exact dense block when
@@ -19,23 +13,17 @@
 //!   against the exact data, failing with
 //!   [`AssembleBemError::NumericalBreakdown`].
 //!
-//! A store covers a symmetric operator in one of two ways
-//! ([`Symmetry`]): the kernel stores the upper triangle and mirrors it
-//! at weight 1, the column store holds every entry once and applies
-//! `½(M + Mᵀ)`. Blocks apply in list order, so every result is a pure
-//! function of the block list and bit-identical for any `PDN_THREADS`.
+//! A store holds the upper triangle of its symmetric operator: an
+//! off-diagonal block is mirrored, applying as itself and as its
+//! transpose, and a diagonal block applies once, so every entry of the
+//! operator is covered exactly once. Blocks apply in list order, so every
+//! result is a pure function of the block list and bit-identical for any
+//! `PDN_THREADS`.
 
 use crate::assembly::AssembleBemError;
-use crate::compress::{ClusterTree, CompressionSpec, CompressionStats};
-use pdn_num::aca::{aca, LowRank, PANEL_LANES};
-use pdn_num::{parallel, Matrix};
-
-/// Column-chunk width of the blocked matvecs. Fixed (never derived from
-/// the worker count) so the chunk boundaries — and therefore every
-/// floating-point result — are identical for any `PDN_THREADS`. Wide
-/// enough to amortize streaming a block over many columns, small enough
-/// that a typical 48-column panel still fans across workers.
-const MATVEC_CHUNK: usize = PANEL_LANES;
+use crate::compress::{CompressionSpec, CompressionStats};
+use pdn_num::aca::{aca, LowRank};
+use pdn_num::Matrix;
 
 /// Margin between the internal ACA stopping tolerance and the
 /// user-facing certified tolerance: ACA stops at `tol / ACA_MARGIN`, so
@@ -46,50 +34,6 @@ const ACA_MARGIN: f64 = 16.0;
 const RECOMPRESS_MARGIN: f64 = 4.0;
 /// Certified rows sampled per low-rank block.
 const CERT_ROWS: usize = 2;
-
-/// How a store's blocks cover its symmetric operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Symmetry {
-    /// The upper triangle is stored. A mirrored block applies as itself
-    /// and as its transpose, at weight 1; an unmirrored (diagonal) block
-    /// applies once. Every entry of the operator is covered exactly once.
-    Mirrored,
-    /// Every entry is stored once, unsymmetrized, and the operator is
-    /// `½(M + Mᵀ)`: every block is mirrored, at weight ½.
-    Halved,
-}
-
-impl Symmetry {
-    /// The weight each application of a stored block carries.
-    fn weight(self) -> f64 {
-        match self {
-            Symmetry::Mirrored => 1.0,
-            Symmetry::Halved => 0.5,
-        }
-    }
-
-    /// Writes stored entry `v` at `(p, q)` of a densified target and,
-    /// for a mirrored block, at `(q, p)`. Under `Mirrored` every target
-    /// entry is written once, so it is assigned and a stored `−0.0` (a
-    /// rank-0 block's entries) keeps its sign; under `Halved` it sums two
-    /// halves, accumulated from zero.
-    fn place(self, m: &mut Matrix<f64>, (p, q): (usize, usize), v: f64, mirror: bool) {
-        match self {
-            Symmetry::Mirrored => {
-                m[(p, q)] = v;
-                if mirror {
-                    m[(q, p)] = v;
-                }
-            }
-            Symmetry::Halved => {
-                m[(p, q)] += 0.5 * v;
-                if mirror {
-                    m[(q, p)] += 0.5 * v;
-                }
-            }
-        }
-    }
-}
 
 /// The stored form of one block.
 #[derive(Debug, Clone)]
@@ -119,25 +63,18 @@ pub(crate) struct Block {
 }
 
 /// A symmetric operator held as a fixed list of dense and low-rank
-/// blocks over a cluster tree.
+/// blocks over its upper triangle.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockStore {
     n: usize,
-    symmetry: Symmetry,
     blocks: Vec<Block>,
-    tree: ClusterTree,
     stats: CompressionStats,
 }
 
 impl BlockStore {
     /// Adopts the block list of an `n`-dimensional operator and tallies
     /// its block, rank and byte accounting.
-    pub(crate) fn new(
-        n: usize,
-        symmetry: Symmetry,
-        tree: ClusterTree,
-        blocks: Vec<Block>,
-    ) -> BlockStore {
+    pub(crate) fn new(n: usize, blocks: Vec<Block>) -> BlockStore {
         let mut stats = CompressionStats {
             blocks: blocks.len(),
             low_rank_blocks: 0,
@@ -155,13 +92,7 @@ impl BlockStore {
                 }
             }
         }
-        BlockStore {
-            n,
-            symmetry,
-            blocks,
-            tree,
-            stats,
-        }
+        BlockStore { n, blocks, stats }
     }
 
     /// Operator dimension.
@@ -178,7 +109,7 @@ impl BlockStore {
     ///
     /// Every output is summed in a fixed sequence: a dense block's
     /// primary pass sums each row over its columns in ascending order
-    /// from `0.0` and adds `w·sum`; its mirror pass sums each column over
+    /// from `0.0` and adds the sum; its mirror pass sums each column over
     /// the rows in ascending order; a low-rank block goes through
     /// [`LowRank::matvec_into`] into a zeroed buffer. Independent sums
     /// run interleaved ([`ROWS`] rows, [`COLS`] columns at once), so the
@@ -190,29 +121,28 @@ impl BlockStore {
     /// Panics when `x` does not match the operator dimension.
     pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "matvec dimension mismatch");
-        let w = self.symmetry.weight();
         let mut y = vec![0.0; self.n];
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for b in &self.blocks {
             gather(&mut xs, x, &b.cols);
             match &b.data {
                 BlockData::Dense(m) => {
-                    dense_rows(m, &xs, w, &b.rows, &mut y);
+                    dense_rows(m, &xs, &b.rows, &mut y);
                     if b.mirror {
                         gather(&mut xs, x, &b.rows);
-                        dense_cols(m, &xs, w, &b.cols, &mut y);
+                        dense_cols(m, &xs, &b.cols, &mut y);
                     }
                 }
                 BlockData::LowRank(lr) => {
                     ys.clear();
                     ys.resize(b.rows.len(), 0.0);
-                    lr.matvec_into(&xs, w, &mut ys);
+                    lr.matvec_into(&xs, &mut ys);
                     scatter_add(&mut y, &b.rows, &ys);
                     if b.mirror {
                         gather(&mut xs, x, &b.rows);
                         ys.clear();
                         ys.resize(b.cols.len(), 0.0);
-                        lr.matvec_transpose_into(&xs, w, &mut ys);
+                        lr.matvec_transpose_into(&xs, &mut ys);
                         scatter_add(&mut y, &b.cols, &ys);
                     }
                 }
@@ -221,184 +151,19 @@ impl BlockStore {
         y
     }
 
-    /// Blocked matvec: applies the operator to every column at once,
-    /// streaming the stored blocks **once per column chunk** instead of
-    /// once per column, so each block's data stays cache-hot while it is
-    /// applied to the whole chunk.
-    ///
-    /// Chunks have a fixed width (independent of the worker count) and
-    /// fan across [`pdn_num::parallel`] workers in index order; within a
-    /// chunk every column's arithmetic is the serial
-    /// [`matvec`](Self::matvec) sequence, so each result column is
-    /// bit-identical to a serial sweep for any `PDN_THREADS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any column does not match the operator dimension.
-    pub(crate) fn matvec_block(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        for x in cols {
-            assert_eq!(x.len(), self.n, "matvec dimension mismatch");
-        }
-        let chunks = cols.len().div_ceil(MATVEC_CHUNK);
-        let outs = parallel::par_map_indexed(chunks, |c| {
-            let lo = c * MATVEC_CHUNK;
-            let hi = (lo + MATVEC_CHUNK).min(cols.len());
-            self.matvec_panel(&cols[lo..hi])
-        });
-        outs.into_iter().flatten().collect()
-    }
-
-    /// One blocked sweep: every stored block is applied to the whole
-    /// chunk before the next block is touched, with the chunk held in an
-    /// interleaved panel layout (`x[j·W + q]` is column `q`'s entry `j`)
-    /// so each coefficient and index is loaded **once** per chunk and
-    /// multiplied across unit-stride panel lanes.
-    fn matvec_panel(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        // The panel stride is the compile-time chunk width, with unused
-        // lanes held at zero on a short tail chunk: every inner loop
-        // then has a constant trip count of `MATVEC_CHUNK` independent
-        // lanes, which vectorizes without any reassociation — lane
-        // arithmetic stays the exact serial sequence, and the zero
-        // lanes never feed a live column.
-        const W: usize = MATVEC_CHUNK;
-        debug_assert!(cols.len() <= W);
-        let w = self.symmetry.weight();
-        let mut xp = vec![0.0; self.n * W];
-        for (q, x) in cols.iter().enumerate() {
-            for (j, &v) in x.iter().enumerate() {
-                xp[j * W + q] = v;
-            }
-        }
-        let mut yp = vec![0.0; self.n * W];
-        let mut acc = [0.0f64; W];
-        let mut scratch = Vec::new();
-        for b in &self.blocks {
-            match &b.data {
-                BlockData::Dense(m) => {
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        acc.fill(0.0);
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            let mv = m[(a, c)];
-                            for (aq, xq) in acc.iter_mut().zip(&xp[j * W..(j + 1) * W]) {
-                                *aq += mv * xq;
-                            }
-                        }
-                        for (yq, aq) in yp[i * W..(i + 1) * W].iter_mut().zip(&acc) {
-                            *yq += w * aq;
-                        }
-                    }
-                    if b.mirror {
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            acc.fill(0.0);
-                            for (a, &i) in b.rows.iter().enumerate() {
-                                let mv = m[(a, c)];
-                                for (aq, xq) in acc.iter_mut().zip(&xp[i * W..(i + 1) * W]) {
-                                    *aq += mv * xq;
-                                }
-                            }
-                            for (yq, aq) in yp[j * W..(j + 1) * W].iter_mut().zip(&acc) {
-                                *yq += w * aq;
-                            }
-                        }
-                    }
-                }
-                BlockData::LowRank(lr) => {
-                    let (nr, nc) = (b.rows.len(), b.cols.len());
-                    scratch.clear();
-                    scratch.resize(2 * (nr + nc) * W, 0.0);
-                    let (xs, rest) = scratch.split_at_mut(nc * W);
-                    let (yr, rest) = rest.split_at_mut(nr * W);
-                    let (xt, yt) = rest.split_at_mut(nr * W);
-                    for (c, &j) in b.cols.iter().enumerate() {
-                        xs[c * W..(c + 1) * W].copy_from_slice(&xp[j * W..(j + 1) * W]);
-                    }
-                    lr.matvec_panel_into(xs, w, yr);
-                    for (a, &i) in b.rows.iter().enumerate() {
-                        for (yq, vq) in yp[i * W..(i + 1) * W]
-                            .iter_mut()
-                            .zip(&yr[a * W..(a + 1) * W])
-                        {
-                            *yq += vq;
-                        }
-                    }
-                    if b.mirror {
-                        for (a, &i) in b.rows.iter().enumerate() {
-                            xt[a * W..(a + 1) * W].copy_from_slice(&xp[i * W..(i + 1) * W]);
-                        }
-                        lr.matvec_transpose_panel_into(xt, w, yt);
-                        for (c, &j) in b.cols.iter().enumerate() {
-                            for (yq, vq) in yp[j * W..(j + 1) * W]
-                                .iter_mut()
-                                .zip(&yt[c * W..(c + 1) * W])
-                            {
-                                *yq += vq;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (0..cols.len())
-            .map(|q| (0..self.n).map(|i| yp[i * W + q]).collect())
-            .collect()
-    }
-
-    /// The disjoint cluster partition backing the hierarchical
-    /// preconditioner: tree leaves, or (with `coarsen`) the maximal tree
-    /// nodes of at most 8× the leaf size.
-    pub(crate) fn leaf_clusters(&self, coarsen: bool) -> Vec<Vec<usize>> {
-        self.tree.clusters(coarsen)
-    }
-
-    /// Materializes the dense restriction `A[c, c]` of the operator to
-    /// every cluster of a disjoint partition, in one pass over the
-    /// stored blocks.
-    pub(crate) fn cluster_restrictions(&self, clusters: &[Vec<usize>]) -> Vec<Matrix<f64>> {
-        // index -> (cluster id, position within the cluster)
-        let mut of: Vec<Option<(usize, usize)>> = vec![None; self.n];
-        for (ci, cl) in clusters.iter().enumerate() {
-            for (k, &i) in cl.iter().enumerate() {
-                of[i] = Some((ci, k));
-            }
-        }
-        let mut mats: Vec<Matrix<f64>> = clusters
-            .iter()
-            .map(|c| Matrix::zeros(c.len(), c.len()))
-            .collect();
-        for b in &self.blocks {
-            // Admissible (well-separated) pairs almost never land inside
-            // one cluster; test membership before paying per-entry
-            // low-rank reconstruction.
-            let row_cl: Vec<(usize, usize, usize)> = b
-                .rows
-                .iter()
-                .enumerate()
-                .filter_map(|(a, &i)| of[i].map(|(ci, pi)| (ci, pi, a)))
-                .collect();
-            if row_cl.is_empty() {
-                continue;
-            }
-            for (c, &j) in b.cols.iter().enumerate() {
-                let Some((cj, pj)) = of[j] else { continue };
-                for &(ci, pi, a) in &row_cl {
-                    if ci == cj {
-                        let v = b.data.entry(a, c);
-                        self.symmetry.place(&mut mats[ci], (pi, pj), v, b.mirror);
-                    }
-                }
-            }
-        }
-        mats
-    }
-
     /// Densifies the operator — diagnostics and small-problem tests only.
     pub(crate) fn to_dense(&self) -> Matrix<f64> {
         let mut out = Matrix::zeros(self.n, self.n);
         for b in &self.blocks {
             for (a, &i) in b.rows.iter().enumerate() {
                 for (c, &j) in b.cols.iter().enumerate() {
+                    // Assigned, not accumulated: every entry is covered
+                    // once, and a stored `−0.0` keeps its sign.
                     let v = b.data.entry(a, c);
-                    self.symmetry.place(&mut out, (i, j), v, b.mirror);
+                    out[(i, j)] = v;
+                    if b.mirror {
+                        out[(j, i)] = v;
+                    }
                 }
             }
         }
@@ -424,9 +189,9 @@ fn scatter_add(y: &mut [f64], idx: &[usize], v: &[f64]) {
     }
 }
 
-/// Primary pass of a dense block: `y[rows[a]] += w·Σ_c m[a, c]·xs[c]`,
+/// Primary pass of a dense block: `y[rows[a]] += Σ_c m[a, c]·xs[c]`,
 /// each sum from `0.0` in ascending `c`, [`ROWS`] rows at a time.
-fn dense_rows(m: &Matrix<f64>, xs: &[f64], w: f64, rows: &[usize], y: &mut [f64]) {
+fn dense_rows(m: &Matrix<f64>, xs: &[f64], rows: &[usize], y: &mut [f64]) {
     let c = xs.len();
     let full = rows.len() / ROWS * ROWS;
     for a0 in (0..full).step_by(ROWS) {
@@ -438,7 +203,7 @@ fn dense_rows(m: &Matrix<f64>, xs: &[f64], w: f64, rows: &[usize], y: &mut [f64]
             }
         }
         for (&i, &ak) in rows[a0..a0 + ROWS].iter().zip(&acc) {
-            y[i] += w * ak;
+            y[i] += ak;
         }
     }
     for (a, &i) in rows.iter().enumerate().skip(full) {
@@ -446,27 +211,27 @@ fn dense_rows(m: &Matrix<f64>, xs: &[f64], w: f64, rows: &[usize], y: &mut [f64]
         for (&mv, &xj) in m.row(a).iter().zip(xs) {
             acc += mv * xj;
         }
-        y[i] += w * acc;
+        y[i] += acc;
     }
 }
 
-/// Mirror pass of a dense block: `y[cols[c]] += w·Σ_a m[a, c]·xs[a]`,
+/// Mirror pass of a dense block: `y[cols[c]] += Σ_a m[a, c]·xs[a]`,
 /// each sum from `0.0` in ascending `a`, over contiguous row segments
 /// of [`COLS`] columns.
-fn dense_cols(m: &Matrix<f64>, xs: &[f64], w: f64, cols: &[usize], y: &mut [f64]) {
+fn dense_cols(m: &Matrix<f64>, xs: &[f64], cols: &[usize], y: &mut [f64]) {
     let full = cols.len() / COLS * COLS;
     for c0 in (0..full).step_by(COLS) {
-        column_sums(m, xs, w, c0, &cols[c0..c0 + COLS], y);
+        column_sums(m, xs, c0, &cols[c0..c0 + COLS], y);
     }
     if full < cols.len() {
-        column_sums(m, xs, w, full, &cols[full..], y);
+        column_sums(m, xs, full, &cols[full..], y);
     }
 }
 
 /// The mirror-pass sums of the at most [`COLS`] block columns from `c0`,
 /// scattered to `idx`. Inlined so a full segment's width is a constant.
 #[inline(always)]
-fn column_sums(m: &Matrix<f64>, xs: &[f64], w: f64, c0: usize, idx: &[usize], y: &mut [f64]) {
+fn column_sums(m: &Matrix<f64>, xs: &[f64], c0: usize, idx: &[usize], y: &mut [f64]) {
     let mut acc = [0.0f64; COLS];
     for (a, &xa) in xs.iter().enumerate() {
         for (ak, &mv) in acc.iter_mut().zip(&m.row(a)[c0..c0 + idx.len()]) {
@@ -474,7 +239,7 @@ fn column_sums(m: &Matrix<f64>, xs: &[f64], w: f64, c0: usize, idx: &[usize], y:
         }
     }
     for (&j, &ak) in idx.iter().zip(&acc) {
-        y[j] += w * ak;
+        y[j] += ak;
     }
 }
 
@@ -548,7 +313,6 @@ mod tests {
     /// inner products through `Iterator::sum`. The reference the
     /// interleaved matvec must match bit for bit.
     fn reference_matvec(store: &BlockStore, x: &[f64]) -> Vec<f64> {
-        let w = store.symmetry.weight();
         let mut y = vec![0.0; store.n];
         for b in &store.blocks {
             match &b.data {
@@ -558,7 +322,7 @@ mod tests {
                         for (c, &j) in b.cols.iter().enumerate() {
                             acc += m[(a, c)] * x[j];
                         }
-                        y[i] += w * acc;
+                        y[i] += acc;
                     }
                     if b.mirror {
                         for (c, &j) in b.cols.iter().enumerate() {
@@ -566,21 +330,21 @@ mod tests {
                             for (a, &i) in b.rows.iter().enumerate() {
                                 acc += m[(a, c)] * x[i];
                             }
-                            y[j] += w * acc;
+                            y[j] += acc;
                         }
                     }
                 }
                 BlockData::LowRank(lr) => {
                     let xs: Vec<f64> = b.cols.iter().map(|&j| x[j]).collect();
                     let mut ys = vec![0.0; b.rows.len()];
-                    reference_low_rank(lr.v(), lr.u(), &xs, w, &mut ys);
+                    reference_low_rank(lr.v(), lr.u(), &xs, &mut ys);
                     for (a, &i) in b.rows.iter().enumerate() {
                         y[i] += ys[a];
                     }
                     if b.mirror {
                         let xt: Vec<f64> = b.rows.iter().map(|&i| x[i]).collect();
                         let mut yt = vec![0.0; b.cols.len()];
-                        reference_low_rank(lr.u(), lr.v(), &xt, w, &mut yt);
+                        reference_low_rank(lr.u(), lr.v(), &xt, &mut yt);
                         for (c, &j) in b.cols.iter().enumerate() {
                             y[j] += yt[c];
                         }
@@ -591,19 +355,12 @@ mod tests {
         y
     }
 
-    /// `y += s·scatter·gatherᵀ·x`, one rank at a time.
-    fn reference_low_rank(
-        gather: &Matrix<f64>,
-        scatter: &Matrix<f64>,
-        x: &[f64],
-        s: f64,
-        y: &mut [f64],
-    ) {
+    /// `y += scatter·gatherᵀ·x`, one rank at a time.
+    fn reference_low_rank(gather: &Matrix<f64>, scatter: &Matrix<f64>, x: &[f64], y: &mut [f64]) {
         for l in 0..gather.ncols() {
             let t: f64 = (0..gather.nrows()).map(|j| gather[(j, l)] * x[j]).sum();
-            let st = s * t;
             for (i, yi) in y.iter_mut().enumerate() {
-                *yi += st * scatter[(i, l)];
+                *yi += t * scatter[(i, l)];
             }
         }
     }
@@ -631,7 +388,7 @@ mod tests {
     /// A 61-point store: a diagonal block, off-diagonal dense blocks
     /// whose sides are not multiples of `ROWS` or `COLS`, a wide one,
     /// low-rank blocks and a rank-0 block.
-    fn store(symmetry: Symmetry) -> BlockStore {
+    fn store() -> BlockStore {
         let n = 61;
         let mut seed = 0x5eed_u64;
         let span = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
@@ -665,12 +422,11 @@ mod tests {
             .map(|(rows, cols, mirror, data)| Block {
                 rows,
                 cols,
-                mirror: mirror || symmetry == Symmetry::Halved,
+                mirror,
                 data,
             })
             .collect();
-        let points: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, 0.0)).collect();
-        BlockStore::new(n, symmetry, ClusterTree::build(&points, 16), blocks)
+        BlockStore::new(n, blocks)
     }
 
     #[test]
@@ -690,21 +446,14 @@ mod tests {
             })
             .collect();
         xs.push(vec![-0.0; 61]);
-        for symmetry in [Symmetry::Mirrored, Symmetry::Halved] {
-            let st = store(symmetry);
-            for x in &xs {
-                let (got, want) = (st.matvec(x), reference_matvec(&st, x));
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{symmetry:?} y[{i}]: {g:e} vs {w:e}"
-                    );
-                }
+        let st = store();
+        for x in &xs {
+            let (got, want) = (st.matvec(x), reference_matvec(&st, x));
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "y[{i}]: {g:e} vs {w:e}");
             }
         }
-        // Both serial low-rank products, with a scale and accumulation
-        // into a non-zero y.
+        // Both serial low-rank products, accumulating into a non-zero y.
         let mut seed = 0xbeef_u64;
         for (r, c, k) in [(7, 23, 6), (19, 5, 1), (9, 11, 0)] {
             let BlockData::LowRank(lr) = low_rank(r, c, k, &mut seed) else {
@@ -717,11 +466,11 @@ mod tests {
                 let y0: Vec<f64> = (0..y_len).map(|_| wild(&mut seed)).collect();
                 let (mut got, mut want) = (y0.clone(), y0);
                 if transpose {
-                    lr.matvec_transpose_into(&x, 0.5, &mut got);
-                    reference_low_rank(lr.u(), lr.v(), &x, 0.5, &mut want);
+                    lr.matvec_transpose_into(&x, &mut got);
+                    reference_low_rank(lr.u(), lr.v(), &x, &mut want);
                 } else {
-                    lr.matvec_into(&x, 0.5, &mut got);
-                    reference_low_rank(lr.v(), lr.u(), &x, 0.5, &mut want);
+                    lr.matvec_into(&x, &mut got);
+                    reference_low_rank(lr.v(), lr.u(), &x, &mut want);
                 }
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.to_bits(), w.to_bits(), "rank {k}, transpose {transpose}");
@@ -734,8 +483,8 @@ mod tests {
         let pos = |r: usize, c: usize| Matrix::from_fn(r, c, |i, j| 1.0 + (i + 2 * j) as f64);
         let lr = LowRank::new(pos(6, 3), pos(4, 3));
         let (mut got, mut want) = (vec![-0.0; 6], vec![-0.0; 6]);
-        lr.matvec_into(&[-0.0; 4], 1.0, &mut got);
-        reference_low_rank(lr.v(), lr.u(), &[-0.0; 4], 1.0, &mut want);
+        lr.matvec_into(&[-0.0; 4], &mut got);
+        reference_low_rank(lr.v(), lr.u(), &[-0.0; 4], &mut want);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits(), "signed zero");
             assert!(g.is_sign_negative());

@@ -33,19 +33,17 @@
 //! [`CompressedLinkKernel::stats`].
 
 use crate::assembly::{AssembleBemError, BemOptions};
-use crate::blocks::{certified_block, dense_block, Block, BlockData, BlockStore, Symmetry};
+use crate::blocks::{certified_block, dense_block, Block, BlockData, BlockStore};
 use crate::offsets::{LinkOffsets, OffsetTable};
 use pdn_geom::mesh::LinkDirection;
 use pdn_geom::{PlaneMesh, PlanePair};
 use pdn_greens::SurfaceImpedance;
-use pdn_num::precond::{BlockJacobiPreconditioner, Preconditioner};
 use pdn_num::{cg, parallel, Matrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Global kernel-matvec counter: every [`CompressedKernel::matvec`] (and
-/// hence every column of a block matvec) increments it by one. Used by
-/// benches and tests to compare the kernel traffic of solver strategies;
-/// see [`reset_kernel_matvec_count`].
+/// Global kernel-matvec counter: every [`CompressedKernel::matvec`]
+/// increments it by one. Used by benches and tests to attribute kernel
+/// traffic to a workload; see [`reset_kernel_matvec_count`].
 static KERNEL_MATVECS: AtomicUsize = AtomicUsize::new(0);
 
 /// Resets the global compressed-kernel matvec counter to zero.
@@ -54,57 +52,9 @@ pub fn reset_kernel_matvec_count() {
 }
 
 /// Total compressed-kernel matvecs since the last
-/// [`reset_kernel_matvec_count`] (one per column; a block matvec over a
-/// panel of `k` columns counts `k`).
+/// [`reset_kernel_matvec_count`].
 pub fn kernel_matvec_count() -> usize {
     KERNEL_MATVECS.load(Ordering::Relaxed)
-}
-
-/// Coarsened block-Jacobi clusters cap at this multiple of `leaf_size`
-/// (256 points at the default leaf size): measured on the benchmark
-/// boards, larger exact blocks keep cutting CG iterations up to about
-/// this size, after which the `O(n·cap)` triangular-solve cost per
-/// preconditioner application overtakes the saved matvecs.
-pub(crate) const COARSEN_FACTOR: usize = 8;
-
-/// Columns solved together per block-CG panel on the
-/// [`SolverSpec::BlockCg`] route: wide enough to amortize one
-/// compressed-operator sweep over many right-hand sides, narrow enough
-/// that the panel Gram matrix stays cheap (the fastest width measured on
-/// the benchmark boards).
-pub const BLOCK_CG_PANEL: usize = 48;
-
-/// Iterative-solver strategy for the compressed extraction path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverSpec {
-    /// Per-column scalar CG with the plain Jacobi (diagonal)
-    /// preconditioner — the original compressed path, kept as the
-    /// default so existing results stay byte-stable.
-    ScalarJacobi,
-    /// Multi-RHS block CG ([`pdn_num::cg::solve_spd_block`]) over panels
-    /// of [`BLOCK_CG_PANEL`] columns with a hierarchical block-Jacobi
-    /// preconditioner built from the kernel's own cluster tree (exact
-    /// Cholesky factors over leaf clusters coarsened one tree level).
-    /// One compressed-operator sweep per iteration serves the whole
-    /// column panel, so total kernel matvecs drop sharply — see
-    /// `docs/COMPRESSION.md` for the measured contract.
-    BlockCg,
-}
-
-impl SolverSpec {
-    /// Whether this strategy uses the block solver.
-    pub fn is_block(&self) -> bool {
-        *self == SolverSpec::BlockCg
-    }
-
-    /// Appends a canonical byte encoding of the solver strategy to `w`
-    /// (part of the `pdn-service` content hash).
-    pub fn write_canonical(&self, w: &mut pdn_num::ByteWriter) {
-        w.put_u8(match self {
-            SolverSpec::ScalarJacobi => 0,
-            SolverSpec::BlockCg => 1,
-        });
-    }
 }
 
 /// Low-rank compression settings carried on
@@ -122,9 +72,6 @@ pub struct CompressionSpec {
     /// `min(diam_a, diam_b) ≤ eta · dist(a, b)`. Larger values compress
     /// more aggressively. Must be finite and positive.
     pub eta: f64,
-    /// Iterative-solver strategy used by the compressed extraction
-    /// path. Defaults to [`SolverSpec::ScalarJacobi`].
-    pub solver: SolverSpec,
 }
 
 impl Default for CompressionSpec {
@@ -133,7 +80,6 @@ impl Default for CompressionSpec {
             tol: 1e-6,
             leaf_size: 32,
             eta: 2.0,
-            solver: SolverSpec::ScalarJacobi,
         }
     }
 }
@@ -146,7 +92,6 @@ impl CompressionSpec {
         w.put_f64(self.tol);
         w.put_usize(self.leaf_size);
         w.put_f64(self.eta);
-        self.solver.write_canonical(w);
     }
 
     /// Compression at the given certified tolerance, other settings at
@@ -158,11 +103,18 @@ impl CompressionSpec {
         }
     }
 
-    /// Switches the compressed extraction path to block CG with the
-    /// hierarchical preconditioner ([`SolverSpec::BlockCg`]).
-    pub fn with_block_solver(mut self) -> Self {
-        self.solver = SolverSpec::BlockCg;
-        self
+    /// Relative residual tolerance of the CG solves on kernels
+    /// compressed under this spec: two decades tighter than the certified
+    /// kernel tolerance, so iteration error stays negligible against the
+    /// compression error.
+    pub fn cg_tol(&self) -> f64 {
+        (self.tol * 1e-2).max(1e-14)
+    }
+
+    /// Iteration cap of a CG solve of dimension `dim` on a compressed
+    /// kernel.
+    pub fn cg_max_iter(dim: usize) -> usize {
+        10 * dim.max(10) + 100
     }
 
     /// Checks the spec, returning a descriptive
@@ -198,29 +150,29 @@ impl CompressionSpec {
 // Cluster tree
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-pub(crate) struct ClusterNode {
+#[derive(Debug)]
+struct ClusterNode {
     /// Range into the tree's permutation array.
-    pub(crate) start: usize,
-    pub(crate) end: usize,
+    start: usize,
+    end: usize,
     /// Bounding box (xmin, ymin, xmax, ymax) of the member points.
-    pub(crate) bbox: [f64; 4],
+    bbox: [f64; 4],
     /// Child node ids (bisection), `None` for leaves.
-    pub(crate) children: Option<(usize, usize)>,
+    children: Option<(usize, usize)>,
 }
 
 impl ClusterNode {
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.end - self.start
     }
 
-    pub(crate) fn diameter(&self) -> f64 {
+    fn diameter(&self) -> f64 {
         let dx = self.bbox[2] - self.bbox[0];
         let dy = self.bbox[3] - self.bbox[1];
         (dx * dx + dy * dy).sqrt()
     }
 
-    pub(crate) fn distance(&self, other: &ClusterNode) -> f64 {
+    fn distance(&self, other: &ClusterNode) -> f64 {
         let dx = (other.bbox[0] - self.bbox[2])
             .max(self.bbox[0] - other.bbox[2])
             .max(0.0);
@@ -231,25 +183,22 @@ impl ClusterNode {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct ClusterTree {
+#[derive(Debug)]
+struct ClusterTree {
     /// Original point indices, permuted so every node owns a contiguous
     /// range.
-    pub(crate) perm: Vec<usize>,
-    pub(crate) nodes: Vec<ClusterNode>,
-    /// The `leaf_size` the tree was built with (coarsening cap anchor).
-    pub(crate) leaf_size: usize,
+    perm: Vec<usize>,
+    nodes: Vec<ClusterNode>,
 }
 
 impl ClusterTree {
     /// Builds the tree by recursive median bisection along the longest
     /// bounding-box axis. Splits are index-tie-broken, so the tree is a
     /// pure function of the point set.
-    pub(crate) fn build(points: &[(f64, f64)], leaf_size: usize) -> ClusterTree {
+    fn build(points: &[(f64, f64)], leaf_size: usize) -> ClusterTree {
         let mut tree = ClusterTree {
             perm: (0..points.len()).collect(),
             nodes: Vec::new(),
-            leaf_size,
         };
         if !points.is_empty() {
             tree.split(points, 0, points.len(), leaf_size);
@@ -308,48 +257,9 @@ impl ClusterTree {
     }
 
     /// The original point indices under node `id`.
-    pub(crate) fn members(&self, id: usize) -> &[usize] {
+    fn members(&self, id: usize) -> &[usize] {
         let node = &self.nodes[id];
         &self.perm[node.start..node.end]
-    }
-
-    /// Cuts the tree at `cap`: the maximal nodes of at most `cap`
-    /// points, and any leaf larger than that, in left-to-right order.
-    /// The cut is a disjoint cover of the points and a pure function of
-    /// the tree.
-    pub(crate) fn cut(&self, cap: usize) -> Vec<usize> {
-        fn walk(tree: &ClusterTree, id: usize, cap: usize, out: &mut Vec<usize>) {
-            let node = &tree.nodes[id];
-            match node.children {
-                Some((l, r)) if node.len() > cap => {
-                    walk(tree, l, cap, out);
-                    walk(tree, r, cap, out);
-                }
-                _ => out.push(id),
-            }
-        }
-        let mut out = Vec::new();
-        if !self.nodes.is_empty() {
-            walk(self, 0, cap, &mut out);
-        }
-        out
-    }
-
-    /// The disjoint index clusters used for block-Jacobi
-    /// preconditioning: the tree leaves, or — `coarsen`ed — the cut at
-    /// [`COARSEN_FACTOR`]`·leaf_size` points (larger exact
-    /// preconditioner blocks cut CG iterations; past this size their
-    /// apply cost overtakes the matvec they precondition).
-    pub(crate) fn clusters(&self, coarsen: bool) -> Vec<Vec<usize>> {
-        let cap = if coarsen {
-            COARSEN_FACTOR * self.leaf_size
-        } else {
-            0
-        };
-        self.cut(cap)
-            .into_iter()
-            .map(|id| self.members(id).to_vec())
-            .collect()
     }
 }
 
@@ -530,7 +440,7 @@ impl CompressedKernel {
             }
         }
         Ok(CompressedKernel {
-            store: BlockStore::new(n, Symmetry::Mirrored, tree, blocks),
+            store: BlockStore::new(n, blocks),
             diag,
         })
     }
@@ -597,87 +507,6 @@ impl CompressedKernel {
         )
         .map_err(|e| {
             AssembleBemError::NumericalBreakdown(format!("compressed-kernel CG solve failed: {e}"))
-        })
-    }
-
-    /// Blocked matvec: applies the operator to every column at once,
-    /// streaming the stored blocks once per fixed-width column chunk
-    /// (chunks fan across [`pdn_num::parallel`] workers in index order).
-    /// Each result column is bit-identical to a serial
-    /// [`CompressedKernel::matvec`] for any `PDN_THREADS`. Counts one
-    /// kernel matvec per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any column does not match the operator dimension.
-    pub fn matvec_block(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let ys = self.store.matvec_block(cols);
-        KERNEL_MATVECS.fetch_add(cols.len(), Ordering::Relaxed);
-        ys
-    }
-
-    /// The disjoint cluster partition backing the hierarchical
-    /// preconditioner: tree leaves, or (with `coarsen`) the maximal
-    /// tree nodes of at most 8× the leaf size.
-    pub fn leaf_clusters(&self, coarsen: bool) -> Vec<Vec<usize>> {
-        self.store.leaf_clusters(coarsen)
-    }
-
-    /// The dense restrictions `A[c, c]` to every cluster of a disjoint
-    /// partition, from one pass over the stored blocks.
-    fn cluster_restrictions(&self, clusters: &[Vec<usize>]) -> Vec<Matrix<f64>> {
-        self.store.cluster_restrictions(clusters)
-    }
-
-    /// Builds the hierarchical block-Jacobi preconditioner for this
-    /// kernel: exact Cholesky factors of the dense restrictions over the
-    /// [`CompressedKernel::leaf_clusters`] partition.
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when a cluster
-    /// restriction of the claimed-SPD kernel fails to factor.
-    pub fn block_jacobi(
-        &self,
-        coarsen: bool,
-    ) -> Result<BlockJacobiPreconditioner, AssembleBemError> {
-        let clusters = self.leaf_clusters(coarsen);
-        let mats = self.cluster_restrictions(&clusters);
-        BlockJacobiPreconditioner::from_blocks(self.len(), clusters.into_iter().zip(mats).collect())
-            .map_err(|e| {
-                AssembleBemError::NumericalBreakdown(format!(
-                    "hierarchical preconditioner construction failed: {e}"
-                ))
-            })
-    }
-
-    /// Solves `A·X = B` for a panel of columns by block CG
-    /// ([`pdn_num::cg::solve_spd_block`]) under the given
-    /// preconditioner.
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when the block iteration
-    /// stalls or breaks down.
-    pub fn solve_block(
-        &self,
-        b: &[Vec<f64>],
-        pc: &dyn Preconditioner,
-        tol: f64,
-        max_iter: usize,
-    ) -> Result<Vec<Vec<f64>>, AssembleBemError> {
-        cg::solve_spd_block(
-            self.len(),
-            &|cols| self.matvec_block(cols),
-            pc,
-            b,
-            tol,
-            max_iter,
-        )
-        .map_err(|e| {
-            AssembleBemError::NumericalBreakdown(format!(
-                "compressed-kernel block-CG solve failed: {e}"
-            ))
         })
     }
 
@@ -822,94 +651,6 @@ impl CompressedLinkKernel {
     ) -> Result<Vec<f64>, AssembleBemError> {
         cg::solve_spd_op(self.m, &|x| self.matvec(x), &self.diag, b, tol, max_iter).map_err(|e| {
             AssembleBemError::NumericalBreakdown(format!("compressed-L CG solve failed: {e}"))
-        })
-    }
-
-    /// Blocked matvec over global link indices: the X- and Y-direction
-    /// sub-kernels each run one [`CompressedKernel::matvec_block`] over
-    /// the whole panel, so kernel memory streams once per column chunk
-    /// instead of once per column. Per column the arithmetic (X kernel,
-    /// then Y kernel, gathers and scatters in index order) is exactly
-    /// the serial [`CompressedLinkKernel::matvec`] arithmetic, so each
-    /// result column is bit-identical to a serial sweep for any
-    /// `PDN_THREADS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any column does not match the link count.
-    pub fn matvec_block(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        for x in cols {
-            assert_eq!(x.len(), self.m, "matvec dimension mismatch");
-        }
-        let mut ys = vec![vec![0.0; self.m]; cols.len()];
-        for (idx, k) in [(&self.x_idx, &self.x), (&self.y_idx, &self.y)] {
-            let sub: Vec<Vec<f64>> = cols
-                .iter()
-                .map(|x| idx.iter().map(|&i| x[i]).collect())
-                .collect();
-            let outs = k.matvec_block(&sub);
-            for (y, out) in ys.iter_mut().zip(&outs) {
-                for (a, &i) in idx.iter().enumerate() {
-                    y[i] += out[a];
-                }
-            }
-        }
-        ys
-    }
-
-    /// Builds the hierarchical block-Jacobi preconditioner over global
-    /// link indices: the X-direction kernel's leaf clusters followed by
-    /// the Y-direction's, each factored exactly. The direction split is
-    /// itself block-diagonal (orthogonal mutuals are zero), so the
-    /// combined partition respects the true operator structure.
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when a cluster
-    /// restriction fails to factor.
-    pub fn block_jacobi(
-        &self,
-        coarsen: bool,
-    ) -> Result<BlockJacobiPreconditioner, AssembleBemError> {
-        let mut parts: Vec<(Vec<usize>, Matrix<f64>)> = Vec::new();
-        for (idx, k) in [(&self.x_idx, &self.x), (&self.y_idx, &self.y)] {
-            let clusters = k.leaf_clusters(coarsen);
-            let mats = k.cluster_restrictions(&clusters);
-            for (cl, m) in clusters.into_iter().zip(mats) {
-                parts.push((cl.into_iter().map(|i| idx[i]).collect(), m));
-            }
-        }
-        BlockJacobiPreconditioner::from_blocks(self.m, parts).map_err(|e| {
-            AssembleBemError::NumericalBreakdown(format!(
-                "hierarchical L preconditioner construction failed: {e}"
-            ))
-        })
-    }
-
-    /// Solves `L·X = B` for a panel of columns by block CG under the
-    /// given preconditioner.
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when the block iteration
-    /// stalls or breaks down.
-    pub fn solve_block(
-        &self,
-        b: &[Vec<f64>],
-        pc: &dyn Preconditioner,
-        tol: f64,
-        max_iter: usize,
-    ) -> Result<Vec<Vec<f64>>, AssembleBemError> {
-        cg::solve_spd_block(
-            self.m,
-            &|cols| self.matvec_block(cols),
-            pc,
-            b,
-            tol,
-            max_iter,
-        )
-        .map_err(|e| {
-            AssembleBemError::NumericalBreakdown(format!("compressed-L block-CG solve failed: {e}"))
         })
     }
 
@@ -1371,129 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_validation_rejects_zero_block_panel() {
-        assert!(CompressionSpec::default()
-            .with_block_solver()
-            .validate()
-            .is_ok());
-        assert!(CompressionSpec::default()
-            .with_block_solver()
-            .solver
-            .is_block());
-    }
-
-    #[test]
-    fn leaf_clusters_partition_and_coarsen() {
-        let (mesh, pair, zs) = plane(mm(24.0), mm(12.0), mm(1.0));
-        let spec = CompressionSpec {
-            leaf_size: 16,
-            ..CompressionSpec::default()
-        };
-        let (ck, _) =
-            assemble_compressed(&mesh, &pair, &zs, &BemOptions::default(), &spec).unwrap();
-        let n = mesh.cell_count();
-        for coarsen in [false, true] {
-            let clusters = ck.p.leaf_clusters(coarsen);
-            let mut seen = vec![false; n];
-            for cl in &clusters {
-                assert!(!cl.is_empty());
-                for &i in cl {
-                    assert!(!seen[i], "index {i} covered twice");
-                    seen[i] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "partition must cover 0..n");
-        }
-        assert!(
-            ck.p.leaf_clusters(true).len() < ck.p.leaf_clusters(false).len(),
-            "coarsening must merge sibling leaves"
-        );
-    }
-
-    #[test]
-    fn block_jacobi_restrictions_match_dense() {
-        let (mesh, pair, zs) = plane(mm(24.0), mm(12.0), mm(1.0));
-        let spec = CompressionSpec {
-            leaf_size: 16,
-            ..CompressionSpec::default()
-        };
-        let (ck, _) =
-            assemble_compressed(&mesh, &pair, &zs, &BemOptions::default(), &spec).unwrap();
-        let dense = ck.p.to_dense();
-        let clusters = ck.p.leaf_clusters(false);
-        let mats = ck.p.cluster_restrictions(&clusters);
-        for (cl, m) in clusters.iter().zip(&mats) {
-            for (pi, &i) in cl.iter().enumerate() {
-                for (pj, &j) in cl.iter().enumerate() {
-                    assert_eq!(
-                        m[(pi, pj)].to_bits(),
-                        dense[(i, j)].to_bits(),
-                        "restriction entry ({i},{j})"
-                    );
-                }
-            }
-        }
-        // And the preconditioner factors.
-        assert!(ck.p.block_jacobi(false).is_ok());
-        assert!(ck.l.block_jacobi(true).is_ok());
-    }
-
-    #[test]
-    fn matvec_block_is_bit_identical_to_serial_columns() {
-        let (mesh, pair, zs) = plane(mm(24.0), mm(12.0), mm(1.0));
-        let spec = CompressionSpec {
-            leaf_size: 16,
-            ..CompressionSpec::default()
-        };
-        let (ck, _) =
-            assemble_compressed(&mesh, &pair, &zs, &BemOptions::default(), &spec).unwrap();
-        let n = mesh.cell_count();
-        let cols: Vec<Vec<f64>> = (0..5)
-            .map(|j| (0..n).map(|i| ((i + 7 * j) as f64 * 0.13).sin()).collect())
-            .collect();
-        let blocked = ck.p.matvec_block(&cols);
-        for (j, col) in cols.iter().enumerate() {
-            let serial = ck.p.matvec(col);
-            for i in 0..n {
-                assert_eq!(blocked[j][i].to_bits(), serial[i].to_bits(), "({j},{i})");
-            }
-        }
-    }
-
-    #[test]
-    fn solve_block_matches_scalar_solves() {
-        let (mesh, pair, zs) = plane(mm(24.0), mm(12.0), mm(1.0));
-        let spec = CompressionSpec {
-            leaf_size: 16,
-            ..CompressionSpec::default()
-        };
-        let (ck, _) =
-            assemble_compressed(&mesh, &pair, &zs, &BemOptions::default(), &spec).unwrap();
-        let n = mesh.cell_count();
-        let pc = ck.p.block_jacobi(false).unwrap();
-        let b: Vec<Vec<f64>> = (0..3)
-            .map(|j| {
-                (0..n)
-                    .map(|i| if i == (j * 17) % n { 1.0 } else { 0.0 })
-                    .collect()
-            })
-            .collect();
-        let xs = ck.p.solve_block(&b, &pc, 1e-12, 10 * n).unwrap();
-        for (j, col) in b.iter().enumerate() {
-            let x_scalar = ck.p.solve(col, 1e-12, 10 * n).unwrap();
-            let x_max = x_scalar.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            for i in 0..n {
-                assert!(
-                    (xs[j][i] - x_scalar[i]).abs() <= 1e-9 * x_max,
-                    "col {j} entry {i}: {} vs {}",
-                    xs[j][i],
-                    x_scalar[i]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn kernel_matvecs_are_counted() {
         let (mesh, pair, zs) = plane(mm(16.0), mm(8.0), mm(2.0));
         let (ck, _) = assemble_compressed(
@@ -1512,9 +1130,6 @@ mod tests {
         ck.p.matvec(&x);
         ck.p.matvec(&x);
         assert!(kernel_matvec_count() >= before + 2);
-        let before = kernel_matvec_count();
-        ck.p.matvec_block(&[x.clone(), x.clone(), x]);
-        assert!(kernel_matvec_count() >= before + 3);
     }
 
     #[test]

@@ -49,7 +49,6 @@
 
 pub mod assembly;
 mod blocks;
-pub mod columns;
 pub mod compress;
 mod offsets;
 pub mod system;
@@ -58,10 +57,8 @@ pub use assembly::{
     assemble_link_matrices, assemble_matrices, cross_block_lumping, AssembleBemError, BemOptions,
     RawMatrices, Testing,
 };
-pub use columns::CompressedColumns;
 pub use compress::{
     assemble_compressed, compress_link_matrices, kernel_matvec_count, reset_kernel_matvec_count,
     CompressedKernel, CompressedKernels, CompressedLinkKernel, CompressionSpec, CompressionStats,
-    SolverSpec, BLOCK_CG_PANEL,
 };
 pub use system::BemSystem;

@@ -1,6 +1,6 @@
 //! The assembled BEM system and its direct frequency-domain solution.
 //!
-//! [`BemSystem`] owns the mesh and the `P`, `C = P⁻¹`, `L`, `R` matrices
+//! [`BemSystem`] owns the mesh and the `C = P⁻¹`, `L`, `R` matrices
 //! and can solve the full (pre-simplification) system of eqs. (10)–(11) at
 //! any frequency:
 //!
@@ -27,7 +27,6 @@ use std::f64::consts::PI;
 /// needs it and it is ω-independent).
 #[derive(Debug, Clone)]
 struct DenseKernels {
-    p_coef: Matrix<f64>,
     c: Matrix<f64>,
     l: Matrix<f64>,
     incidence_c: Matrix<c64>,
@@ -61,9 +60,10 @@ impl BemSystem {
     /// With [`BemOptions::compression`] set, the kernels are stored in
     /// certified low-rank form instead of dense matrices; such a system
     /// exposes [`compressed`](Self::compressed) operators, its dense
-    /// accessors panic, and its direct frequency-domain solves return
-    /// [`AssembleBemError::InvalidInput`] (downstream consumers solve it
-    /// iteratively through the equivalent-circuit extraction path).
+    /// accessors return `None`, and its direct frequency-domain solves
+    /// return [`AssembleBemError::InvalidInput`] (downstream consumers
+    /// solve it iteratively through the equivalent-circuit extraction
+    /// path).
     ///
     /// # Errors
     ///
@@ -134,7 +134,7 @@ impl BemSystem {
                 r_link.len()
             )));
         }
-        let c = pdn_num::lu::invert(p_coef.clone())
+        let c = pdn_num::lu::invert(p_coef)
             .map_err(|e| AssembleBemError::NumericalBreakdown(e.to_string()))?;
         let mut incidence_c = Matrix::zeros(m, n);
         for (link, cell, sign) in mesh.incidence() {
@@ -144,25 +144,16 @@ impl BemSystem {
             mesh,
             pair: *pair,
             zs: *zs,
-            kernels: KernelStore::Dense(Box::new(DenseKernels {
-                p_coef,
-                c,
-                l,
-                incidence_c,
-            })),
+            kernels: KernelStore::Dense(Box::new(DenseKernels { c, l, incidence_c })),
             r_link,
         })
     }
 
-    /// The dense kernel store, panicking with a pointer at the
-    /// compressed API when the system was assembled with compression.
-    fn dense(&self) -> &DenseKernels {
+    /// The dense kernel store; `None` for a compressed system.
+    fn dense(&self) -> Option<&DenseKernels> {
         match &self.kernels {
-            KernelStore::Dense(d) => d,
-            KernelStore::Compressed(_) => panic!(
-                "dense kernel accessor called on a compressed BemSystem; use \
-                 BemSystem::compressed() and the iterative extraction path"
-            ),
+            KernelStore::Dense(d) => Some(d),
+            KernelStore::Compressed(_) => None,
         }
     }
 
@@ -176,34 +167,17 @@ impl BemSystem {
         &self.pair
     }
 
-    /// Potential-coefficient matrix `P` (N×N, 1/F).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a compressed system — use
-    /// [`compressed`](Self::compressed).
-    pub fn potential_coefficients(&self) -> &Matrix<f64> {
-        &self.dense().p_coef
+    /// Short-circuit capacitance matrix `C = P⁻¹` (N×N, F); `None` for
+    /// a compressed system, which never forms it (see
+    /// [`compressed`](Self::compressed)).
+    pub fn capacitance(&self) -> Option<&Matrix<f64>> {
+        self.dense().map(|d| &d.c)
     }
 
-    /// Short-circuit capacitance matrix `C = P⁻¹` (N×N, F).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a compressed system — use
-    /// [`compressed`](Self::compressed).
-    pub fn capacitance(&self) -> &Matrix<f64> {
-        &self.dense().c
-    }
-
-    /// Partial-inductance matrix over links (M×M, H).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a compressed system — use
-    /// [`compressed`](Self::compressed).
-    pub fn inductance(&self) -> &Matrix<f64> {
-        &self.dense().l
+    /// Partial-inductance matrix over links (M×M, H); `None` for a
+    /// compressed system (see [`compressed`](Self::compressed)).
+    pub fn inductance(&self) -> Option<&Matrix<f64>> {
+        self.dense().map(|d| &d.l)
     }
 
     /// The compressed kernel set, when the system was assembled with
@@ -257,21 +231,20 @@ impl BemSystem {
     /// so compressed systems are solved through the extracted
     /// equivalent-circuit/macromodel path instead.
     pub fn nodal_admittance(&self, f: f64) -> Result<Matrix<c64>, AssembleBemError> {
-        if self.is_compressed() {
+        let Some(dk) = self.dense() else {
             return Err(AssembleBemError::InvalidInput(
                 "direct frequency-domain solves are not available on a compressed \
                  BemSystem (they would densify the kernels); extract an equivalent \
                  circuit or macromodel and sweep that instead"
                     .into(),
             ));
-        }
+        };
         if !(f.is_finite() && f > 0.0) {
             return Err(AssembleBemError::InvalidInput(format!(
                 "nodal admittance requires a finite f > 0 (Zs + jωL is singular \
                  at DC for a lossless system), got f = {f}"
             )));
         }
-        let dk = self.dense();
         let omega = 2.0 * PI * f;
         let m = dk.l.nrows();
         let n = dk.c.nrows();
@@ -675,7 +648,7 @@ mod tests {
         let n = y.nrows();
         for i in 0..n.min(5) {
             let row_sum: c64 = (0..n).map(|j| y[(i, j)]).sum();
-            let c_row: f64 = (0..n).map(|j| sys.capacitance()[(i, j)]).sum();
+            let c_row: f64 = (0..n).map(|j| sys.capacitance().unwrap()[(i, j)]).sum();
             let expect = c64::new(0.0, 2.0 * PI * f * c_row);
             assert!(
                 (row_sum - expect).norm() < 1e-6 * row_sum.norm().max(expect.norm()),

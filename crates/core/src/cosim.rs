@@ -327,7 +327,7 @@ impl BoardSpec {
         };
         // Format tag, bumped if the canonical encoding ever changes
         // (old cache entries then simply miss).
-        w.put_u32(1);
+        w.put_u32(2);
         self.plane.write_canonical(&mut w);
         put_point(&mut w, &self.supply_location);
         let mut chips: Vec<(&str, Point)> = self

@@ -1,7 +1,7 @@
 //! The distributed R–L‖C equivalent circuit (paper Figure 2, eqs. 20–27).
 
-use crate::reduce::{kron_reduce_blocks, kron_reduce_operator, schur, symmetrize, Partition, Slot};
-use pdn_bem::{BemSystem, CompressedKernels, SolverSpec};
+use crate::reduce::{kron_reduce_blocks, schur, symmetrize, Partition, Slot};
+use pdn_bem::{BemSystem, CompressedKernels, CompressionSpec};
 use pdn_circuit::{Circuit, NodeId};
 use pdn_geom::mesh::Link;
 use pdn_geom::PlaneMesh;
@@ -258,19 +258,17 @@ impl EquivalentCircuit {
         keep.sort_unstable();
         keep.dedup();
 
-        // One skeleton for every kernel store (paper §4): the kept and
+        // One skeleton for both kernel stores (paper §4): the kept and
         // eliminated cells, the sparse incidence behind B = AᵀL⁻¹A, and
         // the link-resistance Laplacian G. A route only decides how it
         // solves with L and P and how it takes the Schur complement.
         let part = Partition::new(n, keep);
         let inc = Incidence::new(mesh);
         let lap = Laplacian::stamp(&part, mesh.links(), sys.link_resistances());
-        let (b, g, c) = match sys.compressed() {
-            None => dense_route(sys, &part, &inc, &lap)?,
-            Some(ck) => match ck.spec.solver {
-                SolverSpec::ScalarJacobi => scalar_cg_route(ck, mesh, &part, &inc, &lap)?,
-                SolverSpec::BlockCg => block_cg_route(ck, mesh, &part, &inc, &lap)?,
-            },
+        let (b, g, c) = match (sys.compressed(), sys.inductance().zip(sys.capacitance())) {
+            (Some(ck), _) => compressed_route(ck, mesh, &part, &inc, &lap)?,
+            (None, Some((l, c_full))) => dense_route(l, c_full, mesh, &part, &inc, &lap)?,
+            (None, None) => unreachable!("a BemSystem holds dense or compressed kernels"),
         };
         let (names, ports) = node_names_and_ports(mesh, &part.keep);
         Ok((
@@ -992,50 +990,33 @@ impl<'a> Incidence<'a> {
         }
     }
 
-    /// Columns `AᵀL⁻¹A·e_j` of the full-grid reluctance for the given
-    /// cells `j`, from one panel solve with `L`.
-    fn reluctance_columns<E>(
+    /// Column `AᵀL⁻¹A·e_j` of the full-grid reluctance, from one solve
+    /// with `L`.
+    fn reluctance_column<E>(
         &self,
-        cells: &[usize],
-        solve_l: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E>,
-    ) -> Result<Vec<Vec<f64>>, E> {
-        let rhs: Vec<Vec<f64>> = cells
-            .iter()
-            .map(|&j| {
-                let mut a = vec![0.0; self.links.len()];
-                for &(l, s) in &self.by_cell[j] {
-                    a[l] += s;
-                }
-                a
-            })
-            .collect();
+        j: usize,
+        solve_l: &impl Fn(&[f64]) -> Result<Vec<f64>, E>,
+    ) -> Result<Vec<f64>, E> {
+        let mut a = vec![0.0; self.links.len()];
+        for &(l, s) in &self.by_cell[j] {
+            a[l] += s;
+        }
+        let x = solve_l(&a)?;
         // Aᵀx, accumulated in ascending link order.
-        Ok(solve_l(&rhs)?
-            .iter()
-            .map(|x| {
-                let mut y = vec![0.0; self.by_cell.len()];
-                for (link, &v) in self.links.iter().zip(x) {
-                    y[link.a] += v;
-                    y[link.b] -= v;
-                }
-                y
-            })
-            .collect())
+        let mut y = vec![0.0; self.by_cell.len()];
+        for (link, &v) in self.links.iter().zip(&x) {
+            y[link.a] += v;
+            y[link.b] -= v;
+        }
+        Ok(y)
     }
 }
 
-/// A panel solve that takes its columns one by one on
-/// [`pdn_num::parallel`] workers. Each column is solved serially and
-/// lands by index, so the panel is bit-identical for any `PDN_THREADS`.
-fn per_column<E: Send>(
-    solve: impl Fn(&[f64]) -> Result<Vec<f64>, E> + Sync,
-) -> impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E> {
-    move |rhs| pdn_num::parallel::try_par_map_indexed(rhs.len(), |t| solve(&rhs[t]))
-}
-
-/// Panel width of the per-column routes: enough columns to keep every
-/// worker busy, few enough to bound the in-flight column memory.
-fn per_column_width() -> usize {
+/// Columns solved per batch: enough to keep every
+/// [`pdn_num::parallel`] worker busy, few enough to bound the in-flight
+/// column memory. Each column is solved serially and lands by index, so
+/// a batch is bit-identical for any `PDN_THREADS`.
+fn batch_width() -> usize {
     (pdn_num::parallel::worker_count() * 4).max(16)
 }
 
@@ -1048,14 +1029,13 @@ struct Blocks {
 }
 
 /// Every column of the full-grid reluctance `B = AᵀL⁻¹A`, solved in
-/// panels of `width` cells in index order and placed straight into the
-/// partition's four blocks; the full matrix and its submatrix copies are
-/// never held.
-fn reluctance_blocks<E: fmt::Display>(
+/// batches of [`batch_width`] cells in index order and placed straight
+/// into the partition's four blocks; the full matrix and its submatrix
+/// copies are never held.
+fn reluctance_blocks<E: fmt::Display + Send>(
     part: &Partition,
     inc: &Incidence<'_>,
-    width: usize,
-    solve_l: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E>,
+    solve_l: impl Fn(&[f64]) -> Result<Vec<f64>, E> + Sync,
 ) -> Result<Blocks, ExtractCircuitError> {
     let (k, e) = (part.keep.len(), part.elim.len());
     let mut bl = Blocks {
@@ -1065,8 +1045,11 @@ fn reluctance_blocks<E: fmt::Display>(
         ee: Matrix::zeros(e, e),
     };
     let cells: Vec<usize> = (0..k + e).collect();
-    for chunk in cells.chunks(width) {
-        let cols = inc.reluctance_columns(chunk, &solve_l).map_err(breakdown)?;
+    for chunk in cells.chunks(batch_width()) {
+        let cols = pdn_num::parallel::try_par_map_indexed(chunk.len(), |t| {
+            inc.reluctance_column(chunk[t], &solve_l)
+        })
+        .map_err(breakdown)?;
         for (&j, y) in chunk.iter().zip(&cols) {
             for (i, &v) in y.iter().enumerate() {
                 match (part.slot[i], part.slot[j]) {
@@ -1151,31 +1134,16 @@ impl Laplacian {
         kron_reduce_blocks(&self.kk, &self.ke, ee)
             .map_err(|err| no_node("Kron reduction of G", err))
     }
-
-    /// Applies the eliminated block to a panel of columns.
-    fn apply_ee(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        pdn_num::parallel::par_map_indexed(cols.len(), |t| {
-            let x = &cols[t];
-            let mut y: Vec<f64> = self.ee_diag.iter().zip(x).map(|(d, v)| d * v).collect();
-            for &(i, j, v) in &self.ee_off {
-                y[i] += v * x[j];
-                y[j] += v * x[i];
-            }
-            y
-        })
-    }
 }
 
 /// `C = SᵀP⁻¹S` with `S` the indicator matrix of the capacitance
-/// clusters ([`capacitance_clusters`]): the indicators of the nodes in
-/// `order` are solved with `P` in panels of `width`, each solution summed
-/// per cluster, and the result symmetrized.
-fn cluster_capacitance<E: fmt::Display>(
+/// clusters ([`capacitance_clusters`]): the cluster indicators are solved
+/// with `P` in batches of [`batch_width`] in node order, each solution
+/// summed per cluster, and the result symmetrized.
+fn cluster_capacitance<E: fmt::Display + Send>(
     mesh: &PlaneMesh,
     keep: &[usize],
-    order: &[usize],
-    width: usize,
-    solve_p: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>, E>,
+    solve_p: impl Fn(&[f64]) -> Result<Vec<f64>, E> + Sync,
 ) -> Result<Matrix<f64>, ExtractCircuitError> {
     let n = mesh.cell_count();
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); keep.len()];
@@ -1183,18 +1151,17 @@ fn cluster_capacitance<E: fmt::Display>(
         members[q].push(i);
     }
     let mut c = Matrix::zeros(keep.len(), keep.len());
-    for chunk in order.chunks(width) {
-        let rhs: Vec<Vec<f64>> = chunk
-            .iter()
-            .map(|&q| {
-                let mut s = vec![0.0; n];
-                for &i in &members[q] {
-                    s[i] = 1.0;
-                }
-                s
-            })
-            .collect();
-        for (&q, z) in chunk.iter().zip(&solve_p(&rhs).map_err(breakdown)?) {
+    let nodes: Vec<usize> = (0..keep.len()).collect();
+    for chunk in nodes.chunks(batch_width()) {
+        let zs = pdn_num::parallel::try_par_map_indexed(chunk.len(), |t| {
+            let mut s = vec![0.0; n];
+            for &i in &members[chunk[t]] {
+                s[i] = 1.0;
+            }
+            solve_p(&s)
+        })
+        .map_err(breakdown)?;
+        for (&q, z) in chunk.iter().zip(&zs) {
             for (r, cells) in members.iter().enumerate() {
                 c[(r, q)] = cells.iter().map(|&i| z[i]).sum::<f64>();
             }
@@ -1216,29 +1183,19 @@ fn no_node(what: &str, err: impl fmt::Display) -> ExtractCircuitError {
     ))
 }
 
-/// CG tolerance of the compressed routes: two decades tighter than the
-/// certified kernel tolerance, so iteration error stays negligible
-/// against the compression error.
-fn cg_tol(ck: &CompressedKernels) -> f64 {
-    (ck.spec.tol * 1e-2).max(1e-14)
-}
-
-/// CG iteration cap for a system of dimension `dim`.
-fn max_iter(dim: usize) -> usize {
-    10 * dim.max(10) + 100
-}
-
 /// The dense route: Cholesky solves with `L`, LU Schur complements of
 /// the unsymmetrized blocks, and the cluster sums of the dense `C`.
 fn dense_route(
-    sys: &BemSystem,
+    l: &Matrix<f64>,
+    c_full: &Matrix<f64>,
+    mesh: &PlaneMesh,
     part: &Partition,
     inc: &Incidence<'_>,
     lap: &Laplacian,
 ) -> Result<Reduced, ExtractCircuitError> {
-    let ch = CholeskyDecomposition::new(sys.inductance())
+    let ch = CholeskyDecomposition::new(l)
         .map_err(|e| ExtractCircuitError::NumericalBreakdown(format!("L not SPD: {e}")))?;
-    let bl = reluctance_blocks(part, inc, per_column_width(), per_column(|a| ch.solve(a)))?;
+    let bl = reluctance_blocks(part, inc, |a| ch.solve(a))?;
     // B and G: Kron reduction (internal nodes carry no external
     // injection in the inductive/resistive sub-network).
     let b =
@@ -1249,8 +1206,7 @@ fn dense_route(
     // the tiny link inductance, so their charge must aggregate onto that
     // node. (Kron on C would leave them floating and lose most of the
     // plate capacitance.) Clusters never cross nets.
-    let cluster = capacitance_clusters(sys.mesh(), &part.keep)?;
-    let c_full = sys.capacitance();
+    let cluster = capacitance_clusters(mesh, &part.keep)?;
     let k = part.keep.len();
     let mut c = Matrix::zeros(k, k);
     for (i, &ci) in cluster.iter().enumerate() {
@@ -1261,27 +1217,25 @@ fn dense_route(
     Ok((b, g, c))
 }
 
-/// The per-column CG route ([`SolverSpec::ScalarJacobi`]): Jacobi CG on
-/// the compressed `L` and `P` stands in for the dense factorizations,
-/// one solve per column, then dense Schur complements of the symmetrized
-/// blocks by [`kron_reduce_blocks`].
-fn scalar_cg_route(
+/// The compressed route: Jacobi CG on the compressed `L` and `P` stands
+/// in for the dense factorizations, one solve per column, then dense
+/// Schur complements of the symmetrized blocks by [`kron_reduce_blocks`].
+fn compressed_route(
     ck: &CompressedKernels,
     mesh: &PlaneMesh,
     part: &Partition,
     inc: &Incidence<'_>,
     lap: &Laplacian,
 ) -> Result<Reduced, ExtractCircuitError> {
-    let tol = cg_tol(ck);
+    let tol = ck.spec.cg_tol();
     let (n, m) = (part.slot.len(), inc.links.len());
-    let width = per_column_width();
-    let solve_l = per_column(|a| ck.l.solve(a, tol, max_iter(m)));
+    let solve_l = |a: &[f64]| ck.l.solve(a, tol, CompressionSpec::cg_max_iter(m));
     let Blocks {
         mut kk,
         mut ke,
         ek,
         mut ee,
-    } = reluctance_blocks(part, inc, width, solve_l)?;
+    } = reluctance_blocks(part, inc, solve_l)?;
     // B is symmetric up to the CG tolerance; symmetrize deterministically
     // before the Schur reduction assumes it.
     symmetrize(&mut kk);
@@ -1295,166 +1249,8 @@ fn scalar_cg_route(
     let b = kron_reduce_blocks(&kk, &ke, ee).map_err(|err| no_node("Kron reduction of B", err))?;
     drop((kk, ke));
     let g = lap.reduce_dense()?;
-    let order: Vec<usize> = (0..part.keep.len()).collect();
-    let solve_p = per_column(|s| ck.p.solve(s, tol, max_iter(n)));
-    let c = cluster_capacitance(mesh, &part.keep, &order, width, solve_p)?;
-    Ok((b, g, c))
-}
-
-/// The block-CG route ([`SolverSpec::BlockCg`]): right-hand sides are
-/// solved in panels of [`pdn_bem::BLOCK_CG_PANEL`] columns by
-/// [`pdn_num::cg::solve_spd_block`] under hierarchical block-Jacobi
-/// preconditioners built from the kernels' ACA cluster trees. The
-/// eliminated B-block, the dense `e²` working set of the other routes, is
-/// assembled as a certified [`pdn_bem::CompressedColumns`] operator, and
-/// both `B` and `G` are reduced by the operator-form Schur complement
-/// [`kron_reduce_operator`].
-///
-/// Panels run serially in fixed order and every inner parallel fan is
-/// per-column in index order, so the result is bit-identical for any
-/// `PDN_THREADS`.
-fn block_cg_route(
-    ck: &CompressedKernels,
-    mesh: &PlaneMesh,
-    part: &Partition,
-    inc: &Incidence<'_>,
-    lap: &Laplacian,
-) -> Result<Reduced, ExtractCircuitError> {
-    let panel = pdn_bem::BLOCK_CG_PANEL;
-    let tol = cg_tol(ck);
-    let (n, m) = (part.slot.len(), inc.links.len());
-    let (k, e) = (part.keep.len(), part.elim.len());
-
-    // Hierarchical preconditioners over the kernels' coarsened cluster
-    // trees.
-    let l_pc = ck.l.block_jacobi(true).map_err(breakdown)?;
-    let p_pc = ck.p.block_jacobi(true).map_err(breakdown)?;
-    let solve_l = |rhs: &[Vec<f64>]| ck.l.solve_block(rhs, &l_pc, tol, max_iter(m));
-
-    // Retained nodes in the P cluster tree's traversal order: panels of
-    // geometrically coherent right-hand sides share a Krylov subspace
-    // much better than keep-index-ordered ones, so the block solves
-    // converge in fewer iterations. The order depends only on the
-    // deterministic tree, never on the worker count.
-    let tree_order: Vec<usize> =
-        ck.p.leaf_clusters(false)
-            .into_iter()
-            .flatten()
-            .filter_map(|i| part.kept(i))
-            .collect();
-
-    // --- Kept columns of B: dense (k × k) and (k × e) blocks --------
-    let mut b_kk = Matrix::zeros(k, k);
-    let mut b_ke = Matrix::zeros(k, e);
-    for chunk in tree_order.chunks(panel) {
-        let cells: Vec<usize> = chunk.iter().map(|&q| part.keep[q]).collect();
-        let cols = inc.reluctance_columns(&cells, solve_l).map_err(breakdown)?;
-        for (&q, y) in chunk.iter().zip(&cols) {
-            for (i, &v) in y.iter().enumerate() {
-                match part.slot[i] {
-                    Slot::Kept(p) => b_kk[(p, q)] = v,
-                    // B is symmetric up to the CG tolerance: the
-                    // eliminated rows of kept columns are the kept rows
-                    // of eliminated columns, so the coupling block never
-                    // needs eliminated-column solves.
-                    Slot::Elim(p) => b_ke[(q, p)] = v,
-                }
-            }
-        }
-    }
-    symmetrize(&mut b_kk);
-
-    // --- B_ee as a certified low-rank column compression ------------
-    // Its columns are generated panel-wise by the same block solves and
-    // compressed on the fly; the Schur complement is then taken
-    // iteratively against the compressed operator, so the dense e²
-    // array is never materialized.
-    let (b, elim_clusters) = if e == 0 {
-        (b_kk.clone(), Vec::new())
-    } else {
-        let elim_points: Vec<(f64, f64)> = part
-            .elim
-            .iter()
-            .map(|&i| {
-                let c = mesh.cell_center(i);
-                (c.x, c.y)
-            })
-            .collect();
-        let bee = pdn_bem::CompressedColumns::build(
-            &elim_points,
-            &ck.spec,
-            panel,
-            &mut |local: &[usize]| {
-                let cells: Vec<usize> = local.iter().map(|&q| part.elim[q]).collect();
-                let cols = inc.reluctance_columns(&cells, solve_l)?;
-                Ok(cols
-                    .into_iter()
-                    .map(|y| part.elim.iter().map(|&i| y[i]).collect())
-                    .collect())
-            },
-        )
-        .map_err(breakdown)?;
-        let elim_clusters = bee.leaf_clusters(true);
-        let mats = bee.cluster_restrictions(&elim_clusters);
-        let bee_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
-            e,
-            elim_clusters.iter().cloned().zip(mats).collect(),
-        )
-        .map_err(|err| no_node("hierarchical B_ee preconditioner construction", err))?;
-        let apply_bee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { bee.matvec_block(cols) };
-        let b = kron_reduce_operator(&b_kk, &b_ke, &apply_bee, &bee_pc, panel, tol, max_iter(e))
-            .map_err(|err| no_node("iterative Kron reduction of B", err))?;
-        (b, elim_clusters)
-    };
-    drop((b_kk, b_ke));
-
-    // --- G: Schur complement in operator form ------------------------
-    let g = if !lap.lossy {
-        Matrix::zeros(k, k)
-    } else if e == 0 {
-        lap.kk.clone()
-    } else {
-        // Block-Jacobi over the same geometric clusters as B_ee; the
-        // per-cluster restrictions of the sparse Laplacian are stamped
-        // directly.
-        let mut cluster_of = vec![(usize::MAX, usize::MAX); e];
-        for (ci, cl) in elim_clusters.iter().enumerate() {
-            for (p, &i) in cl.iter().enumerate() {
-                cluster_of[i] = (ci, p);
-            }
-        }
-        let mut g_mats: Vec<Matrix<f64>> = elim_clusters
-            .iter()
-            .map(|cl| {
-                let mut mat = Matrix::zeros(cl.len(), cl.len());
-                for (p, &i) in cl.iter().enumerate() {
-                    mat[(p, p)] = lap.ee_diag[i];
-                }
-                mat
-            })
-            .collect();
-        for &(i, j, v) in &lap.ee_off {
-            let (ci, pi) = cluster_of[i];
-            let (cj, pj) = cluster_of[j];
-            if ci == cj {
-                g_mats[ci][(pi, pj)] += v;
-                g_mats[ci][(pj, pi)] += v;
-            }
-        }
-        let g_pc = pdn_num::BlockJacobiPreconditioner::from_blocks(
-            e,
-            elim_clusters.iter().cloned().zip(g_mats).collect(),
-        )
-        .map_err(|err| no_node("hierarchical G_ee preconditioner construction", err))?;
-        let apply_gee = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> { lap.apply_ee(cols) };
-        kron_reduce_operator(&lap.kk, &lap.ke, &apply_gee, &g_pc, panel, tol, max_iter(e))
-            .map_err(|err| no_node("iterative Kron reduction of G", err))?
-    };
-
-    // --- C in the B columns' tree-coherent panels ---------------------
-    // (indicator clusters sit around their kept cell).
-    let solve_p = |rhs: &[Vec<f64>]| ck.p.solve_block(rhs, &p_pc, tol, max_iter(n));
-    let c = cluster_capacitance(mesh, &part.keep, &tree_order, panel, solve_p)?;
+    let solve_p = |s: &[f64]| ck.p.solve(s, tol, CompressionSpec::cg_max_iter(n));
+    let c = cluster_capacitance(mesh, &part.keep, solve_p)?;
     Ok((b, g, c))
 }
 
@@ -1619,8 +1415,9 @@ mod tests {
         close(&eq_d.b, &eq_c.b, "B");
         close(&eq_d.g, &eq_c.g, "G");
         close(&eq_d.c, &eq_c.c, "C");
-        // End-to-end: port impedances from both macromodels agree.
-        for &f in &[1e8, 1e9, 4e9] {
+        // End-to-end: port impedances from both macromodels agree, from
+        // the low-frequency end that the DC resistance fixes up to 4 GHz.
+        for &f in &[1e6, 12.5e6, 1e8, 1e9, 4e9] {
             let zd = eq_d.impedance(f).unwrap();
             let zc = eq_c.impedance(f).unwrap();
             let scale = zd.max_abs();
@@ -1628,102 +1425,6 @@ mod tests {
                 for j in 0..zd.ncols() {
                     assert!((zd[(i, j)] - zc[(i, j)]).norm() <= 1e-4 * scale);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn block_solver_extraction_matches_dense() {
-        // The BlockCg route (panel block CG, hierarchical preconditioners,
-        // compressed B_ee with iterative Schur) against the dense path:
-        // same certified-tolerance contract as the scalar compressed
-        // route.
-        let build = |spec: Option<pdn_bem::CompressionSpec>| {
-            let mut mesh =
-                PlaneMesh::build(&Polygon::rectangle(mm(24.0), mm(12.0)), mm(1.0)).unwrap();
-            mesh.bind_port("P1", Point::new(mm(3.0), mm(6.0))).unwrap();
-            mesh.bind_port("P2", Point::new(mm(21.0), mm(6.0))).unwrap();
-            let pair = PlanePair::new(0.3e-3, 4.2).unwrap();
-            let zs = SurfaceImpedance::from_sheet_resistance(5e-3);
-            let opts = BemOptions {
-                compression: spec,
-                ..BemOptions::default()
-            };
-            BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap()
-        };
-        let spec = pdn_bem::CompressionSpec {
-            leaf_size: 16,
-            ..pdn_bem::CompressionSpec::default()
-        }
-        .with_block_solver();
-        assert!(spec.solver.is_block());
-        let dense = build(None);
-        let block = build(Some(spec));
-        let sel = NodeSelection::PortsAndGrid { stride: 3 };
-        let (eq_d, keep_d) = EquivalentCircuit::from_bem_detailed(&dense, &sel).unwrap();
-        let (eq_b, keep_b) = EquivalentCircuit::from_bem_detailed(&block, &sel).unwrap();
-        assert_eq!(keep_d, keep_b);
-        assert_eq!(eq_d.names, eq_b.names);
-        let close = |a: &Matrix<f64>, b: &Matrix<f64>, what: &str| {
-            let scale = a.max_abs().max(1e-300);
-            for i in 0..a.nrows() {
-                for j in 0..a.ncols() {
-                    let d = (a[(i, j)] - b[(i, j)]).abs();
-                    assert!(
-                        d <= 1e-4 * scale,
-                        "{what}({i},{j}): dense {} vs block {} (rel {:.3e})",
-                        a[(i, j)],
-                        b[(i, j)],
-                        d / scale
-                    );
-                }
-            }
-        };
-        close(&eq_d.b, &eq_b.b, "B");
-        close(&eq_d.g, &eq_b.g, "G");
-        close(&eq_d.c, &eq_b.c, "C");
-        for &f in &[1e8, 1e9, 4e9] {
-            let zd = eq_d.impedance(f).unwrap();
-            let zb = eq_b.impedance(f).unwrap();
-            let scale = zd.max_abs();
-            for i in 0..zd.nrows() {
-                for j in 0..zd.ncols() {
-                    assert!((zd[(i, j)] - zb[(i, j)]).norm() <= 1e-4 * scale);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_solver_keep_all_has_no_eliminated_block() {
-        // NodeSelection::All leaves e == 0: the block route must skip the
-        // compressed-columns machinery entirely and still agree with the
-        // scalar compressed route bit-for-bit in structure.
-        let build = |spec: pdn_bem::CompressionSpec| {
-            let mut mesh =
-                PlaneMesh::build(&Polygon::rectangle(mm(12.0), mm(8.0)), mm(1.0)).unwrap();
-            mesh.bind_port("P1", Point::new(mm(2.0), mm(4.0))).unwrap();
-            let pair = PlanePair::new(0.3e-3, 4.2).unwrap();
-            let zs = SurfaceImpedance::from_sheet_resistance(5e-3);
-            let opts = BemOptions {
-                compression: Some(spec),
-                ..BemOptions::default()
-            };
-            BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap()
-        };
-        let spec = pdn_bem::CompressionSpec {
-            leaf_size: 8,
-            ..pdn_bem::CompressionSpec::default()
-        };
-        let scalar = build(spec);
-        let block = build(spec.with_block_solver());
-        let (eq_s, _) = EquivalentCircuit::from_bem_detailed(&scalar, &NodeSelection::All).unwrap();
-        let (eq_b, _) = EquivalentCircuit::from_bem_detailed(&block, &NodeSelection::All).unwrap();
-        assert_eq!(eq_s.node_count(), eq_b.node_count());
-        let scale = eq_s.b.max_abs();
-        for i in 0..eq_s.b.nrows() {
-            for j in 0..eq_s.b.ncols() {
-                assert!((eq_s.b[(i, j)] - eq_b.b[(i, j)]).abs() <= 1e-6 * scale);
             }
         }
     }
@@ -1865,7 +1566,7 @@ mod tests {
             a_mat[(l, link.a)] = 1.0;
             a_mat[(l, link.b)] = -1.0;
         }
-        let ch = CholeskyDecomposition::new(sys.inductance()).unwrap();
+        let ch = CholeskyDecomposition::new(sys.inductance().unwrap()).unwrap();
         let mut x = Matrix::zeros(m, n);
         for j in 0..n {
             let col = ch.solve(&a_mat.col(j)).unwrap();

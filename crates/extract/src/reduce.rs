@@ -14,8 +14,7 @@
 //! cells floating: it equals the inverse of the kept-block of the
 //! potential-coefficient matrix.)
 
-use pdn_num::cg::{solve_spd_block, IterativeSolveError};
-use pdn_num::{LuDecomposition, Matrix, Preconditioner, SolveMatrixError};
+use pdn_num::{LuDecomposition, Matrix, SolveMatrixError};
 
 /// Where a node lands in a kept/eliminated split.
 #[derive(Debug, Clone, Copy)]
@@ -52,14 +51,6 @@ impl Partition {
             }
         }
         Partition { keep, elim, slot }
-    }
-
-    /// The kept position of `node`, if it is kept.
-    pub(crate) fn kept(&self, node: usize) -> Option<usize> {
-        match self.slot[node] {
-            Slot::Kept(p) => Some(p),
-            Slot::Elim(_) => None,
-        }
     }
 }
 
@@ -125,8 +116,8 @@ pub fn kron_reduce(m: &Matrix<f64>, keep: &[usize]) -> Result<Matrix<f64>, Solve
 /// matrix is never materialized — its kept/eliminated blocks are
 /// assembled directly (iteratively) and handed here. `m_ee` is consumed
 /// by the factorization, so the eliminated block (the largest of the
-/// three) is not duplicated. Symmetry of the underlying matrix is
-/// assumed: the `(elim, keep)` block is taken as `M_keᵀ`.
+/// three) is not duplicated. The underlying matrix is assumed
+/// symmetric: the `(elim, keep)` block is taken as `M_keᵀ`.
 ///
 /// # Errors
 ///
@@ -176,70 +167,6 @@ pub(crate) fn symmetrize(m: &mut Matrix<f64>) {
             m[(j, i)] = v;
         }
     }
-}
-
-/// [`kron_reduce_blocks`] with the eliminated block in operator form:
-/// returns `M_kk − M_ke · M_ee⁻¹ · M_keᵀ` without ever factoring (or even
-/// materializing) `M_ee`.
-///
-/// `apply_ee` applies the SPD eliminated block to a panel of columns and
-/// `pc` preconditions the inner block-CG solve (see
-/// [`pdn_num::cg::solve_spd_block`]). The `k` right-hand sides `M_keᵀ`
-/// are solved in panels of `panel` columns, serially in ascending column
-/// order, so the result is bit-identical for any thread count as long as
-/// `apply_ee` and `pc` are.
-///
-/// This is the reduction path for block-iterative compressed extraction,
-/// where `M_ee` is held as a certified low-rank column compression and a
-/// dense `e²` factorization would dominate the working set.
-///
-/// # Errors
-///
-/// Returns the inner solver's error when block CG fails to converge or
-/// breaks down — typically a floating island with no retained node.
-///
-/// # Panics
-///
-/// Panics on inconsistent block dimensions or `panel == 0`.
-#[allow(clippy::type_complexity)]
-pub fn kron_reduce_operator(
-    m_kk: &Matrix<f64>,
-    m_ke: &Matrix<f64>,
-    apply_ee: &(dyn Fn(&[Vec<f64>]) -> Vec<Vec<f64>> + Sync),
-    pc: &dyn Preconditioner,
-    panel: usize,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Matrix<f64>, IterativeSolveError> {
-    assert!(m_kk.is_square(), "kept block must be square");
-    assert!(panel > 0, "panel width must be positive");
-    let k = m_kk.nrows();
-    let e = m_ke.ncols();
-    assert_eq!(m_ke.nrows(), k, "coupling block row count");
-    assert_eq!(pc.len(), e, "preconditioner dimension");
-    if e == 0 {
-        return Ok(m_kk.clone());
-    }
-    let mut reduced = m_kk.clone();
-    let cols: Vec<usize> = (0..k).collect();
-    for chunk in cols.chunks(panel) {
-        // Panel of right-hand sides: columns of M_keᵀ (rows of M_ke).
-        let rhs: Vec<Vec<f64>> = chunk.iter().map(|&j| m_ke.row(j).to_vec()).collect();
-        let ys = solve_spd_block(e, apply_ee, pc, &rhs, tol, max_iter)?;
-        for (t, y) in ys.iter().enumerate() {
-            let j = chunk[t];
-            for i in 0..k {
-                let mut acc = 0.0;
-                for (q, &yq) in y.iter().enumerate() {
-                    acc += m_ke[(i, q)] * yq;
-                }
-                reduced[(i, j)] -= acc;
-            }
-        }
-    }
-    // The inner solves are only accurate to `tol`.
-    symmetrize(&mut reduced);
-    Ok(reduced)
 }
 
 #[cfg(test)]
@@ -371,80 +298,5 @@ mod tests {
         let m = chain_laplacian(3, 1.0);
         let r = kron_reduce_blocks(&m, &Matrix::zeros(3, 0), Matrix::zeros(0, 0)).unwrap();
         assert_eq!(r, m);
-    }
-
-    #[test]
-    fn operator_form_matches_direct_reduction() {
-        use pdn_num::JacobiPreconditioner;
-        // Grounded mesh so the eliminated block is SPD.
-        let mut m = chain_laplacian(8, 1.0);
-        for i in 0..8 {
-            m[(i, i)] += 0.3;
-        }
-        m[(1, 6)] -= 0.4;
-        m[(6, 1)] -= 0.4;
-        m[(1, 1)] += 0.4;
-        m[(6, 6)] += 0.4;
-        let keep = [0usize, 3, 7];
-        let elim = [1usize, 2, 4, 5, 6];
-        let direct = kron_reduce(&m, &keep).unwrap();
-        let m_ee = m.submatrix(&elim, &elim);
-        let diag: Vec<f64> = (0..elim.len()).map(|i| m_ee[(i, i)]).collect();
-        let pc = JacobiPreconditioner::new(&diag).unwrap();
-        let apply = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> {
-            cols.iter()
-                .map(|c| m_ee.matvec(c).as_slice().to_vec())
-                .collect()
-        };
-        // Panel narrower than the kept count exercises the chunking.
-        let it = kron_reduce_operator(
-            &m.submatrix(&keep, &keep),
-            &m.submatrix(&keep, &elim),
-            &apply,
-            &pc,
-            2,
-            1e-13,
-            500,
-        )
-        .unwrap();
-        for i in 0..keep.len() {
-            for j in 0..keep.len() {
-                assert!(approx_eq(it[(i, j)], direct[(i, j)], 1e-9));
-            }
-        }
-        assert!(it.symmetry_defect() == 0.0);
-    }
-
-    #[test]
-    fn operator_form_with_empty_elimination_is_kept_block() {
-        use pdn_num::JacobiPreconditioner;
-        let m = chain_laplacian(3, 1.0);
-        let pc = JacobiPreconditioner::new(&[]).unwrap();
-        let apply = |_: &[Vec<f64>]| -> Vec<Vec<f64>> { Vec::new() };
-        let r = kron_reduce_operator(&m, &Matrix::zeros(3, 0), &apply, &pc, 4, 1e-12, 10).unwrap();
-        assert_eq!(r, m);
-    }
-
-    #[test]
-    fn operator_form_surfaces_nonconvergence() {
-        use pdn_num::JacobiPreconditioner;
-        // Floating eliminated Laplacian block is singular: CG cannot
-        // converge and the error must say so rather than return garbage.
-        let m_ee = chain_laplacian(4, 1.0);
-        let diag: Vec<f64> = (0..4).map(|i| m_ee[(i, i)]).collect();
-        let pc = JacobiPreconditioner::new(&diag).unwrap();
-        let apply = |cols: &[Vec<f64>]| -> Vec<Vec<f64>> {
-            cols.iter()
-                .map(|c| m_ee.matvec(c).as_slice().to_vec())
-                .collect()
-        };
-        let m_kk = Matrix::from_rows(&[&[1.0]]);
-        let mut m_ke = Matrix::zeros(1, 4);
-        m_ke[(0, 0)] = 1.0;
-        let err = kron_reduce_operator(&m_kk, &m_ke, &apply, &pc, 4, 1e-12, 200).unwrap_err();
-        match err {
-            IterativeSolveError::NotConverged { .. } | IterativeSolveError::Breakdown { .. } => {}
-            other => panic!("unexpected error: {other:?}"),
-        }
     }
 }

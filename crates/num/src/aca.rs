@@ -16,51 +16,11 @@
 
 use crate::matrix::Matrix;
 
-/// Interleaved-panel width of [`LowRank::matvec_panel_into`]: lanes are
-/// independent columns, so the fixed-width inner loops vectorize without
-/// reassociating any per-column sum. Callers chunk larger panels by this.
-pub const PANEL_LANES: usize = 8;
-
-/// `y[i·W + q] += s · Σ_l scatter[i,l] · (Σ_j gather[j,l] · x[j·W + q])`
-/// over `W =` [`PANEL_LANES`] lanes — one `U·Vᵀ`-style panel application
-/// with the factor roles picked by the caller (forward: gather = `V`,
-/// scatter = `U`; transpose swaps them). Lane `q`'s arithmetic is
-/// exactly the serial matvec sequence.
-fn panel_apply(
-    gather: &Matrix<f64>,
-    scatter: &Matrix<f64>,
-    rank: usize,
-    x: &[f64],
-    s: f64,
-    y: &mut [f64],
-) {
-    const W: usize = PANEL_LANES;
-    let mut t = [0.0f64; W];
-    for l in 0..rank {
-        t.fill(0.0);
-        for j in 0..gather.nrows() {
-            let vv = gather[(j, l)];
-            for (tq, xq) in t.iter_mut().zip(&x[j * W..(j + 1) * W]) {
-                *tq += vv * xq;
-            }
-        }
-        for tq in t.iter_mut() {
-            *tq *= s;
-        }
-        for i in 0..scatter.nrows() {
-            let uu = scatter[(i, l)];
-            for (yq, tq) in y[i * W..(i + 1) * W].iter_mut().zip(&t) {
-                *yq += tq * uu;
-            }
-        }
-    }
-}
-
-/// `y[i] += Σ_l (s·t_l)·scatter[i, l]` in ascending `l`, where
+/// `y[i] += Σ_l t_l·scatter[i, l]` in ascending `l`, where
 /// `t_l = Σ_j gather[j, l]·x[j]` is summed from `−0.0` (as
 /// `Iterator::sum` does) in ascending `j` — the serial low-rank matvec,
 /// with all `k` sums formed in one pass over the rows of `gather`.
-fn apply(gather: &Matrix<f64>, scatter: &Matrix<f64>, x: &[f64], s: f64, y: &mut [f64]) {
+fn apply(gather: &Matrix<f64>, scatter: &Matrix<f64>, x: &[f64], y: &mut [f64]) {
     let k = gather.ncols();
     if k == 0 {
         return;
@@ -71,13 +31,9 @@ fn apply(gather: &Matrix<f64>, scatter: &Matrix<f64>, x: &[f64], s: f64, y: &mut
             *tl += g * xj;
         }
     }
-    for tl in &mut t {
-        // s·t_l: an IEEE product does not depend on operand order.
-        *tl *= s;
-    }
     for (i, yi) in y.iter_mut().enumerate() {
-        for (&st, &sc) in t.iter().zip(scatter.row(i)) {
-            *yi += st * sc;
+        for (&tl, &sc) in t.iter().zip(scatter.row(i)) {
+            *yi += tl * sc;
         }
     }
 }
@@ -160,54 +116,20 @@ impl LowRank {
         out
     }
 
-    /// `y += s · (U·Vᵀ)·x`.
+    /// `y += (U·Vᵀ)·x`.
     ///
     /// Each inner product `t_l = Σ_j V[j, l]·x[j]` is summed from `−0.0`
-    /// in ascending `j`, and each `y_i` then receives `(s·t_l)·U[i, l]`
-    /// in ascending `l`. All `k` inner products are formed in one pass
-    /// over the contiguous rows of `V`, so they run as independent sums.
-    pub fn matvec_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
-        apply(&self.v, &self.u, x, s, y);
+    /// in ascending `j`, and each `y_i` then receives `t_l·U[i, l]` in
+    /// ascending `l`. All `k` inner products are formed in one pass over
+    /// the contiguous rows of `V`, so they run as independent sums.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        apply(&self.v, &self.u, x, y);
     }
 
-    /// Panel variant of [`LowRank::matvec_into`] over [`PANEL_LANES`]
-    /// interleaved columns (`x[j·W + q]` is column `q`'s entry `j`,
-    /// likewise `y`): every factor entry is loaded once and applied
-    /// across the whole panel, while each column's floating-point
-    /// arithmetic is exactly the serial [`LowRank::matvec_into`]
-    /// sequence — the panel result is bit-identical to `W` serial
-    /// applications.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the interleaved buffers do not match [`PANEL_LANES`]
-    /// columns of the factor dimensions.
-    pub fn matvec_panel_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
-        const W: usize = PANEL_LANES;
-        assert_eq!(x.len(), self.ncols() * W, "panel x dimension mismatch");
-        assert_eq!(y.len(), self.nrows() * W, "panel y dimension mismatch");
-        panel_apply(&self.v, &self.u, self.rank(), x, s, y);
-    }
-
-    /// Panel variant of [`LowRank::matvec_transpose_into`]; same
-    /// interleaved layout and bit-identity contract as
-    /// [`LowRank::matvec_panel_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the interleaved buffers do not match [`PANEL_LANES`]
-    /// columns of the factor dimensions.
-    pub fn matvec_transpose_panel_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
-        const W: usize = PANEL_LANES;
-        assert_eq!(x.len(), self.nrows() * W, "panel x dimension mismatch");
-        assert_eq!(y.len(), self.ncols() * W, "panel y dimension mismatch");
-        panel_apply(&self.u, &self.v, self.rank(), x, s, y);
-    }
-
-    /// `y += s · (U·Vᵀ)ᵀ·x = s · V·Uᵀ·x`, with the summation order of
+    /// `y += (U·Vᵀ)ᵀ·x = V·Uᵀ·x`, with the summation order of
     /// [`LowRank::matvec_into`] and the factor roles swapped.
-    pub fn matvec_transpose_into(&self, x: &[f64], s: f64, y: &mut [f64]) {
-        apply(&self.u, &self.v, x, s, y);
+    pub fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) {
+        apply(&self.u, &self.v, x, y);
     }
 
     /// Densifies the approximation (diagnostics and small-block tests).
@@ -599,17 +521,17 @@ mod tests {
         let lr = aca_of(&a, 1e-10);
         let x: Vec<f64> = (0..20).map(|j| ((j * 7) % 5) as f64 - 2.0).collect();
         let mut y = vec![0.0; 30];
-        lr.matvec_into(&x, 1.0, &mut y);
+        lr.matvec_into(&x, &mut y);
         let y_dense = a.matvec(&x);
         for i in 0..30 {
             assert!((y[i] - y_dense[i]).abs() < 1e-8 * y_dense[i].abs().max(1.0));
         }
         let xt: Vec<f64> = (0..30).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut yt = vec![0.0; 20];
-        lr.matvec_transpose_into(&xt, 2.0, &mut yt);
+        lr.matvec_transpose_into(&xt, &mut yt);
         let yt_dense = a.transpose().matvec(&xt);
         for j in 0..20 {
-            assert!((yt[j] - 2.0 * yt_dense[j]).abs() < 1e-8 * yt_dense[j].abs().max(1.0));
+            assert!((yt[j] - yt_dense[j]).abs() < 1e-8 * yt_dense[j].abs().max(1.0));
         }
     }
 

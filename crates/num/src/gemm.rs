@@ -29,11 +29,8 @@
 
 use crate::{c64, Scalar};
 
-/// Fixed f64 lane-group width of every microkernel in this module.
-///
-/// Matches the interleave width of the ACA panel kernels
-/// ([`crate::aca::PANEL_LANES`]); chosen so a lane group is one cache line
-/// of f64.
+/// Fixed f64 lane-group width of every microkernel in this module,
+/// chosen so a lane group is one cache line of f64.
 pub const LANES: usize = 8;
 
 /// Panel (block) width used by the blocked LU and Cholesky factorizations.

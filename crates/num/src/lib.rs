@@ -38,7 +38,6 @@ pub mod lu;
 pub mod matrix;
 pub mod parallel;
 pub mod phys;
-pub mod precond;
 pub mod prom;
 pub mod quadrature;
 pub mod rational;
@@ -56,7 +55,6 @@ pub use fft::{fft, ifft, next_pow2, real_fft_magnitude};
 pub use gemm::GemmScalar;
 pub use lu::{LuDecomposition, SolveMatrixError};
 pub use matrix::{Matrix, Vector};
-pub use precond::{BlockJacobiPreconditioner, JacobiPreconditioner, Preconditioner};
 pub use prom::{PoleResidueModel, PromError, PromOptions, RomTransientState};
 pub use quadrature::GaussLegendre;
 pub use rational::{RationalModel, SweepAccuracy, SweepError, SweepOutcome, SweepStats};

@@ -261,7 +261,7 @@ impl<T: Scalar> Matrix<T> {
             .sqrt()
     }
 
-    /// Symmetry defect `max |A - Aᵀ|`; zero for symmetric matrices.
+    /// The symmetry defect `max |A - Aᵀ|`; zero for symmetric matrices.
     ///
     /// # Panics
     ///

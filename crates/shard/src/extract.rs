@@ -5,7 +5,7 @@ use crate::error::ShardExtractError;
 use crate::plan::ShardPlan;
 use pdn_bem::{
     assemble_link_matrices, assemble_matrices, compress_link_matrices, cross_block_lumping,
-    BemOptions, BemSystem,
+    BemOptions, BemSystem, CompressionSpec,
 };
 use pdn_extract::{capacitance_clusters, kron_reduce, EquivalentCircuit, NodeSelection};
 use pdn_geom::mesh::{Link, PlaneMesh};
@@ -336,7 +336,10 @@ pub fn extract_sharded(
                 .map_err(|e| region_err(tile, &e))?;
             let (eq, keep_local) = EquivalentCircuit::from_bem_detailed(&sys, req.selection)
                 .map_err(|e| region_err(tile, &e))?;
-            let c_full = sys.capacitance().clone();
+            let c_full = sys
+                .capacitance()
+                .expect("a system built from raw matrices is dense")
+                .clone();
             let keep_global = keep_local.iter().map(|&k| cells[k]).collect();
             let stats = RegionStats {
                 index: tile,
@@ -432,44 +435,14 @@ pub fn extract_sharded(
                 ShardExtractError::Composition(format!("cut-link compression failed: {e}"))
             })?;
             r_cut = r;
-            let cg_tol = (spec.tol * 1e-2).max(1e-14);
-            let max_iter = 10 * mc.max(10) + 100;
-            let cols: Vec<Vec<f64>> = if spec.solver.is_block() {
-                // Block route: identity columns in panels through block CG
-                // under the hierarchical cut-link preconditioner. Panels
-                // run serially in index order, so the stitch stays
-                // bit-identical for any `PDN_THREADS`.
-                let l_pc = l_kernel.block_jacobi(true).map_err(|e| {
-                    ShardExtractError::Composition(format!(
-                        "cut-link preconditioner construction failed: {e}"
-                    ))
-                })?;
-                let idx: Vec<usize> = (0..mc).collect();
-                let mut cols = Vec::with_capacity(mc);
-                for chunk in idx.chunks(pdn_bem::BLOCK_CG_PANEL) {
-                    let rhs: Vec<Vec<f64>> = chunk
-                        .iter()
-                        .map(|&j| {
-                            let mut ej = vec![0.0; mc];
-                            ej[j] = 1.0;
-                            ej
-                        })
-                        .collect();
-                    let xs = l_kernel
-                        .solve_block(&rhs, &l_pc, cg_tol, max_iter)
-                        .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
-                    cols.extend(xs);
-                }
-                cols
-            } else {
-                parallel::try_par_map_indexed(mc, |j| {
-                    let mut ej = vec![0.0; mc];
-                    ej[j] = 1.0;
-                    l_kernel
-                        .solve(&ej, cg_tol, max_iter)
-                        .map_err(|e| ShardExtractError::Composition(e.to_string()))
-                })?
-            };
+            let (tol, max_iter) = (spec.cg_tol(), CompressionSpec::cg_max_iter(mc));
+            let cols: Vec<Vec<f64>> = parallel::try_par_map_indexed(mc, |j| {
+                let mut ej = vec![0.0; mc];
+                ej[j] = 1.0;
+                l_kernel
+                    .solve(&ej, tol, max_iter)
+                    .map_err(|e| ShardExtractError::Composition(e.to_string()))
+            })?;
             for (j, col) in cols.iter().enumerate() {
                 for (i, &v) in col.iter().enumerate() {
                     b[(na[i], na[j])] += v;
@@ -750,44 +723,6 @@ mod tests {
             for i in 0..2 {
                 for j in 0..2 {
                     let d = (zd[(i, j)] - zc[(i, j)]).norm();
-                    assert!(d <= 1e-5 * scale, "f={f} ({i},{j}): rel {:.3e}", d / scale);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_solver_stitch_matches_scalar_stitch() {
-        // The cut-link stitch through the block-CG route (panelled
-        // identity columns under the hierarchical preconditioner) against
-        // the scalar per-column route: both solve the same certified
-        // kernel to the same CG tolerance, so the composed impedances
-        // agree to that tolerance.
-        let shapes = [Polygon::rectangle(mm(20.0), mm(10.0))];
-        let ports = [
-            ("P1".to_string(), Point::new(mm(2.0), mm(5.0))),
-            ("P2".to_string(), Point::new(mm(18.0), mm(5.0))),
-        ];
-        let pair = PlanePair::new(0.3e-3, 4.8).unwrap();
-        let zs = SurfaceImpedance::from_sheet_resistance(2e-3);
-        let scalar_opts =
-            BemOptions::default().with_compression(pdn_bem::CompressionSpec::with_tol(1e-6));
-        let block_opts = BemOptions::default()
-            .with_compression(pdn_bem::CompressionSpec::with_tol(1e-6).with_block_solver());
-        let sel = NodeSelection::PortsOnly;
-        let plan = ShardPlan::grid(2, 1).unwrap();
-        let req_s = request(&shapes, &ports, &pair, &zs, &scalar_opts, &sel, mm(1.0));
-        let req_b = request(&shapes, &ports, &pair, &zs, &block_opts, &sel, mm(1.0));
-        let scalar = extract_sharded(&req_s, &plan).unwrap();
-        let block = extract_sharded(&req_b, &plan).unwrap();
-        assert_eq!(block.report().cut_links, 10);
-        for f in [1e8, 1e9] {
-            let zs_ = scalar.equivalent().impedance(f).unwrap();
-            let zb = block.equivalent().impedance(f).unwrap();
-            let scale = zs_.max_abs();
-            for i in 0..2 {
-                for j in 0..2 {
-                    let d = (zs_[(i, j)] - zb[(i, j)]).norm();
                     assert!(d <= 1e-5 * scale, "f={f} ({i},{j}): rel {:.3e}", d / scale);
                 }
             }

@@ -22,6 +22,7 @@ fn bem_capacitance_refinement() {
             .expect("extractable")
             .bem()
             .capacitance()
+            .expect("dense system")
             .clone();
         (0..c.nrows())
             .flat_map(|i| (0..c.ncols()).map(move |j| (i, j)))

@@ -336,6 +336,25 @@ fn small_extracted_plane() -> pdn_core::ExtractedPlane {
 }
 
 #[test]
+fn compressed_system_dense_accessors_return_none() {
+    // A compressed system never forms `C` or `L`: its dense accessors
+    // answer `None` (as `compressed()` does on a dense system) instead of
+    // panicking.
+    let compressed = small_plane_spec()
+        .with_compression(pdn_bem::CompressionSpec::with_tol(1e-6))
+        .extract(&NodeSelection::PortsOnly)
+        .expect("extractable");
+    let bem = compressed.bem();
+    assert!(bem.compressed().is_some());
+    assert!(bem.capacitance().is_none());
+    assert!(bem.inductance().is_none());
+    let dense = small_extracted_plane();
+    assert!(dense.bem().compressed().is_none());
+    assert!(dense.bem().capacitance().is_some());
+    assert!(dense.bem().inductance().is_some());
+}
+
+#[test]
 fn verify_helpers_reject_out_of_range_ports() {
     let spec = small_plane_spec();
     let plane = small_extracted_plane();

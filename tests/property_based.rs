@@ -64,7 +64,7 @@ proptest! {
             .with_cell_size(mm(w_mm.max(h_mm)) / 6.0)
             .with_port("P", mm(w_mm / 2.0), mm(h_mm / 2.0));
         let ex = spec.extract(&NodeSelection::PortsOnly).expect("extractable");
-        let c = ex.bem().capacitance();
+        let c = ex.bem().capacitance().expect("dense system");
         prop_assert!(is_positive_definite(c));
         let c_total: f64 = (0..c.nrows())
             .flat_map(|i| (0..c.ncols()).map(move |j| (i, j)))
