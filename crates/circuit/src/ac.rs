@@ -5,9 +5,7 @@
 //! (Section 5.1: "frequency domain simulations are useful for gaining
 //! insight of high frequency characteristics").
 
-use crate::netlist::{
-    switch_conductance, Circuit, Element, NodeId, SimulateCircuitError, SourceId,
-};
+use crate::netlist::{singular, Circuit, NodeId, SimulateCircuitError, SourceId};
 use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{c64, LuDecomposition, Matrix};
 use std::f64::consts::PI;
@@ -76,122 +74,6 @@ impl AcResult {
 }
 
 impl Circuit {
-    /// Builds the complex MNA matrix at angular frequency `omega` with all
-    /// independent sources deactivated (V → short, I → open).
-    fn ac_matrix(&self, omega: f64) -> Matrix<c64> {
-        let n = self.n_nodes;
-        let dim = n + self.n_vsources;
-        let mut a = Matrix::<c64>::zeros(dim, dim);
-        let stamp_y = |p: NodeId, q: NodeId, y: c64, a: &mut Matrix<c64>| {
-            if p.0 > 0 {
-                a[(p.0 - 1, p.0 - 1)] += y;
-            }
-            if q.0 > 0 {
-                a[(q.0 - 1, q.0 - 1)] += y;
-            }
-            if p.0 > 0 && q.0 > 0 {
-                a[(p.0 - 1, q.0 - 1)] -= y;
-                a[(q.0 - 1, p.0 - 1)] -= y;
-            }
-        };
-        for e in &self.elements {
-            match e {
-                Element::Resistor { a: p, b: q, ohms } => {
-                    stamp_y(*p, *q, c64::from_re(1.0 / ohms), &mut a);
-                }
-                Element::Capacitor { a: p, b: q, farads } => {
-                    stamp_y(*p, *q, c64::from_im(omega * farads), &mut a);
-                }
-                Element::Inductor {
-                    a: p,
-                    b: q,
-                    henries,
-                } => {
-                    stamp_y(*p, *q, c64::from_im(-1.0 / (omega * henries)), &mut a);
-                }
-                Element::CoupledInductors {
-                    a1,
-                    b1,
-                    a2,
-                    b2,
-                    l1,
-                    l2,
-                    m,
-                } => {
-                    // Y = (jωL)⁻¹ for the 2×2 inductance matrix.
-                    let det = l1 * l2 - m * m;
-                    let y11 = c64::from_im(-l2 / (omega * det));
-                    let y22 = c64::from_im(-l1 / (omega * det));
-                    let y12 = c64::from_im(m / (omega * det));
-                    stamp_y(*a1, *b1, y11, &mut a);
-                    stamp_y(*a2, *b2, y22, &mut a);
-                    for (ni, sgn_i) in [(*a1, 1.0), (*b1, -1.0)] {
-                        for (nj, sgn_j) in [(*a2, 1.0), (*b2, -1.0)] {
-                            if ni.0 > 0 && nj.0 > 0 {
-                                a[(ni.0 - 1, nj.0 - 1)] += y12 * sgn_i * sgn_j;
-                                a[(nj.0 - 1, ni.0 - 1)] += y12 * sgn_i * sgn_j;
-                            }
-                        }
-                    }
-                }
-                Element::SwitchResistor {
-                    a: p,
-                    b: q,
-                    g_on,
-                    s,
-                    invert,
-                } => {
-                    // Small-signal: conductance frozen at its initial state.
-                    let g = switch_conductance(*g_on, s.initial_value(), *invert);
-                    stamp_y(*p, *q, c64::from_re(g), &mut a);
-                }
-                Element::VSource {
-                    plus, minus, index, ..
-                } => {
-                    let row = n + index;
-                    if plus.0 > 0 {
-                        a[(plus.0 - 1, row)] += c64::ONE;
-                        a[(row, plus.0 - 1)] += c64::ONE;
-                    }
-                    if minus.0 > 0 {
-                        a[(minus.0 - 1, row)] -= c64::ONE;
-                        a[(row, minus.0 - 1)] -= c64::ONE;
-                    }
-                }
-                Element::ISource { .. } => {}
-                Element::ReducedOrder { nodes, model } => {
-                    // Ground-referenced multiport admittance block.
-                    let y = model.evaluate(omega / (2.0 * std::f64::consts::PI));
-                    for (i, ni) in nodes.iter().enumerate() {
-                        for (j, nj) in nodes.iter().enumerate() {
-                            if ni.0 > 0 && nj.0 > 0 {
-                                a[(ni.0 - 1, nj.0 - 1)] += y[(i, j)];
-                            }
-                        }
-                    }
-                }
-                Element::CoupledLine { model, near, far } => {
-                    let (ys, ym) = model.ac_blocks(omega);
-                    let nc = model.conductor_count();
-                    let add = |p: NodeId, q: NodeId, y: c64, a: &mut Matrix<c64>| {
-                        if p.0 > 0 && q.0 > 0 {
-                            a[(p.0 - 1, q.0 - 1)] += y;
-                        }
-                    };
-                    for i in 0..nc {
-                        for j in 0..nc {
-                            add(near[i], near[j], ys[(i, j)], &mut a);
-                            add(far[i], far[j], ys[(i, j)], &mut a);
-                            add(near[i], far[j], ym[(i, j)], &mut a);
-                            add(far[i], near[j], ym[(i, j)], &mut a);
-                        }
-                    }
-                }
-            }
-        }
-        a
-    }
-
     /// Runs an AC sweep with unit excitation on voltage source `excite`
     /// (all other independent sources deactivated).
     ///
@@ -235,8 +117,7 @@ impl Circuit {
         let n = self.n_nodes;
         let dim = n + self.n_vsources;
         let outcome = rational::sweep(&sweep.freqs, accuracy, |f| {
-            let omega = 2.0 * PI * f;
-            let a = self.ac_matrix(omega);
+            let a = self.matrix(|e, mna| e.stamp_ac(2.0 * PI * f, mna));
             let mut rhs = vec![c64::ZERO; dim];
             rhs[n + excite.0] = c64::ONE;
             let x = LuDecomposition::new(a)
@@ -290,17 +171,14 @@ impl Circuit {
             )));
         }
         let dim = n + self.n_vsources;
-        let a = self.ac_matrix(2.0 * PI * f);
-        let lu =
-            LuDecomposition::new(a).map_err(|e| SimulateCircuitError::Singular(e.to_string()))?;
+        let a = self.matrix(|e, mna| e.stamp_ac(2.0 * PI * f, mna));
+        let lu = LuDecomposition::new(a).map_err(singular)?;
         let np = ports.len();
         let mut z = Matrix::<c64>::zeros(np, np);
         for (pj, &port_j) in ports.iter().enumerate() {
             let mut rhs = vec![c64::ZERO; dim];
             rhs[port_j.0 - 1] = c64::ONE;
-            let x = lu
-                .solve(&rhs)
-                .map_err(|e| SimulateCircuitError::Singular(e.to_string()))?;
+            let x = lu.solve(&rhs).map_err(singular)?;
             for (pi, &port_i) in ports.iter().enumerate() {
                 z[(pi, pj)] = x[port_i.0 - 1];
             }
@@ -517,17 +395,5 @@ mod ac_result_tests {
         for db in res.magnitude_db(vin) {
             assert!(db.abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn coupled_inductor_ac_is_reciprocal() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.coupled_inductors(a, Circuit::GND, b, Circuit::GND, 1e-6, 4e-6, 0.6);
-        ckt.resistor(a, Circuit::GND, 1e3);
-        ckt.resistor(b, Circuit::GND, 1e3);
-        let z = ckt.impedance_matrix(10e6, &[a, b]).unwrap();
-        assert!((z[(0, 1)] - z[(1, 0)]).norm() < 1e-12 * z.max_abs());
     }
 }

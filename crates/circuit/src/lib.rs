@@ -39,6 +39,7 @@
 //! ```
 
 pub mod ac;
+mod element;
 pub mod netlist;
 pub mod sparams;
 pub mod tline_elem;

@@ -1,8 +1,11 @@
 //! Circuit construction: nodes and element stamps.
 
+use crate::element::{
+    Capacitor, Element, ISource, Inductor, Line, ReducedOrder, Resistor, Switch, VSource,
+};
 use crate::tline_elem::CoupledLineModel;
 use crate::waveform::Waveform;
-use pdn_num::PoleResidueModel;
+use pdn_num::{PoleResidueModel, SolveMatrixError};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -44,80 +47,14 @@ impl fmt::Display for SimulateCircuitError {
 
 impl Error for SimulateCircuitError {}
 
+/// A failed factorization or solve, as a circuit error.
+pub(crate) fn singular(e: SolveMatrixError) -> SimulateCircuitError {
+    SimulateCircuitError::Singular(e.to_string())
+}
+
 /// Identifies a voltage source (for current probing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SourceId(pub(crate) usize);
-
-#[derive(Debug, Clone)]
-pub(crate) enum Element {
-    Resistor {
-        a: NodeId,
-        b: NodeId,
-        ohms: f64,
-    },
-    Capacitor {
-        a: NodeId,
-        b: NodeId,
-        farads: f64,
-    },
-    Inductor {
-        a: NodeId,
-        b: NodeId,
-        henries: f64,
-    },
-    /// Time-varying conductance `g(t) = g_on · s(t)` (or `g_on·(1−s(t))`
-    /// when `invert`), clamped to `[g_min, g_on]`. The behavioral CMOS
-    /// output-stage model.
-    SwitchResistor {
-        a: NodeId,
-        b: NodeId,
-        g_on: f64,
-        s: Waveform,
-        invert: bool,
-    },
-    /// Two magnetically coupled inductors (2×2 inductance matrix).
-    CoupledInductors {
-        a1: NodeId,
-        b1: NodeId,
-        a2: NodeId,
-        b2: NodeId,
-        l1: f64,
-        l2: f64,
-        m: f64,
-    },
-    VSource {
-        plus: NodeId,
-        minus: NodeId,
-        wave: Waveform,
-        index: usize,
-    },
-    ISource {
-        from: NodeId,
-        to: NodeId,
-        wave: Waveform,
-    },
-    CoupledLine {
-        model: CoupledLineModel,
-        near: Vec<NodeId>,
-        far: Vec<NodeId>,
-    },
-    /// A passive pole–residue macromodel of a multiport admittance,
-    /// ground-referenced at each port and simulated by recursive
-    /// convolution (see [`pdn_num::prom`]).
-    ReducedOrder {
-        nodes: Vec<NodeId>,
-        model: std::sync::Arc<PoleResidueModel>,
-    },
-}
-
-/// Conductance of a [`Element::SwitchResistor`] whose drive reads
-/// `drive`: `g_on` scaled by the clamped (for `invert`, complemented)
-/// drive, floored at `1e-9·g_on` so the node never floats.
-pub(crate) fn switch_conductance(g_on: f64, drive: f64, invert: bool) -> f64 {
-    let sv = drive.clamp(0.0, 1.0);
-    let frac = if invert { 1.0 - sv } else { sv };
-    (g_on * frac).max(g_on * 1e-9)
-}
 
 /// A circuit under construction.
 ///
@@ -157,10 +94,7 @@ impl Circuit {
     /// Returns the node with the given name, creating it on first use.
     pub fn node(&mut self, name: impl Into<String>) -> NodeId {
         let name = name.into();
-        if name == "0" || name.eq_ignore_ascii_case("gnd") {
-            return Circuit::GND;
-        }
-        if let Some(&id) = self.names.get(&name) {
+        if let Some(id) = self.find_node(&name) {
             return id;
         }
         let id = self.new_node();
@@ -207,7 +141,8 @@ impl Circuit {
             ohms > 0.0 && ohms.is_finite(),
             "resistance must be positive"
         );
-        self.elements.push(Element::Resistor { a, b, ohms });
+        self.elements
+            .push(Element::Resistor(Resistor { a, b, ohms }));
     }
 
     /// Adds a capacitor.
@@ -220,7 +155,8 @@ impl Circuit {
             farads > 0.0 && farads.is_finite(),
             "capacitance must be positive"
         );
-        self.elements.push(Element::Capacitor { a, b, farads });
+        self.elements
+            .push(Element::Capacitor(Capacitor { a, b, farads }));
     }
 
     /// Adds an inductor. Negative values are accepted (extracted macromodel
@@ -234,40 +170,8 @@ impl Circuit {
             henries != 0.0 && henries.is_finite(),
             "inductance must be non-zero"
         );
-        self.elements.push(Element::Inductor { a, b, henries });
-    }
-
-    /// Adds a pair of magnetically coupled inductors: `l1` between
-    /// `a1`–`b1`, `l2` between `a2`–`b2`, coupled by the coupling factor
-    /// `k` (mutual inductance `M = k·√(l1·l2)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both inductances are positive and `|k| < 1`
-    /// (passivity bound).
-    #[allow(clippy::too_many_arguments)]
-    pub fn coupled_inductors(
-        &mut self,
-        a1: NodeId,
-        b1: NodeId,
-        a2: NodeId,
-        b2: NodeId,
-        l1: f64,
-        l2: f64,
-        k: f64,
-    ) {
-        assert!(l1 > 0.0 && l2 > 0.0, "coupled inductances must be positive");
-        assert!(k.abs() < 1.0, "coupling factor must satisfy |k| < 1");
-        let m = k * (l1 * l2).sqrt();
-        self.elements.push(Element::CoupledInductors {
-            a1,
-            b1,
-            a2,
-            b2,
-            l1,
-            l2,
-            m,
-        });
+        self.elements
+            .push(Element::Inductor(Inductor { a, b, henries }));
     }
 
     /// Adds an independent voltage source (`plus` − `minus` = waveform) and
@@ -280,23 +184,23 @@ impl Circuit {
     ) -> SourceId {
         let index = self.n_vsources;
         self.n_vsources += 1;
-        self.elements.push(Element::VSource {
+        self.elements.push(Element::VSource(VSource {
             plus,
             minus,
             wave: wave.into(),
             index,
-        });
+        }));
         SourceId(index)
     }
 
     /// Adds an independent current source pushing current from `from` to
     /// `to` (through the source).
     pub fn current_source(&mut self, from: NodeId, to: NodeId, wave: impl Into<Waveform>) {
-        self.elements.push(Element::ISource {
+        self.elements.push(Element::ISource(ISource {
             from,
             to,
             wave: wave.into(),
-        });
+        }));
     }
 
     /// Adds a time-varying switch conductance `g(t) = s(t)/r_on`
@@ -307,13 +211,13 @@ impl Circuit {
     /// Panics unless `r_on` is positive.
     pub fn switch_resistor(&mut self, a: NodeId, b: NodeId, r_on: f64, s: Waveform, invert: bool) {
         assert!(r_on > 0.0, "on-resistance must be positive");
-        self.elements.push(Element::SwitchResistor {
+        self.elements.push(Element::Switch(Switch {
             a,
             b,
             g_on: 1.0 / r_on,
             s,
             invert,
-        });
+        }));
     }
 
     /// Adds a behavioral CMOS totem-pole driver: a pull-up switch from
@@ -346,8 +250,8 @@ impl Circuit {
     pub fn coupled_line(&mut self, model: CoupledLineModel, near: Vec<NodeId>, far: Vec<NodeId>) {
         assert_eq!(near.len(), model.conductor_count(), "near terminal count");
         assert_eq!(far.len(), model.conductor_count(), "far terminal count");
-        self.elements
-            .push(Element::CoupledLine { model, near, far });
+        let model = Box::new(model);
+        self.elements.push(Element::Line(Line { model, near, far }));
     }
 
     /// Stamps a passive pole–residue macromodel ([`PoleResidueModel`],
@@ -366,10 +270,10 @@ impl Circuit {
             model.ports(),
             "one terminal node per macromodel port"
         );
-        self.elements.push(Element::ReducedOrder {
+        self.elements.push(Element::ReducedOrder(ReducedOrder {
             nodes: nodes.to_vec(),
             model,
-        });
+        }));
     }
 
     /// Adds a package pin parasitic π-model between `outer` and `inner`:

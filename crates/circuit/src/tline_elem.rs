@@ -68,6 +68,8 @@ pub struct CoupledLineModel {
     tv_inv: Matrix<f64>,
     /// Current transform: `I = W · i_m`, `W = C·Tv·diag(v_k)`.
     w: Matrix<f64>,
+    /// LU factor of `W`, for the inverse transform.
+    w_lu: LuDecomposition<f64>,
     /// Characteristic admittance `Yc = W · Tv⁻¹`.
     yc: Matrix<f64>,
     /// Modal phase velocities (m/s), one per mode.
@@ -88,13 +90,12 @@ impl CoupledLineModel {
             return Err(BuildLineError::BadShape);
         }
         let n = l.nrows();
+        let not_passive = |e: SolveMatrixError| BuildLineError::NotPassive(e.to_string());
         // Generalized symmetric-definite problem: C·v = λ·L⁻¹·v ⇔ LC·v = λ·v.
-        let l_inv = pdn_num::lu::invert(l.clone())
-            .map_err(|e| BuildLineError::NotPassive(e.to_string()))?;
+        let l_inv = pdn_num::lu::invert(l.clone()).map_err(not_passive)?;
         // Symmetrize L⁻¹ against round-off (L is symmetric).
         let l_inv = Matrix::from_fn(n, n, |i, j| 0.5 * (l_inv[(i, j)] + l_inv[(j, i)]));
-        let eig = generalized_symmetric_eigen(&c, &l_inv)
-            .map_err(|e: SolveMatrixError| BuildLineError::NotPassive(e.to_string()))?;
+        let eig = generalized_symmetric_eigen(&c, &l_inv).map_err(not_passive)?;
         // λ_k = 1/v_k²; eigen-values ascending, all must be positive.
         if eig.values.iter().any(|&v| v <= 0.0) {
             return Err(BuildLineError::NotPassive(
@@ -106,15 +107,16 @@ impl CoupledLineModel {
         let tv = eig.vectors;
         let tv_inv = LuDecomposition::new(tv.clone())
             .and_then(|lu| lu.inverse())
-            .map_err(|e| BuildLineError::NotPassive(e.to_string()))?;
+            .map_err(not_passive)?;
         // W = C · Tv · diag(v_k)
-        let mut ctv = c.matmul(&tv);
+        let mut w = c.matmul(&tv);
         for i in 0..n {
             for k in 0..n {
-                ctv[(i, k)] *= velocities[k];
+                w[(i, k)] *= velocities[k];
             }
         }
-        let w = ctv;
+        // A singular W has no inverse current transform.
+        let w_lu = LuDecomposition::new(w.clone()).map_err(not_passive)?;
         let yc = w.matmul(&tv_inv);
         Ok(CoupledLineModel {
             n,
@@ -122,6 +124,7 @@ impl CoupledLineModel {
             tv,
             tv_inv,
             w,
+            w_lu,
             yc,
             velocities,
             delays,
@@ -168,12 +171,14 @@ impl CoupledLineModel {
         self.w.matvec(im)
     }
 
-    /// Converts terminal currents to modal currents `i_m = W⁻¹·I`
-    /// (computed as `diag(1/v)·Tvᵀ... ` via a dense solve for robustness).
+    /// Converts terminal currents to modal currents `i_m = W⁻¹·I`, by a
+    /// solve with the LU factor of `W` kept since construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i` holds one current per conductor.
     pub fn to_modal_current(&self, i: &[f64]) -> Vec<f64> {
-        // W is small (n × n); solve directly.
-        let lu = LuDecomposition::new(self.w.clone()).expect("W invertible by construction");
-        lu.solve(i).expect("dimension checked")
+        self.w_lu.solve(i).expect("one current per conductor")
     }
 
     /// Exact frequency-domain admittance blocks at angular frequency

@@ -4,21 +4,23 @@
 //! capacitors and inductors are replaced each step by a conductance plus a
 //! history current source, so **no internal inductance nodes** are added
 //! and — with a uniform time step and a linear network — the system matrix
-//! is constant and factored exactly once. Time-varying switch resistors
-//! (behavioral drivers) sit in that matrix frozen at half conductance; the
-//! rest of their conductance is an exact rank-k Sherman–Morrison–Woodbury
-//! update over the single factorization, applied every step (the paper's
-//! partitioned co-simulation, Section 5.2). Its `k×k` system is factored
-//! again only on a step whose switch conductances differ from the last
-//! factored ones.
+//! is constant and factored exactly once. Each element kind's companion,
+//! history current and state update live with the kind in
+//! `crate::element`; this module only walks the elements. Time-varying
+//! switch resistors (behavioral drivers) sit in that matrix frozen at half
+//! conductance; the rest of their conductance is an exact rank-k
+//! Sherman–Morrison–Woodbury update over the single factorization,
+//! applied every step (the paper's partitioned co-simulation, Section
+//! 5.2). Its `k×k` system is factored again only on a step whose switch
+//! conductances differ from the last factored ones.
 //!
 //! Both integration orders of the paper are available: first order
 //! (backward Euler, strongly damping, used for the DC settle phase) and
 //! second order (trapezoidal, the default).
 
-use crate::netlist::{switch_conductance, Circuit, Element, NodeId, SimulateCircuitError};
-use crate::waveform::Waveform;
-use pdn_num::{LuDecomposition, Matrix, SolveMatrixError};
+use crate::element::{inject, Element, Live, Rule, Step, Switch};
+use crate::netlist::{singular, Circuit, NodeId, SimulateCircuitError};
+use pdn_num::{LuDecomposition, Matrix};
 use std::cmp::Ordering;
 
 /// Integration method for the companion models.
@@ -138,26 +140,10 @@ impl TransientResult {
     }
 }
 
-/// Per-line method-of-characteristics state: sample buffers of the
-/// outgoing wave `v_m + i_m` launched at each end, one per mode.
-struct LineState {
-    near_hist: Vec<Vec<f64>>,
-    far_hist: Vec<Vec<f64>>,
-    /// Modal delays in (fractional) steps.
-    delay_steps: Vec<f64>,
-}
-
-/// Integration-rule factor: trapezoidal companion conductances carry a
-/// factor of 2 relative to backward Euler.
-fn k_int(integ: Integration) -> f64 {
-    match integ {
-        Integration::Trapezoidal => 2.0,
-        Integration::BackwardEuler => 1.0,
-    }
-}
-
 /// `(e_p − e_q)ᵀ·x` over the node rows of an MNA vector (ground has no
-/// row).
+/// row), summed from zero. The element models' branch voltages subtract
+/// the two node voltages directly; the two forms differ only in the sign
+/// of a zero, and each keeps the bits its results were pinned with.
 fn branch_voltage(p: NodeId, q: NodeId, x: &[f64]) -> f64 {
     let mut v = 0.0;
     if p.0 > 0 {
@@ -167,11 +153,6 @@ fn branch_voltage(p: NodeId, q: NodeId, x: &[f64]) -> f64 {
         v -= x[q.0 - 1];
     }
     v
-}
-
-/// A failed factorization or solve, as a circuit error.
-fn singular(e: SolveMatrixError) -> SimulateCircuitError {
-    SimulateCircuitError::Singular(e.to_string())
 }
 
 impl Circuit {
@@ -198,18 +179,37 @@ impl Circuit {
                 spec.settle
             )));
         }
-        for e in &self.elements {
-            if let Element::CoupledLine { model, .. } = e {
-                let min_tau = model.delays().iter().fold(f64::INFINITY, |a, &b| a.min(b));
-                if spec.dt > min_tau {
-                    return Err(SimulateCircuitError::InvalidSpec(format!(
-                        "dt = {} exceeds smallest line modal delay {min_tau}",
-                        spec.dt
-                    )));
-                }
-            }
+        if let Some(min_tau) = self.min_line_delay().filter(|&tau| spec.dt > tau) {
+            return Err(SimulateCircuitError::InvalidSpec(format!(
+                "dt = {} exceeds smallest line modal delay {min_tau}",
+                spec.dt
+            )));
         }
         self.step_counts(spec)
+    }
+
+    /// The smallest modal delay over the transmission lines, `None` when
+    /// the circuit has none.
+    fn min_line_delay(&self) -> Option<f64> {
+        let delays = self.elements.iter().filter_map(|e| match e {
+            Element::Line(line) => Some(line.model.delays()),
+            _ => None,
+        });
+        delays
+            .map(|d| d.iter().fold(f64::INFINITY, |a, &b| a.min(b)))
+            .reduce(f64::min)
+    }
+
+    /// The switches whose drive varies with time, in element order: the
+    /// columns of the Woodbury update.
+    fn active_switches(&self) -> Vec<&Switch> {
+        self.elements
+            .iter()
+            .filter_map(|e| match e {
+                Element::Switch(sw) if !sw.s.is_constant() => Some(sw),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The settle and main step counts `(n_settle, n_steps)` of a run.
@@ -226,7 +226,7 @@ impl Circuit {
     fn step_counts(&self, spec: &TransientSpec) -> Result<(usize, usize), SimulateCircuitError> {
         let n_steps = ((spec.t_stop / spec.dt) * (1.0 - 1e-9)).ceil().max(1.0);
         let n_settle = if spec.settle > 0.0 {
-            (spec.settle / self.settle_step(spec)).ceil()
+            (spec.settle / self.settle_rule(spec).dt).ceil()
         } else {
             0.0
         };
@@ -251,172 +251,18 @@ impl Circuit {
         Ok((n_settle, n_steps))
     }
 
-    /// The settle-phase step size. The settle phase uses large
+    /// The settle phase's rule. The settle phase uses large
     /// backward-Euler steps (unconditionally stable) so a high-Q supply
     /// network reaches DC in a few hundred steps regardless of duration.
     /// With transmission lines present the settle step must match the main
     /// step so the wave history buffers stay uniformly sampled.
-    fn settle_step(&self, spec: &TransientSpec) -> f64 {
-        let has_lines = self
-            .elements
-            .iter()
-            .any(|e| matches!(e, Element::CoupledLine { .. }));
-        if spec.settle > 0.0 && !has_lines {
+    fn settle_rule(&self, spec: &TransientSpec) -> Rule {
+        let dt = if spec.settle > 0.0 && self.min_line_delay().is_none() {
             (spec.settle / 256.0).max(spec.dt)
         } else {
             spec.dt
-        }
-    }
-
-    /// Stamps the MNA matrix for one integration rule and step size.
-    ///
-    /// Switch resistors whose drive varies with time are frozen at half
-    /// conductance (the Woodbury update adds the rest each step); constant
-    /// ones sit at their DC conductance. The matrix therefore does not
-    /// depend on time.
-    fn mna_matrix(&self, integ: Integration, dt: f64) -> Matrix<f64> {
-        let n = self.n_nodes;
-        let dim = n + self.n_vsources;
-        let kk = k_int(integ);
-        let mut a = Matrix::zeros(dim, dim);
-        let stamp_g = |p: NodeId, q: NodeId, g: f64, a: &mut Matrix<f64>| {
-            if p.0 > 0 {
-                a[(p.0 - 1, p.0 - 1)] += g;
-            }
-            if q.0 > 0 {
-                a[(q.0 - 1, q.0 - 1)] += g;
-            }
-            if p.0 > 0 && q.0 > 0 {
-                a[(p.0 - 1, q.0 - 1)] -= g;
-                a[(q.0 - 1, p.0 - 1)] -= g;
-            }
         };
-        for e in &self.elements {
-            match e {
-                Element::Resistor { a: p, b: q, ohms } => {
-                    stamp_g(*p, *q, 1.0 / ohms, &mut a);
-                }
-                Element::Capacitor { a: p, b: q, farads } => {
-                    stamp_g(*p, *q, kk * farads / dt, &mut a);
-                }
-                Element::Inductor {
-                    a: p,
-                    b: q,
-                    henries,
-                } => {
-                    stamp_g(*p, *q, dt / (kk * henries), &mut a);
-                }
-                Element::CoupledInductors {
-                    a1,
-                    b1,
-                    a2,
-                    b2,
-                    l1,
-                    l2,
-                    m: lm,
-                } => {
-                    // Geq = (dt/kk)·L⁻¹ for the 2×2 inductance matrix.
-                    let det = l1 * l2 - lm * lm;
-                    let s = dt / (kk * det);
-                    let g11 = s * l2;
-                    let g22 = s * l1;
-                    let g12 = -s * lm;
-                    stamp_g(*a1, *b1, g11, &mut a);
-                    stamp_g(*a2, *b2, g22, &mut a);
-                    // Cross conductance: i1 += g12·(v_a2 − v_b2), etc.
-                    let cross = |p: NodeId,
-                                 q: NodeId,
-                                 r: NodeId,
-                                 sn: NodeId,
-                                 g: f64,
-                                 a: &mut Matrix<f64>| {
-                        // current g·(v_r − v_s) enters branch (p→q)
-                        for (ni, sgn_i) in [(p, 1.0), (q, -1.0)] {
-                            for (nj, sgn_j) in [(r, 1.0), (sn, -1.0)] {
-                                if ni.0 > 0 && nj.0 > 0 {
-                                    a[(ni.0 - 1, nj.0 - 1)] += sgn_i * sgn_j * g;
-                                }
-                            }
-                        }
-                    };
-                    cross(*a1, *b1, *a2, *b2, g12, &mut a);
-                    cross(*a2, *b2, *a1, *b1, g12, &mut a);
-                }
-                Element::SwitchResistor {
-                    a: p,
-                    b: q,
-                    g_on,
-                    s,
-                    invert,
-                } => {
-                    let g = if s.is_constant() {
-                        switch_conductance(*g_on, s.initial_value(), *invert)
-                    } else {
-                        0.5 * g_on
-                    };
-                    stamp_g(*p, *q, g, &mut a);
-                }
-                Element::VSource {
-                    plus, minus, index, ..
-                } => {
-                    let row = n + index;
-                    if plus.0 > 0 {
-                        a[(plus.0 - 1, row)] += 1.0;
-                        a[(row, plus.0 - 1)] += 1.0;
-                    }
-                    if minus.0 > 0 {
-                        a[(minus.0 - 1, row)] -= 1.0;
-                        a[(row, minus.0 - 1)] -= 1.0;
-                    }
-                }
-                Element::ISource { .. } => {}
-                Element::ReducedOrder { nodes, model } => {
-                    // Recursive-convolution companion admittance,
-                    // ground-referenced at each port.
-                    let g = model.companion_admittance(kk, dt);
-                    for (i, p) in nodes.iter().enumerate() {
-                        for (j, q) in nodes.iter().enumerate() {
-                            if p.0 > 0 && q.0 > 0 {
-                                a[(p.0 - 1, q.0 - 1)] += g[(i, j)];
-                            }
-                        }
-                    }
-                }
-                Element::CoupledLine { model, near, far } => {
-                    let yc = model.characteristic_admittance();
-                    let nc = model.conductor_count();
-                    // Yc is a full admittance block referenced to ground
-                    // at each end.
-                    for ends in [near, far] {
-                        for i in 0..nc {
-                            for j in 0..nc {
-                                let g = yc[(i, j)];
-                                let (p, q) = (ends[i], ends[j]);
-                                if p.0 > 0 && q.0 > 0 {
-                                    a[(p.0 - 1, q.0 - 1)] += g;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        a
-    }
-
-    /// Terminals and on-conductances `(p, q, g_on)` of the switch
-    /// resistors whose drive varies with time, in element order — the
-    /// columns of the Woodbury update.
-    fn active_switch_terminals(&self) -> Vec<(NodeId, NodeId, f64)> {
-        self.elements
-            .iter()
-            .filter_map(|e| match e {
-                Element::SwitchResistor { a, b, g_on, s, .. } if !s.is_constant() => {
-                    Some((*a, *b, *g_on))
-                }
-                _ => None,
-            })
-            .collect()
+        Rule::new(Integration::BackwardEuler, dt)
     }
 }
 
@@ -436,8 +282,7 @@ impl Circuit {
 /// kept factor. The same bits of `D` give the same matrix and the same
 /// factor, so the reuse changes no result.
 struct Phase {
-    integration: Integration,
-    dt: f64,
+    rule: Rule,
     lu: LuDecomposition<f64>,
     /// `W = A₀⁻¹U`, one column per active switch.
     w: Vec<Vec<f64>>,
@@ -453,35 +298,23 @@ struct Phase {
 
 impl Phase {
     /// Stamps and factors one phase for the given active switches.
-    fn new(
-        ckt: &Circuit,
-        integration: Integration,
-        dt: f64,
-        switches: &[(NodeId, NodeId, f64)],
-    ) -> Result<Self, SimulateCircuitError> {
-        let lu = LuDecomposition::new(ckt.mna_matrix(integration, dt)).map_err(singular)?;
-        let dim = ckt.n_nodes + ckt.n_vsources;
+    fn new(ckt: &Circuit, rule: Rule, switches: &[&Switch]) -> Result<Self, SimulateCircuitError> {
+        let lu = LuDecomposition::new(ckt.matrix(|e, mna| e.stamp(rule, mna))).map_err(singular)?;
         let w = switches
             .iter()
-            .map(|&(p, q, _)| {
-                let mut u = vec![0.0; dim];
-                if p.0 > 0 {
-                    u[p.0 - 1] += 1.0;
-                }
-                if q.0 > 0 {
-                    u[q.0 - 1] -= 1.0;
-                }
+            .map(|sw| {
+                let mut u = vec![0.0; ckt.n_nodes + ckt.n_vsources];
+                inject(&mut u, sw.a, 1.0);
+                inject(&mut u, sw.b, -1.0);
                 lu.solve(&u).map_err(singular)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let k = switches.len();
         let s0 = Matrix::from_fn(k, k, |i, j| {
-            let (p, q, _) = switches[i];
-            branch_voltage(p, q, &w[j])
+            branch_voltage(switches[i].a, switches[i].b, &w[j])
         });
         Ok(Phase {
-            integration,
-            dt,
+            rule,
             lu,
             w,
             s0,
@@ -497,7 +330,7 @@ impl Phase {
     /// differs bitwise from the last factored one.
     fn solve(
         &mut self,
-        switches: &[(NodeId, NodeId, f64)],
+        switches: &[&Switch],
         d: &[f64],
         rhs: &[f64],
     ) -> Result<Vec<f64>, SimulateCircuitError> {
@@ -528,7 +361,7 @@ impl Phase {
         let rhs_small: Vec<f64> = switches
             .iter()
             .zip(d)
-            .map(|(&(p, q, _), &di)| di * branch_voltage(p, q, &z))
+            .map(|(sw, &di)| di * branch_voltage(sw.a, sw.b, &z))
             .collect();
         let y = small_lu.solve(&rhs_small).map_err(singular)?;
         let mut x = z;
@@ -538,34 +371,6 @@ impl Phase {
             }
         }
         Ok(x)
-    }
-}
-
-/// The two phases of one run, the DC settle pre-roll and the recorded
-/// main phase, with the active switches whose Woodbury update both apply
-/// (terminals and on-conductances, in element order).
-struct Phases {
-    switches: Vec<(NodeId, NodeId, f64)>,
-    settle: Phase,
-    main: Phase,
-}
-
-impl Phases {
-    /// Stamps and factors both phases of a run of `ckt` under `spec`.
-    fn new(ckt: &Circuit, spec: &TransientSpec) -> Result<Self, SimulateCircuitError> {
-        let switches = ckt.active_switch_terminals();
-        let settle = Phase::new(
-            ckt,
-            Integration::BackwardEuler,
-            ckt.settle_step(spec),
-            &switches,
-        )?;
-        let main = Phase::new(ckt, spec.integration, spec.dt, &switches)?;
-        Ok(Phases {
-            switches,
-            settle,
-            main,
-        })
     }
 }
 
@@ -581,62 +386,14 @@ impl Circuit {
     /// factored (floating nodes, voltage-source loops).
     pub fn transient(&self, spec: &TransientSpec) -> Result<TransientResult, SimulateCircuitError> {
         let (n_settle, n_steps) = self.validate_transient_spec(spec)?;
-        let mut phases = Phases::new(self, spec)?;
+        let switches = self.active_switches();
+        let mut settle = Phase::new(self, self.settle_rule(spec), &switches)?;
+        let mut main = Phase::new(self, Rule::new(spec.integration, spec.dt), &switches)?;
         let n = self.n_nodes;
         let m = self.n_vsources;
-        let dim = n + m;
-        // Drives of the active switches, in the element order of
-        // `phases.switches`.
-        let switch_drives: Vec<(f64, &Waveform, bool)> = self
-            .elements
-            .iter()
-            .filter_map(|e| match e {
-                Element::SwitchResistor {
-                    g_on, s, invert, ..
-                } if !s.is_constant() => Some((*g_on, s, *invert)),
-                _ => None,
-            })
-            .collect();
-        let mut d = vec![0.0; switch_drives.len()];
-
-        // --- Element states ------------------------------------------------
-        struct CapState {
-            i: f64,
-            v: f64,
-        }
-        struct IndState {
-            i: f64,
-            v: f64,
-        }
-        struct CoupledIndState {
-            i: [f64; 2],
-            v: [f64; 2],
-        }
-        let mut cap_states: Vec<CapState> = Vec::new();
-        let mut ind_states: Vec<IndState> = Vec::new();
-        let mut cind_states: Vec<CoupledIndState> = Vec::new();
-        let mut line_states: Vec<LineState> = Vec::new();
-        let mut rom_states: Vec<pdn_num::RomTransientState> = Vec::new();
-        for e in &self.elements {
-            match e {
-                Element::Capacitor { .. } => cap_states.push(CapState { i: 0.0, v: 0.0 }),
-                Element::Inductor { .. } => ind_states.push(IndState { i: 0.0, v: 0.0 }),
-                Element::CoupledInductors { .. } => cind_states.push(CoupledIndState {
-                    i: [0.0; 2],
-                    v: [0.0; 2],
-                }),
-                Element::ReducedOrder { model, .. } => rom_states.push(model.new_state()),
-                Element::CoupledLine { model, .. } => {
-                    let nc = model.conductor_count();
-                    line_states.push(LineState {
-                        near_hist: vec![Vec::new(); nc],
-                        far_hist: vec![Vec::new(); nc],
-                        delay_steps: model.delays().iter().map(|&t| t / spec.dt).collect(),
-                    });
-                }
-                _ => {}
-            }
-        }
+        let mut elements: Vec<Live> = self.elements.iter().map(Element::start).collect();
+        let mut d = vec![0.0; switches.len()];
+        let mut rhs = vec![0.0; n + m];
 
         // --- Results ------------------------------------------------------
         let samples = n_steps + 1;
@@ -654,266 +411,30 @@ impl Circuit {
                 ))
             })?;
 
-        for step in 0..n_settle + n_steps + 1 {
-            let settling = step < n_settle;
-            let t = if settling {
-                0.0
-            } else {
-                (step - n_settle) as f64 * spec.dt
+        for index in 0..n_settle + n_steps + 1 {
+            let settling = index < n_settle;
+            let phase = if settling { &mut settle } else { &mut main };
+            let step = Step {
+                rule: phase.rule,
+                t: (!settling).then(|| (index - n_settle) as f64 * spec.dt),
+                index,
+                nodes: n,
             };
-            let phase = if settling {
-                &mut phases.settle
-            } else {
-                &mut phases.main
-            };
-            let integ = phase.integration;
-            let kk = k_int(integ);
-            let dt_now = phase.dt;
-
-            // Build RHS.
-            let mut rhs = vec![0.0; dim];
-            let add = |node: NodeId, i: f64, rhs: &mut Vec<f64>| {
-                if node.0 > 0 {
-                    rhs[node.0 - 1] += i;
-                }
-            };
-            let mut ci = 0;
-            let mut li = 0;
-            let mut cli = 0;
-            let mut lsi = 0;
-            let mut ri = 0;
-            for e in &self.elements {
-                match e {
-                    Element::Capacitor { a: p, b: q, farads } => {
-                        let st = &cap_states[ci];
-                        ci += 1;
-                        let g = kk * farads / dt_now;
-                        // Trapezoidal: i = g·v − (g·v_prev + i_prev);
-                        // backward Euler: i = g·v − g·v_prev.
-                        let hist = match integ {
-                            Integration::Trapezoidal => g * st.v + st.i,
-                            Integration::BackwardEuler => g * st.v,
-                        };
-                        add(*p, hist, &mut rhs);
-                        add(*q, -hist, &mut rhs);
-                    }
-                    Element::Inductor {
-                        a: p,
-                        b: q,
-                        henries,
-                    } => {
-                        let st = &ind_states[li];
-                        li += 1;
-                        let g = dt_now / (kk * henries);
-                        // i = g·v + hist; hist_trap = i_prev + g·v_prev,
-                        // hist_be = i_prev.
-                        let hist = match integ {
-                            Integration::Trapezoidal => st.i + g * st.v,
-                            Integration::BackwardEuler => st.i,
-                        };
-                        add(*p, -hist, &mut rhs);
-                        add(*q, hist, &mut rhs);
-                    }
-                    Element::CoupledInductors {
-                        a1,
-                        b1,
-                        a2,
-                        b2,
-                        l1,
-                        l2,
-                        m: lm,
-                    } => {
-                        let st = &cind_states[cli];
-                        cli += 1;
-                        // hist = i_prev (+ Geq·v_prev for trapezoidal).
-                        let det = l1 * l2 - lm * lm;
-                        let s = dt_now / (kk * det);
-                        let (g11, g22, g12) = (s * l2, s * l1, -s * lm);
-                        let hist = match integ {
-                            Integration::Trapezoidal => [
-                                st.i[0] + g11 * st.v[0] + g12 * st.v[1],
-                                st.i[1] + g12 * st.v[0] + g22 * st.v[1],
-                            ],
-                            Integration::BackwardEuler => st.i,
-                        };
-                        add(*a1, -hist[0], &mut rhs);
-                        add(*b1, hist[0], &mut rhs);
-                        add(*a2, -hist[1], &mut rhs);
-                        add(*b2, hist[1], &mut rhs);
-                    }
-                    Element::VSource { wave, index, .. } => {
-                        rhs[n + index] = if settling {
-                            wave.initial_value()
-                        } else {
-                            wave.eval(t)
-                        };
-                    }
-                    Element::ISource { from, to, wave } => {
-                        let i = if settling {
-                            wave.initial_value()
-                        } else {
-                            wave.eval(t)
-                        };
-                        add(*from, -i, &mut rhs);
-                        add(*to, i, &mut rhs);
-                    }
-                    Element::CoupledLine { model, near, far } => {
-                        let ls = &line_states[lsi];
-                        lsi += 1;
-                        let nc = model.conductor_count();
-                        // Incoming modal waves from the opposite end.
-                        let mut h_near = vec![0.0; nc];
-                        let mut h_far = vec![0.0; nc];
-                        for k in 0..nc {
-                            h_near[k] = ls_incoming(&ls.far_hist, &ls.delay_steps, k, step);
-                            h_far[k] = ls_incoming(&ls.near_hist, &ls.delay_steps, k, step);
-                        }
-                        // Norton history currents J = W · h.
-                        let j_near = model.from_modal_current(&h_near);
-                        let j_far = model.from_modal_current(&h_far);
-                        for k in 0..nc {
-                            add(near[k], j_near[k], &mut rhs);
-                            add(far[k], j_far[k], &mut rhs);
-                        }
-                    }
-                    Element::ReducedOrder { nodes, model } => {
-                        let st = &rom_states[ri];
-                        ri += 1;
-                        // i⁺ = G·v⁺ + h, so the Norton history current −h
-                        // enters the RHS at each port node.
-                        let h = model.history_current(kk, dt_now, st);
-                        for (k, nd) in nodes.iter().enumerate() {
-                            add(*nd, -h[k], &mut rhs);
-                        }
-                    }
-                    _ => {}
-                }
+            rhs.fill(0.0);
+            for e in &elements {
+                e.history(&step, &mut rhs);
             }
-
             // Solve, with each switch's deviation from its frozen half.
-            for (di, &(g_on, s, invert)) in d.iter_mut().zip(&switch_drives) {
-                let drive = if settling {
-                    s.initial_value()
-                } else {
-                    s.eval(t)
-                };
-                *di = switch_conductance(g_on, drive, invert) - 0.5 * g_on;
+            for (di, sw) in d.iter_mut().zip(&switches) {
+                *di = sw.deviation(&step);
             }
-            let x = phase.solve(&phases.switches, &d, &rhs)?;
-
-            // Update element states.
-            let volt = |node: NodeId, x: &[f64]| if node.0 > 0 { x[node.0 - 1] } else { 0.0 };
-            let (mut ci, mut li, mut cli, mut lsi, mut ri) = (0, 0, 0, 0, 0);
-            for e in &self.elements {
-                match e {
-                    Element::Capacitor { a: p, b: q, farads } => {
-                        let g = kk * farads / dt_now;
-                        let v = volt(*p, &x) - volt(*q, &x);
-                        let st = &mut cap_states[ci];
-                        ci += 1;
-                        let i = match integ {
-                            Integration::Trapezoidal => g * v - (g * st.v + st.i),
-                            Integration::BackwardEuler => g * (v - st.v),
-                        };
-                        st.i = i;
-                        st.v = v;
-                    }
-                    Element::Inductor {
-                        a: p,
-                        b: q,
-                        henries,
-                    } => {
-                        let g = dt_now / (kk * henries);
-                        let v = volt(*p, &x) - volt(*q, &x);
-                        let st = &mut ind_states[li];
-                        li += 1;
-                        let i = match integ {
-                            Integration::Trapezoidal => g * v + st.i + g * st.v,
-                            Integration::BackwardEuler => g * v + st.i,
-                        };
-                        st.i = i;
-                        st.v = v;
-                    }
-                    Element::CoupledInductors {
-                        a1,
-                        b1,
-                        a2,
-                        b2,
-                        l1,
-                        l2,
-                        m: lm,
-                    } => {
-                        let det = l1 * l2 - lm * lm;
-                        let s = dt_now / (kk * det);
-                        let (g11, g22, g12) = (s * l2, s * l1, -s * lm);
-                        let v1 = volt(*a1, &x) - volt(*b1, &x);
-                        let v2 = volt(*a2, &x) - volt(*b2, &x);
-                        let st = &mut cind_states[cli];
-                        cli += 1;
-                        let hist = match integ {
-                            Integration::Trapezoidal => [
-                                st.i[0] + g11 * st.v[0] + g12 * st.v[1],
-                                st.i[1] + g12 * st.v[0] + g22 * st.v[1],
-                            ],
-                            Integration::BackwardEuler => st.i,
-                        };
-                        st.i = [g11 * v1 + g12 * v2 + hist[0], g12 * v1 + g22 * v2 + hist[1]];
-                        st.v = [v1, v2];
-                    }
-                    Element::CoupledLine { model, near, far } => {
-                        let ls = &mut line_states[lsi];
-                        lsi += 1;
-                        let nc = model.conductor_count();
-                        let yc = model.characteristic_admittance();
-                        // `from_far == true` means we are at the near end
-                        // (its incoming wave was launched at the far end).
-                        for (ends, from_far) in [(near, true), (far, false)] {
-                            // Terminal voltages and currents into the line:
-                            // I = Yc·V − J_hist (same J as used in the RHS).
-                            let v: Vec<f64> = (0..nc).map(|k| volt(ends[k], &x)).collect();
-                            let mut i = yc.matvec(&v);
-                            let mut hin = vec![0.0; nc];
-                            for (k, h) in hin.iter_mut().enumerate() {
-                                *h = ls_incoming(
-                                    if from_far {
-                                        &ls.far_hist
-                                    } else {
-                                        &ls.near_hist
-                                    },
-                                    &ls.delay_steps,
-                                    k,
-                                    step,
-                                );
-                            }
-                            let j = model.from_modal_current(&hin);
-                            for k in 0..nc {
-                                i[k] -= j[k];
-                            }
-                            // Outgoing wave launched at this end: v_m + i_m.
-                            let vm = model.to_modal_voltage(&v);
-                            let im = model.to_modal_current(&i);
-                            let this_hist = if from_far {
-                                &mut ls.near_hist
-                            } else {
-                                &mut ls.far_hist
-                            };
-                            for k in 0..nc {
-                                this_hist[k].push(vm[k] + im[k]);
-                            }
-                        }
-                    }
-                    Element::ReducedOrder { nodes, model } => {
-                        let st = &mut rom_states[ri];
-                        ri += 1;
-                        let v_new: Vec<f64> = nodes.iter().map(|&nd| volt(nd, &x)).collect();
-                        model.advance_state(kk, dt_now, &v_new, st);
-                    }
-                    _ => {}
-                }
+            let x = phase.solve(&switches, &d, &rhs)?;
+            for e in &mut elements {
+                e.advance(&step, &x);
             }
 
             // Record (skip the settle phase).
-            if !settling {
+            if let Some(t) = step.t {
                 times.push(t);
                 voltages[0].push(0.0);
                 for k in 1..=n {
@@ -929,26 +450,9 @@ impl Circuit {
             times,
             voltages,
             source_currents,
-            woodbury_factorizations: phases.settle.factorizations + phases.main.factorizations,
+            woodbury_factorizations: settle.factorizations + main.factorizations,
         })
     }
-}
-
-/// The wave of `mode` arriving at `step` from the opposite line end: that
-/// end's outgoing history `hist` delayed by the mode's delay, linearly
-/// interpolated between samples (zero before the first arrival). A free
-/// function over the [`LineState`] buffers, so it can read them while the
-/// state is mutably borrowed elsewhere.
-fn ls_incoming(hist: &[Vec<f64>], delay_steps: &[f64], mode: usize, step: usize) -> f64 {
-    let pos = step as f64 - delay_steps[mode];
-    if pos < 0.0 {
-        return 0.0;
-    }
-    let i0 = pos.floor() as usize;
-    let frac = pos - i0 as f64;
-    let a = hist[mode].get(i0).copied().unwrap_or(0.0);
-    let b = hist[mode].get(i0 + 1).copied().unwrap_or(a);
-    a + frac * (b - a)
 }
 
 #[cfg(test)]
@@ -1343,132 +847,6 @@ mod reduced_order_tests {
 }
 
 #[cfg(test)]
-mod coupled_inductor_tests {
-    use super::*;
-    use crate::waveform::Waveform;
-    use pdn_num::approx_eq;
-
-    /// Transformer with k near 1 driven through a source resistor: the
-    /// secondary open-circuit voltage approaches the turns-ratio times the
-    /// primary voltage.
-    #[test]
-    fn transformer_voltage_ratio() {
-        let turns = 2.0; // n = √(L2/L1)
-        let (l1, l2) = (1e-6, turns * turns * 1e-6);
-        let mut ckt = Circuit::new();
-        let src = ckt.node("src");
-        let p = ckt.node("p");
-        let s = ckt.node("s");
-        ckt.voltage_source(
-            src,
-            Circuit::GND,
-            Waveform::Sine {
-                offset: 0.0,
-                amplitude: 1.0,
-                frequency: 10e6,
-                delay: 0.0,
-            },
-        );
-        ckt.resistor(src, p, 1.0);
-        ckt.coupled_inductors(p, Circuit::GND, s, Circuit::GND, l1, l2, 0.9999);
-        ckt.resistor(s, Circuit::GND, 1e6); // light load
-        let res = ckt.transient(&TransientSpec::new(1e-6, 0.2e-9)).unwrap();
-        // After start-up, compare amplitude over the last half.
-        let half = res.len() / 2;
-        let vp = res.voltage(p)[half..]
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()));
-        let vs = res.voltage(s)[half..]
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()));
-        assert!(
-            approx_eq(vs / vp, turns, 0.05),
-            "voltage ratio {:.3} vs turns {turns}",
-            vs / vp
-        );
-    }
-
-    /// With zero coupling the two windings behave as independent
-    /// inductors.
-    #[test]
-    fn uncoupled_windings_are_independent() {
-        let build = |coupled: bool| {
-            let mut ckt = Circuit::new();
-            let a = ckt.node("a");
-            let b = ckt.node("b");
-            ckt.voltage_source(a, Circuit::GND, Waveform::step(1.0, 0.0));
-            if coupled {
-                ckt.coupled_inductors(a, Circuit::GND, b, Circuit::GND, 1e-6, 1e-6, 1e-9);
-            } else {
-                ckt.inductor(a, Circuit::GND, 1e-6);
-                ckt.inductor(b, Circuit::GND, 1e-6);
-            }
-            ckt.resistor(b, Circuit::GND, 50.0);
-            let res = ckt.transient(&TransientSpec::new(100e-9, 0.1e-9)).unwrap();
-            res.voltage(b).last().copied().unwrap()
-        };
-        let vb_coupled = build(true);
-        let vb_plain = build(false);
-        assert!(
-            (vb_coupled - vb_plain).abs() < 1e-6,
-            "{vb_coupled} vs {vb_plain}"
-        );
-    }
-
-    /// AC: the open-circuit transfer of a coupled pair equals M/L1.
-    #[test]
-    fn ac_mutual_transfer_ratio() {
-        let (l1, l2, k) = (2e-6, 8e-6, 0.5);
-        let mut ckt = Circuit::new();
-        let src = ckt.node("src");
-        let p = ckt.node("p");
-        let s = ckt.node("s");
-        let drive = ckt.voltage_source(src, Circuit::GND, Waveform::dc(0.0));
-        ckt.resistor(src, p, 1e-3);
-        ckt.coupled_inductors(p, Circuit::GND, s, Circuit::GND, l1, l2, k);
-        ckt.resistor(s, Circuit::GND, 1e9);
-        let sweep = crate::AcSweep::linear(1e6, 1e6 + 1.0, 2);
-        let res = ckt.ac(&sweep, drive).unwrap();
-        let ratio = (res.voltage(0, s) / res.voltage(0, p)).norm();
-        let m = k * (l1 * l2).sqrt();
-        assert!(
-            approx_eq(ratio, m / l1, 1e-3),
-            "transfer {ratio:.4} vs M/L1 = {:.4}",
-            m / l1
-        );
-    }
-
-    /// Energy pumped into a shorted coupled pair stays bounded (passive).
-    #[test]
-    fn coupled_pair_transient_stable() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.voltage_source(
-            a,
-            Circuit::GND,
-            Waveform::pulse(0.0, 1.0, 0.0, 1e-9, 1e-9, 5e-9),
-        );
-        ckt.coupled_inductors(a, Circuit::GND, b, Circuit::GND, 1e-7, 1e-7, 0.95);
-        ckt.resistor(b, Circuit::GND, 10.0);
-        ckt.capacitor(b, Circuit::GND, 1e-12);
-        let res = ckt.transient(&TransientSpec::new(100e-9, 0.05e-9)).unwrap();
-        let vmax = res.voltage(b).iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        assert!(vmax < 5.0, "bounded: {vmax}");
-    }
-
-    /// Coupling factor at the passivity bound is rejected.
-    #[test]
-    #[should_panic(expected = "coupling factor")]
-    fn unity_coupling_rejected() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.coupled_inductors(a, Circuit::GND, b, Circuit::GND, 1e-6, 1e-6, 1.0);
-    }
-}
-
-#[cfg(test)]
 mod partitioned_tests {
     use super::*;
     use crate::waveform::Waveform;
@@ -1516,16 +894,36 @@ mod partitioned_tests {
         ckt
     }
 
+    /// The active switches and both phases of a run of `ckt` under
+    /// `spec`, built as [`Circuit::transient`] builds them.
+    struct Phases<'a> {
+        switches: Vec<&'a Switch>,
+        settle: Phase,
+        main: Phase,
+    }
+
+    impl<'a> Phases<'a> {
+        fn new(ckt: &'a Circuit, spec: &TransientSpec) -> Self {
+            let switches = ckt.active_switches();
+            Phases {
+                settle: Phase::new(ckt, ckt.settle_rule(spec), &switches).unwrap(),
+                main: Phase::new(ckt, Rule::new(spec.integration, spec.dt), &switches).unwrap(),
+                switches,
+            }
+        }
+    }
+
     /// Switch deviations `D` at one drive level: pull-ups (plain drive)
     /// and pull-downs (inverted) alternate, and the level is staggered
     /// per driver.
-    fn deviations(switches: &[(NodeId, NodeId, f64)], level: f64) -> Vec<f64> {
+    fn deviations(switches: &[&Switch], level: f64) -> Vec<f64> {
         switches
             .iter()
             .enumerate()
-            .map(|(i, &(_, _, g_on))| {
+            .map(|(i, sw)| {
+                assert_eq!(sw.invert, i % 2 == 1, "pull-ups and pull-downs alternate");
                 let drive = (level + 0.05 * (i / 2) as f64).min(1.0);
-                switch_conductance(g_on, drive, i % 2 == 1) - 0.5 * g_on
+                sw.conductance(drive) - 0.5 * sw.g_on
             })
             .collect()
     }
@@ -1536,13 +934,14 @@ mod partitioned_tests {
         case: &str,
         ckt: &Circuit,
         phase: &Phase,
-        switches: &[(NodeId, NodeId, f64)],
+        switches: &[&Switch],
         d: &[f64],
         rhs: &[f64],
         x: &[f64],
     ) {
-        let mut a = ckt.mna_matrix(phase.integration, phase.dt);
-        for (&(p, q, _), &di) in switches.iter().zip(d) {
+        let mut a = ckt.matrix(|e, mna| e.stamp(phase.rule, mna));
+        for (sw, &di) in switches.iter().zip(d) {
+            let (p, q) = (sw.a, sw.b);
             for (r, sr) in [(p, 1.0), (q, -1.0)] {
                 for (c, sc) in [(p, 1.0), (q, -1.0)] {
                     if r.0 > 0 && c.0 > 0 {
@@ -1572,7 +971,7 @@ mod partitioned_tests {
     fn woodbury_step_matches_dense_reference() {
         let spec = TransientSpec::new(8e-9, 0.01e-9).with_settle(2e-9);
         for (ckt, k) in [(driver_circuit(), 2), (driver_bank(), 16)] {
-            let mut phases = Phases::new(&ckt, &spec).unwrap();
+            let mut phases = Phases::new(&ckt, &spec);
             assert_eq!(phases.switches.len(), k);
             let dim = ckt.n_nodes + ckt.n_vsources;
             let rhs: Vec<f64> = (0..dim).map(|i| ((7 * i + 3) % 11) as f64 - 5.0).collect();
@@ -1585,11 +984,11 @@ mod partitioned_tests {
                 }
             }
 
-            let mut reused = Phases::new(&ckt, &spec).unwrap();
+            let mut reused = Phases::new(&ckt, &spec);
             for (step, level) in [0.2, 0.2, 0.9, 0.2, 1.0, 1.0].into_iter().enumerate() {
                 let d = deviations(&reused.switches, level);
                 for settle in [step % 2 == 0, step % 2 == 1] {
-                    let mut fresh = Phases::new(&ckt, &spec).unwrap();
+                    let mut fresh = Phases::new(&ckt, &spec);
                     let (phase, fresh_phase) = if settle {
                         (&mut reused.settle, &mut fresh.settle)
                     } else {
@@ -1662,25 +1061,10 @@ impl Circuit {
     /// # }
     /// ```
     pub fn dc_operating_point(&self) -> Result<Vec<f64>, SimulateCircuitError> {
-        let min_delay = self
-            .elements
-            .iter()
-            .filter_map(|e| match e {
-                Element::CoupledLine { model, .. } => model
-                    .delays()
-                    .iter()
-                    .fold(None::<f64>, |a, &b| Some(a.map_or(b, |x| x.min(b)))),
-                _ => None,
-            })
-            .fold(f64::INFINITY, f64::min);
-        let (dt, settle) = if min_delay.is_finite() {
-            // Lines pin the settle step to dt; give the settle enough
-            // round trips to reach steady state.
-            let dt = min_delay / 4.0;
-            (dt, 4000.0 * dt)
-        } else {
-            (1e-9, 1.0)
-        };
+        // Lines pin the settle step to dt; give the settle enough round
+        // trips to reach steady state.
+        let min_delay = self.min_line_delay().filter(|tau| tau.is_finite());
+        let (dt, settle) = min_delay.map_or((1e-9, 1.0), |tau| (tau / 4.0, 4000.0 * (tau / 4.0)));
         let spec = TransientSpec::new(dt, dt).with_settle(settle);
         let res = self.transient(&spec)?;
         let mut out = Vec::with_capacity(self.n_nodes + 1);

@@ -516,8 +516,12 @@ impl BoardSpec {
     ///
     /// Returns [`BuildBoardError::Wiring`] when the model does not fit
     /// this board ([`ExtractedModel::check_fits`]) or a decap sits off
-    /// every declared site, or when an element model is invalid (bad line
-    /// parameters…).
+    /// every declared site, when an element model is invalid (bad line
+    /// parameters…), or when an electrical value of the supply, a chip or
+    /// a decap cannot be stamped (a resistance or capacitance that is not
+    /// positive and finite, an inductance that is zero or not finite, an
+    /// on-resistance that is not positive); the message names the part
+    /// and the field.
     pub fn wire(
         &self,
         model: &ExtractedModel,
@@ -547,6 +551,7 @@ impl BoardSpec {
             };
             decap_sites.push(site);
         }
+        self.check_stampable()?;
         let eq = model.equivalent();
         let first = self.plane.ports().len();
 
@@ -652,6 +657,66 @@ impl BoardSpec {
             signal_nets,
             devices,
         })
+    }
+
+    /// Checks each electrical value [`wire`](BoardSpec::wire) hands to a
+    /// [`Circuit`] builder, as it hands it, with that builder's own
+    /// condition (its `# Panics` section), so a value no builder accepts
+    /// is a [`BuildBoardError::Wiring`] naming the part and the field.
+    fn check_stampable(&self) -> Result<(), BuildBoardError> {
+        // `resistor` and `capacitor` take a positive finite value,
+        // `inductor` a non-zero finite one.
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        let non_zero = |v: f64| v != 0.0 && v.is_finite();
+        let check = |ok: bool, part: &str, field: &str, value: f64| {
+            if ok {
+                Ok(())
+            } else {
+                Err(BuildBoardError::Wiring(format!(
+                    "{part}: {field} = {value:e} cannot be stamped"
+                )))
+            }
+        };
+        let (r, l) = (self.supply_r, self.supply_l);
+        check(positive(r.max(1e-6)), "supply", "supply_r", r)?;
+        check(non_zero(l.max(1e-15)), "supply", "supply_l", l)?;
+        for chip in &self.chips {
+            let part = format!("chip {}", chip.name);
+            // `package_pin` stamps `r.max(1e-6)`, `l` and, for `c > 0`,
+            // `c/2` at each end.
+            let pairs = chip.power_pin_pairs.max(1) as f64;
+            let pin_c = chip.pin_c * pairs;
+            check(
+                positive((chip.pin_r / pairs).max(1e-6)),
+                &part,
+                "pin_r",
+                chip.pin_r,
+            )?;
+            check(non_zero(chip.pin_l / pairs), &part, "pin_l", chip.pin_l)?;
+            if pin_c > 0.0 {
+                check(positive(0.5 * pin_c), &part, "pin_c", chip.pin_c)?;
+            }
+            if chip.drivers == 0 {
+                continue;
+            }
+            // `switch_resistor` takes a positive on-resistance.
+            check(chip.r_on > 0.0, &part, "r_on", chip.r_on)?;
+            if chip.load_c > 0.0 {
+                check(positive(chip.load_c), &part, "load_c", chip.load_c)?;
+            }
+            if let Some(line) = &chip.line {
+                check(positive(line.r_load), &part, "line r_load", line.r_load)?;
+            }
+        }
+        for (k, d) in self.decaps.iter().enumerate() {
+            // `decoupling_cap` stamps `esr.max(1e-6)`, `esl.max(1e-15)`
+            // and `c`.
+            let part = format!("decap {k}");
+            check(positive(d.esr.max(1e-6)), &part, "esr", d.esr)?;
+            check(non_zero(d.esl.max(1e-15)), &part, "esl", d.esl)?;
+            check(positive(d.c), &part, "c", d.c)?;
+        }
+        Ok(())
     }
 }
 

@@ -40,12 +40,9 @@ impl CrosstalkResult {
 ///
 /// # Errors
 ///
-/// Propagates circuit-simulation failures (e.g. a time step larger than
-/// the smallest modal delay).
-///
-/// # Panics
-///
-/// Panics unless the model has exactly two conductors.
+/// Returns [`SimulateCircuitError::InvalidSpec`] unless the model has
+/// exactly two conductors, and propagates circuit-simulation failures
+/// (e.g. a time step larger than the smallest modal delay).
 ///
 /// # Examples
 ///
@@ -70,11 +67,12 @@ pub fn simulate_coupled_pair(
     t_stop: f64,
     dt: f64,
 ) -> Result<CrosstalkResult, SimulateCircuitError> {
-    assert_eq!(
-        model.conductor_count(),
-        2,
-        "simulate_coupled_pair requires a two-conductor model"
-    );
+    if model.conductor_count() != 2 {
+        return Err(SimulateCircuitError::InvalidSpec(format!(
+            "simulate_coupled_pair requires a two-conductor model, got {} conductors",
+            model.conductor_count()
+        )));
+    }
     let mut ckt = Circuit::new();
     let src = ckt.node("src");
     let a_near = ckt.node("active_near");
@@ -210,5 +208,19 @@ mod tests {
             inhomog > 20.0 * homog,
             "dielectric inhomogeneity creates FEXT: {inhomog} vs {homog}"
         );
+    }
+
+    #[test]
+    fn a_line_that_is_not_a_pair_is_an_invalid_spec() {
+        let triple = MicrostripArray::uniform(3, 2e-3, 1e-3, 1e-3, 4.5)
+            .line_model(0.1)
+            .unwrap();
+        let pulse = Waveform::pulse(0.0, 5.0, 0.2e-9, 0.3e-9, 0.3e-9, 1.0e-9);
+        match simulate_coupled_pair(&triple, pulse, 50.0, 50.0, 6e-9, 5e-12) {
+            Err(SimulateCircuitError::InvalidSpec(msg)) => {
+                assert!(msg.contains("got 3 conductors"), "message: {msg}");
+            }
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
     }
 }

@@ -564,3 +564,43 @@ fn model_port_table_that_disagrees_with_its_layout_is_a_wiring_error() {
         }
     }
 }
+
+#[test]
+fn board_values_no_builder_accepts_are_wiring_errors() {
+    // A zero on-resistance (through a scenario), a zero decap capacitance
+    // and a zero package-pin inductance used to reach the netlist
+    // builders' asserts and panic a batch worker. Each is now a wiring
+    // error that names the field, reported through the batch as
+    // `Build { index }`.
+    let board = boards::ssn_study_a_board(0.5)
+        .expect("valid board")
+        .with_decap_site(Point::new(inch(4.0), inch(3.5)));
+    let batch = ScenarioBatch::new(&board, &NodeSelection::PortsOnly).expect("extractable");
+    let scenarios = [
+        (Scenario::switching(1).with_r_on_scale(0.0), "r_on"),
+        (
+            Scenario::switching(1).with_decaps(vec![(0, DecapValue::new(0.0, 0.03, 1.2e-9))]),
+            "decap 0: c = ",
+        ),
+    ];
+    for (scenario, field) in scenarios {
+        match batch.run(&[Scenario::switching(1), scenario], 1e-9, 0.1e-9) {
+            Err(ScenarioBatchError::Build {
+                index: 1,
+                source: BuildBoardError::Wiring(msg),
+            }) => assert!(msg.contains(field), "{field}: {msg}"),
+            other => panic!("{field}: expected a wiring error, got {other:?}"),
+        }
+    }
+    let mut bad = board.clone();
+    bad.chips[0].pin_l = 0.0;
+    match bad.wire(batch.model(), 1) {
+        Err(BuildBoardError::Wiring(msg)) => {
+            assert!(
+                msg.contains("pin_l") && msg.contains(&board.chips[0].name),
+                "{msg}"
+            );
+        }
+        other => panic!("expected a wiring error, got {other:?}"),
+    }
+}

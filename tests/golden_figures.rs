@@ -207,9 +207,7 @@ fn fig7_inadmissible_plan_assembles_bit_identical_kernels() {
     }
 }
 
-/// Slow (full FDTD reference run); nightly `--include-ignored` suite.
 #[test]
-#[ignore]
 fn fig8_transient_matches_golden() {
     let golden = parse_golden(include_str!("golden/fig8_transient.csv"), 3);
     let fresh = compute_fig8();

@@ -132,11 +132,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Random small boards and random scenario lists: batched results are
-    /// exactly the from-scratch results, for every worker count. Slow
-    /// (each case is several extractions + transients); runs in the
-    /// nightly `--include-ignored` suite.
+    /// exactly the from-scratch results, for every worker count.
     #[test]
-    #[ignore]
     fn random_batches_match_scratch_builds(
         w_mm in 25.0f64..45.0,
         h_mm in 20.0f64..35.0,
