@@ -261,7 +261,7 @@ pub fn assemble_link_matrices(
     let m = links.len();
     let area = dx * dy;
     let table = LinkOffsets::new(links, dx, dy, pair, opts.testing);
-    // Orthogonal links have zero quasi-static mutual, so each row batches
+    // Orthogonal links have zero quasi-static mutual, so each row reads
     // only its same-direction partners and scatters the results back.
     let l_rows: Vec<Vec<f64>> = parallel::par_map_indexed(m, |i| {
         // L = (1/(wᵢwⱼ))·∬∬ G_A; the patch width is the dimension
@@ -289,15 +289,24 @@ pub fn assemble_link_matrices(
             l[(j, i)] = v;
         }
     }
+    (l, link_resistances(links, dx, dy, zs))
+}
+
+/// The DC loop resistance of each link on a `dx × dy` raster.
+pub(crate) fn link_resistances(
+    links: &[Link],
+    dx: f64,
+    dy: f64,
+    zs: &SurfaceImpedance,
+) -> Vec<f64> {
     let r_dc = zs.dc_resistance();
-    let r_link = links
+    links
         .iter()
         .map(|lk| match lk.direction {
             LinkDirection::X => r_dc * dx / dy,
             LinkDirection::Y => r_dc * dy / dx,
         })
-        .collect();
-    (l, r_link)
+        .collect()
 }
 
 /// Cross-block diagonal lumping sums for a partitioned mesh — the seam

@@ -32,7 +32,7 @@
 //! rank and byte accounting through [`CompressedKernel::stats`] and
 //! [`CompressedLinkKernel::stats`].
 
-use crate::assembly::{AssembleBemError, BemOptions};
+use crate::assembly::{link_resistances, AssembleBemError, BemOptions};
 use crate::blocks::{certified_block, dense_block, Block, BlockData, BlockStore};
 use crate::offsets::{LinkOffsets, OffsetTable};
 use pdn_geom::mesh::LinkDirection;
@@ -294,10 +294,10 @@ pub struct CompressionStats {
     pub dense_bytes: usize,
 }
 
-/// Batched kernel-row generator: `row_gen(i, cols, out)` must fill
+/// Kernel-row generator: `row_gen(i, cols, out)` must fill
 /// `out[t] = entry(i, cols[t])` bit-for-bit for the kernel being
-/// compressed. Assembly passes lane-vectorized panel-integral batches
-/// through this signature.
+/// compressed. Assembly reads the rows from the offset tables of `P`
+/// and `L`.
 pub type RowGen<'a> = dyn Fn(usize, &[usize], &mut [f64]) + Sync + 'a;
 
 /// A symmetric kernel matrix in hierarchically compressed form.
@@ -378,7 +378,7 @@ fn plan_blocks(tree: &ClusterTree, spec: &CompressionSpec) -> Vec<PlannedBlock> 
 
 impl CompressedKernel {
     /// Builds the compressed kernel for the symmetric matrix whose index
-    /// `i` sits at geometric position `points[i]`, from a batched row
+    /// `i` sits at geometric position `points[i]`, from a row
     /// generator: `row_gen(i, cols, out)` must fill
     /// `out[t] = entry(i, cols[t])` bit-for-bit, and `entry` must be
     /// symmetric (callers canonicalize index order). Block assembly
@@ -548,8 +548,8 @@ pub struct CompressedLinkKernel {
 }
 
 impl CompressedLinkKernel {
-    /// Builds the two per-direction compressed kernels from a batched
-    /// row generator over **global** link indices: `row_gen(i, cols,
+    /// Builds the two per-direction compressed kernels from a row
+    /// generator over **global** link indices: `row_gen(i, cols,
     /// out)` fills `out[t] = entry(i, cols[t])`. Only same-direction
     /// index pairs are ever requested.
     ///
@@ -749,57 +749,9 @@ pub fn assemble_compressed(
     let cell_points: Vec<(f64, f64)> = mesh.cell_centers().iter().map(|c| (c.x, c.y)).collect();
     let p = CompressedKernel::build(&cell_points, spec, &p_row)?;
 
-    let (l, r_link) = compress_link_matrices(
-        mesh.links(),
-        mesh.dx(),
-        mesh.dy(),
-        pair,
-        zs,
-        opts,
-        spec,
-        &[],
-    )?;
-    Ok((CompressedKernels { p, l, spec: *spec }, r_link))
-}
-
-/// Compressed counterpart of
-/// [`assemble_link_matrices`](crate::assemble_link_matrices): builds the
-/// inductance of a link set (every link of a mesh in
-/// [`assemble_compressed`], or sharded extraction's cut-link stitch block)
-/// as a [`CompressedLinkKernel`] instead of a dense matrix, with an
-/// optional per-link diagonal lumping term folded into the generator so
-/// the certification also covers the lumped seam compensation. Returns
-/// the kernel and the DC link resistances.
-///
-/// Entries use the exact panel-integral formulas of the dense
-/// counterpart; `diag_lump` must be empty or one entry per link.
-///
-/// # Errors
-///
-/// [`AssembleBemError::InvalidInput`] naming both lengths when
-/// `diag_lump` is non-empty with a length other than `links.len()`;
-/// otherwise the contract of [`CompressedLinkKernel::build`].
-#[allow(clippy::too_many_arguments)]
-pub fn compress_link_matrices(
-    links: &[pdn_geom::mesh::Link],
-    dx: f64,
-    dy: f64,
-    pair: &PlanePair,
-    zs: &SurfaceImpedance,
-    opts: &BemOptions,
-    spec: &CompressionSpec,
-    diag_lump: &[f64],
-) -> Result<(CompressedLinkKernel, Vec<f64>), AssembleBemError> {
-    spec.validate()?;
-    if !(diag_lump.is_empty() || diag_lump.len() == links.len()) {
-        return Err(AssembleBemError::InvalidInput(format!(
-            "diag_lump has {} entries but there are {} links",
-            diag_lump.len(),
-            links.len()
-        )));
-    }
-    let area = dx * dy;
-    let table = LinkOffsets::new(links, dx, dy, pair, opts.testing);
+    let links = mesh.links();
+    let (dx, dy) = (mesh.dx(), mesh.dy());
+    let link_table = LinkOffsets::new(links, dx, dy, pair, opts.testing);
     let l_row = |i: usize, cols: &[usize], out: &mut [f64]| {
         let dir = links[i].direction;
         let w = match dir {
@@ -812,31 +764,18 @@ pub fn compress_link_matrices(
             .collect();
         let mut vals = vec![0.0; keep.len()];
         let pairs = keep.iter().map(|&t| (i.min(cols[t]), i.max(cols[t])));
-        table.fill(dir, pairs, &mut vals);
+        link_table.fill(dir, pairs, &mut vals);
         out.fill(0.0);
-        for (k, &t) in keep.iter().enumerate() {
-            let j = cols[t];
-            let lump = if i == j && !diag_lump.is_empty() {
-                diag_lump[i]
-            } else {
-                0.0
-            };
-            let integral = vals[k] * area;
-            out[t] = integral / (w * w) + lump;
+        for (&t, &v) in keep.iter().zip(&vals) {
+            let integral = v * area;
+            out[t] = integral / (w * w);
         }
     };
     let link_points: Vec<(f64, f64)> = links.iter().map(|l| (l.center.x, l.center.y)).collect();
     let link_dirs: Vec<LinkDirection> = links.iter().map(|l| l.direction).collect();
     let l = CompressedLinkKernel::build(&link_points, &link_dirs, spec, &l_row)?;
-    let r_dc = zs.dc_resistance();
-    let r_link: Vec<f64> = links
-        .iter()
-        .map(|lk| match lk.direction {
-            LinkDirection::X => r_dc * dx / dy,
-            LinkDirection::Y => r_dc * dy / dx,
-        })
-        .collect();
-    Ok((l, r_link))
+    let r_link = link_resistances(links, dx, dy, zs);
+    Ok((CompressedKernels { p, l, spec: *spec }, r_link))
 }
 
 #[cfg(test)]
@@ -1085,28 +1024,6 @@ mod tests {
         let msg = invalid_input(err);
         assert!(
             msg.contains('3') && msg.contains('2'),
-            "names both lengths: {msg}"
-        );
-    }
-
-    #[test]
-    fn link_compression_rejects_a_mismatched_lump() {
-        let (mesh, pair, zs) = plane(mm(8.0), mm(6.0), mm(1.0));
-        let m = mesh.link_count();
-        let err = compress_link_matrices(
-            mesh.links(),
-            mesh.dx(),
-            mesh.dy(),
-            &pair,
-            &zs,
-            &BemOptions::default(),
-            &CompressionSpec::default(),
-            &vec![0.0; m + 1],
-        )
-        .unwrap_err();
-        let msg = invalid_input(err);
-        assert!(
-            msg.contains(&(m + 1).to_string()) && msg.contains(&m.to_string()),
             "names both lengths: {msg}"
         );
     }

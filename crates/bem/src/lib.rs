@@ -58,7 +58,7 @@ pub use assembly::{
     RawMatrices, Testing,
 };
 pub use compress::{
-    assemble_compressed, compress_link_matrices, kernel_matvec_count, reset_kernel_matvec_count,
-    CompressedKernel, CompressedKernels, CompressedLinkKernel, CompressionSpec, CompressionStats,
+    assemble_compressed, kernel_matvec_count, reset_kernel_matvec_count, CompressedKernel,
+    CompressedKernels, CompressedLinkKernel, CompressionSpec, CompressionStats,
 };
 pub use system::BemSystem;

@@ -15,10 +15,12 @@
 //!
 //! An entry reads the slot of its offset, whose value was computed from
 //! the same subtraction on the same bits, so every entry equals a direct
-//! evaluation bit for bit, for any point set and any fill order. A row's
-//! misses are evaluated in one lane batch; workers that miss the same
-//! slot at once compute the same bits, so the race is benign and the
-//! result is identical for any `PDN_THREADS`.
+//! evaluation bit for bit, for any point set and any fill order. A miss
+//! is integrated on the spot by the scalar
+//! [`panel_integral`](LayeredKernel::panel_integral) or
+//! [`panel_galerkin`](LayeredKernel::panel_galerkin) call and stored;
+//! workers that miss the same slot at once compute the same bits, so the
+//! race is benign and the result is identical for any `PDN_THREADS`.
 //!
 //! The pair tables have `nx² + ny²` entries and the slots `ndx · ndy`,
 //! a few dozen per point on a raster. A point set whose tables would
@@ -185,61 +187,35 @@ impl OffsetTable {
     /// `points[a] − points[b]` of the `t`-th pair `(a, b)`.
     pub(crate) fn fill(&self, pairs: impl IntoIterator<Item = (usize, usize)>, out: &mut [f64]) {
         let Some(s) = &self.slots else {
-            let (ox, oy): (Vec<f64>, Vec<f64>) = pairs
-                .into_iter()
-                .map(|(a, b)| {
-                    let ((xa, ya), (xb, yb)) = (self.ids[a], self.ids[b]);
-                    (self.xs[xa] - self.xs[xb], self.ys[ya] - self.ys[yb])
-                })
-                .unzip();
-            self.eval(&ox, &oy, out);
+            for (t, (a, b)) in pairs.into_iter().enumerate() {
+                let ((xa, ya), (xb, yb)) = (self.ids[a], self.ids[b]);
+                out[t] = self.eval(self.xs[xa] - self.xs[xb], self.ys[ya] - self.ys[yb]);
+            }
             return;
         };
         let (nx, ny, ndy) = (self.xs.len(), self.ys.len(), s.dys.len());
-        // (slot, position) of every entry whose slot is still empty.
-        let mut miss: Vec<(usize, usize)> = Vec::new();
         for (t, (a, b)) in pairs.into_iter().enumerate() {
             let ((xa, ya), (xb, yb)) = (self.ids[a], self.ids[b]);
             let k = s.dx_of[xa * nx + xb] * ndy + s.dy_of[ya * ny + yb];
-            match s.values[k].load(Ordering::Relaxed) {
-                UNSET => miss.push((k, t)),
-                bits => out[t] = f64::from_bits(bits),
-            }
-        }
-        if miss.is_empty() {
-            return;
-        }
-        miss.sort_unstable();
-        let mut uniq: Vec<usize> = miss.iter().map(|&(k, _)| k).collect();
-        uniq.dedup();
-        let (ox, oy): (Vec<f64>, Vec<f64>) = uniq
-            .iter()
-            .map(|&k| (s.dxs[k / ndy], s.dys[k % ndy]))
-            .unzip();
-        let mut vals = vec![0.0; uniq.len()];
-        self.eval(&ox, &oy, &mut vals);
-        for (&k, &v) in uniq.iter().zip(&vals) {
-            s.values[k].store(v.to_bits(), Ordering::Relaxed);
-        }
-        let mut u = 0;
-        for &(k, t) in &miss {
-            while uniq[u] != k {
-                u += 1;
-            }
-            out[t] = vals[u];
+            out[t] = match s.values[k].load(Ordering::Relaxed) {
+                UNSET => {
+                    let v = self.eval(s.dxs[k / ndy], s.dys[k % ndy]);
+                    s.values[k].store(v.to_bits(), Ordering::Relaxed);
+                    v
+                }
+                bits => f64::from_bits(bits),
+            };
         }
     }
 
-    /// The panel integral at every offset `(ox[t], oy[t])`, through the
-    /// lane-batched kernels — point matching or Galerkin. Per element
-    /// bit-identical to the scalar `panel_integral` / `panel_galerkin`
-    /// calls.
-    fn eval(&self, ox: &[f64], oy: &[f64], out: &mut [f64]) {
+    /// The panel integral at offset `(ox, oy)`, point matching or
+    /// Galerkin.
+    fn eval(&self, ox: f64, oy: f64) -> f64 {
         match &self.quad {
-            None => self.kernel.panel_integral_batch(ox, oy, self.cell, out),
+            None => self.kernel.panel_integral((ox, oy), self.cell),
             Some(q) => self
                 .kernel
-                .panel_galerkin_batch(ox, oy, self.cell, self.cell, q, out),
+                .panel_galerkin((ox, oy), self.cell, self.cell, q),
         }
     }
 }
@@ -325,7 +301,7 @@ mod tests {
     use pdn_greens::SurfaceImpedance;
     use pdn_num::Matrix;
 
-    /// The scalar (unbatched, untabled) kernel call for one offset.
+    /// The direct (untabled) kernel call for one offset.
     fn direct(g: &LayeredKernel, off: (f64, f64), cell: Rectangle, testing: Testing) -> f64 {
         match testing {
             Testing::PointMatching => g.panel_integral(off, cell),

@@ -1,5 +1,5 @@
-//! Blocked cache-tiled LU vs the naive scalar factorization, and batched
-//! vs scalar BEM panel quadrature.
+//! Blocked cache-tiled LU vs the naive scalar factorization, and the
+//! offset-table dense BEM fill vs per-entry scalar panel quadrature.
 //!
 //! The naive baseline is the pre-blocking right-looking elimination that
 //! `pdn_num::LuDecomposition` used to run unconditionally (and still runs
@@ -8,14 +8,12 @@
 //! `n ∈ {64, 256, 1024}` for both `f64` and `c64`.
 //!
 //! Acceptance bar: the blocked complex factorization must be **≥ 2×**
-//! faster than the scalar baseline at `n = 1024`, and the batched panel
-//! quadrature must beat the per-entry scalar fill on the 1120-cell
-//! SSN-study board (where it is also checked bit-identical entry by
-//! entry), and the offset-table dense fill (`pdn_bem::assemble_matrices`,
-//! each distinct centre offset integrated once) must equal the batched
-//! `P` and `L` fills bit for bit and beat them by
-//! [`TABLE_SPEEDUP_FLOOR`]. A machine-readable summary is written to
-//! `BENCH_lu.json` in the crate directory.
+//! faster than the scalar baseline at `n = 1024`, and on the 1120-cell
+//! SSN-study board the offset-table dense fill
+//! (`pdn_bem::assemble_matrices`, each distinct centre offset integrated
+//! once) must equal the per-entry scalar `P` and `L` fills bit for bit
+//! and beat them by [`TABLE_SPEEDUP_FLOOR`]. A machine-readable summary
+//! is written to `BENCH_lu.json` in the crate directory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdn_core::prelude::*;
@@ -28,7 +26,7 @@ use std::time::Instant;
 
 const NRHS: usize = 32;
 /// Floor on the offset-table dense fill's speedup over the per-entry
-/// batched P+L fill on the 1120-cell board: about half the ratio
+/// scalar P+L fill on the 1120-cell board: about half the ratio
 /// measured with one worker.
 const TABLE_SPEEDUP_FLOOR: f64 = 4.5;
 
@@ -193,8 +191,8 @@ fn bench_lu_size<T: Scalar + pdn_num::GemmScalar>(
     }
 }
 
-/// Per-entry scalar upper-triangle P fill — the historical dense
-/// assembly loop in `pdn_bem::assemble_matrices`.
+/// Per-entry scalar upper-triangle P fill — the dense `P` loop of
+/// `pdn_bem::assemble_matrices` before the offset table.
 fn scalar_p_fill(g: &LayeredKernel, centers: &[Point], cell: Rectangle, area: f64) -> Matrix<f64> {
     let n = centers.len();
     let mut p = Matrix::zeros(n, n);
@@ -211,36 +209,10 @@ fn scalar_p_fill(g: &LayeredKernel, centers: &[Point], cell: Rectangle, area: f6
     p
 }
 
-/// Row-at-a-time batched fill using `panel_integral_batch` — the dense
-/// `P` loop before assembly read each distinct offset from a table.
-fn batched_p_fill(g: &LayeredKernel, centers: &[Point], cell: Rectangle, area: f64) -> Matrix<f64> {
-    let n = centers.len();
-    let mut p = Matrix::zeros(n, n);
-    let mut ox = Vec::with_capacity(n);
-    let mut oy = Vec::with_capacity(n);
-    let mut row = vec![0.0; n];
-    for i in 0..n {
-        ox.clear();
-        oy.clear();
-        for j in i..n {
-            ox.push(centers[i].x - centers[j].x);
-            oy.push(centers[i].y - centers[j].y);
-        }
-        let row = &mut row[..n - i];
-        g.panel_integral_batch(&ox, &oy, cell, row);
-        for (t, &v) in row.iter().enumerate() {
-            let v = v / area;
-            p[(i, i + t)] = v;
-            p[(i + t, i)] = v;
-        }
-    }
-    p
-}
-
-/// Row-at-a-time batched link fill: each row batches its same-direction
-/// partners through `panel_integral_batch` and scales by `area/(w·w)` —
-/// the dense `L` loop before the offset table.
-fn batched_l_fill(g: &LayeredKernel, mesh: &PlaneMesh) -> Matrix<f64> {
+/// Per-entry scalar upper-triangle link fill: each same-direction pair
+/// integrated by `panel_integral` and scaled by `area/(w·w)` — the dense
+/// `L` loop before the offset table.
+fn scalar_l_fill(g: &LayeredKernel, mesh: &PlaneMesh) -> Matrix<f64> {
     let links = mesh.links();
     let m = links.len();
     let cell = Rectangle::new(mesh.dx(), mesh.dy());
@@ -251,20 +223,14 @@ fn batched_l_fill(g: &LayeredKernel, mesh: &PlaneMesh) -> Matrix<f64> {
             LinkDirection::X => mesh.dy(),
             LinkDirection::Y => mesh.dx(),
         };
-        let idx: Vec<usize> = (i..m)
-            .filter(|&j| links[j].direction == links[i].direction)
-            .collect();
-        let ox: Vec<f64> = idx
-            .iter()
-            .map(|&j| links[i].center.x - links[j].center.x)
-            .collect();
-        let oy: Vec<f64> = idx
-            .iter()
-            .map(|&j| links[i].center.y - links[j].center.y)
-            .collect();
-        let mut vals = vec![0.0; idx.len()];
-        g.panel_integral_batch(&ox, &oy, cell, &mut vals);
-        for (&j, &v) in idx.iter().zip(&vals) {
+        for j in (i..m).filter(|&j| links[j].direction == links[i].direction) {
+            let v = g.panel_integral(
+                (
+                    links[i].center.x - links[j].center.x,
+                    links[i].center.y - links[j].center.y,
+                ),
+                cell,
+            );
             let integral = v * area;
             l[(i, j)] = integral / (w * w);
             l[(j, i)] = integral / (w * w);
@@ -322,45 +288,20 @@ fn lu_kernels_bench(c: &mut Criterion) {
         }
     }
 
-    // --- batched panel quadrature on the 1120-cell SSN-study board ------
+    // --- offset-table dense fill (`assemble_matrices`) vs per-entry -----
+    // On the 1120-cell SSN-study board the library evaluates each distinct
+    // centre offset once: 44,289 P slots for 627,760 upper-triangle
+    // entries. Both matrices must equal the per-entry scalar fills bit
+    // for bit.
     let mesh =
         PlaneMesh::build(&Polygon::rectangle(inch(10.0), inch(7.0)), inch(0.25)).expect("meshable");
     let n = mesh.cell_count();
-    let g = LayeredKernel::scalar_confined(4.5, mil(30.0));
     let cell = Rectangle::new(mesh.dx(), mesh.dy());
     let area = mesh.dx() * mesh.dy();
-    let centers = mesh.cell_centers();
-    let (t_scalar, p_scalar) = timed(|| scalar_p_fill(&g, centers, cell, area));
-    let (t_batch, p_batch) = timed(|| batched_p_fill(&g, centers, cell, area));
-    assert_eq!(
-        p_scalar.as_slice(),
-        p_batch.as_slice(),
-        "batched P fill must be bit-identical to the scalar fill"
-    );
-    let bem_speedup = t_scalar / t_batch;
-    println!(
-        "  bem n={n:5}: dense P fill {:9.3} ms -> {:9.3} ms ({bem_speedup:5.2}x, bit-identical)",
-        t_scalar * 1e3,
-        t_batch * 1e3,
-    );
-    assert!(
-        bem_speedup > 1.0,
-        "batched panel quadrature speedup {bem_speedup:.2}x must beat the scalar fill"
-    );
-    writeln!(
-        json,
-        "  {{\"kind\": \"bem_dense_p\", \"cells\": {n}, \
-         \"scalar_seconds\": {t_scalar:.6}, \"batched_seconds\": {t_batch:.6}, \
-         \"speedup\": {bem_speedup:.2}, \"bit_identical\": true}},"
-    )
-    .unwrap();
-
-    // --- offset-table dense fill (`assemble_matrices`) vs batched -------
-    // The library evaluates each distinct centre offset once: 44,289 P
-    // slots for 627,760 upper-triangle entries on this board. Both
-    // matrices must equal the per-entry batched fills bit for bit.
+    let g_phi = LayeredKernel::scalar_confined(4.5, mil(30.0));
     let g_a = LayeredKernel::vector_potential(mil(30.0));
-    let (t_l_batch, l_batch) = timed(|| batched_l_fill(&g_a, &mesh));
+    let (t_p, p_scalar) = timed(|| scalar_p_fill(&g_phi, mesh.cell_centers(), cell, area));
+    let (t_l, l_scalar) = timed(|| scalar_l_fill(&g_a, &mesh));
     let pair = PlanePair::new(mil(30.0), 4.5).expect("valid pair");
     let zs = SurfaceImpedance::lossless();
     let (t_table, raw) = timed(|| {
@@ -368,21 +309,23 @@ fn lu_kernels_bench(c: &mut Criterion) {
     });
     assert_eq!(
         raw.p_coef.as_slice(),
-        p_batch.as_slice(),
-        "table P fill must be bit-identical to the batched fill"
+        p_scalar.as_slice(),
+        "table P fill must be bit-identical to the scalar fill"
     );
     assert_eq!(
         raw.l.as_slice(),
-        l_batch.as_slice(),
-        "table L fill must be bit-identical to the batched fill"
+        l_scalar.as_slice(),
+        "table L fill must be bit-identical to the scalar fill"
     );
-    let t_fill = t_batch + t_l_batch;
+    let t_fill = t_p + t_l;
     let table_speedup = t_fill / t_table;
     println!(
-        "  bem n={n:5}, m={:5}: dense P+L fill {:9.3} ms -> {:9.3} ms with the offset table \
-         ({table_speedup:5.2}x, bit-identical, {} workers)",
+        "  bem n={n:5}, m={:5}: dense P+L fill {:9.3} ms (P {:.3}, L {:.3}) -> {:9.3} ms \
+         with the offset table ({table_speedup:5.2}x, bit-identical, {} workers)",
         mesh.link_count(),
         t_fill * 1e3,
+        t_p * 1e3,
+        t_l * 1e3,
         t_table * 1e3,
         pdn_num::parallel::worker_count(),
     );
@@ -393,7 +336,8 @@ fn lu_kernels_bench(c: &mut Criterion) {
     writeln!(
         json,
         "  {{\"kind\": \"bem_dense_table\", \"cells\": {n}, \"links\": {}, \
-         \"batched_seconds\": {t_fill:.6}, \"table_seconds\": {t_table:.6}, \
+         \"scalar_p_seconds\": {t_p:.6}, \"scalar_l_seconds\": {t_l:.6}, \
+         \"scalar_seconds\": {t_fill:.6}, \"table_seconds\": {t_table:.6}, \
          \"speedup\": {table_speedup:.2}, \"floor\": {TABLE_SPEEDUP_FLOOR}, \
          \"workers\": {}, \"bit_identical\": true}},",
         mesh.link_count(),

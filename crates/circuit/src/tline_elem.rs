@@ -23,6 +23,8 @@ pub enum BuildLineError {
     BadShape,
     /// `L` or `C` is not symmetric positive definite.
     NotPassive(String),
+    /// The line length (m) is not positive and finite.
+    InvalidLength(f64),
 }
 
 impl fmt::Display for BuildLineError {
@@ -31,6 +33,9 @@ impl fmt::Display for BuildLineError {
             BuildLineError::BadShape => write!(f, "L and C must be square and equally sized"),
             BuildLineError::NotPassive(s) => {
                 write!(f, "L/C matrices not symmetric positive definite: {s}")
+            }
+            BuildLineError::InvalidLength(len) => {
+                write!(f, "line length must be positive and finite, got {len} m")
             }
         }
     }
@@ -84,10 +89,14 @@ impl CoupledLineModel {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildLineError`] for shape mismatches or non-SPD inputs.
+    /// Returns [`BuildLineError`] for shape mismatches, non-SPD inputs or
+    /// a length that is not positive and finite.
     pub fn new(l: Matrix<f64>, c: Matrix<f64>, length: f64) -> Result<Self, BuildLineError> {
         if !l.is_square() || l.shape() != c.shape() {
             return Err(BuildLineError::BadShape);
+        }
+        if !(length > 0.0 && length.is_finite()) {
+            return Err(BuildLineError::InvalidLength(length));
         }
         let n = l.nrows();
         let not_passive = |e: SolveMatrixError| BuildLineError::NotPassive(e.to_string());

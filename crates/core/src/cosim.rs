@@ -56,7 +56,9 @@ pub enum ExtractionStrategy {
     /// lines, extract each region independently in parallel, and compose
     /// through interface ports (see [`pdn_shard`] and `docs/SHARDING.md`
     /// for the accuracy contract). Scenario batching, decap optimization,
-    /// and rational sweeps run unchanged on the composed model.
+    /// and rational sweeps run unchanged on the composed model. Regions
+    /// assemble densely, so a plane that sets compression is refused
+    /// with [`pdn_shard::ShardExtractError::InvalidPlan`].
     Sharded {
         /// Where to cut the board.
         plan: ShardPlan,

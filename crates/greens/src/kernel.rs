@@ -33,7 +33,7 @@
 //! [`LayeredKernel::vector_potential`] is always the perfect-ground pair
 //! weighted by `μ₀/4π`.
 
-use crate::panel::{rect_potential, rect_potential_lanes, Rectangle, LANES};
+use crate::panel::{rect_potential, Rectangle};
 use pdn_num::phys::{EPS0, MU0};
 use std::f64::consts::PI;
 
@@ -234,135 +234,6 @@ impl LayeredKernel {
         }
         sum / wsum
     }
-
-    /// One lane group of panel integrals: [`LANES`] observation points
-    /// against one shared source panel, with the per-lane image-term sum
-    /// accumulated in exactly the scalar
-    /// [`panel_integral`](Self::panel_integral) order.
-    fn panel_integral_group(
-        &self,
-        px: &[f64; LANES],
-        py: &[f64; LANES],
-        panel: Rectangle,
-    ) -> [f64; LANES] {
-        let mut acc = [0.0f64; LANES];
-        let mut tmp = [0.0f64; LANES];
-        for t in &self.terms {
-            rect_potential_lanes(px, py, t.depth, panel, &mut tmp);
-            for q in 0..LANES {
-                acc[q] += t.coeff * tmp[q];
-            }
-        }
-        acc
-    }
-
-    /// Batched [`panel_integral`](Self::panel_integral): evaluates the
-    /// source-panel integral at every observation point `(obs_x[i],
-    /// obs_y[i])` in [`LANES`]-wide groups (final group padded with benign
-    /// values).
-    ///
-    /// Each output element is **bit-identical** to the corresponding scalar
-    /// `panel_integral((obs_x[i], obs_y[i]), panel)` call — same corner
-    /// combination, same image-term summation order — so dense BEM assembly
-    /// built on this batch reproduces the scalar assembly exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths disagree.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pdn_greens::{LayeredKernel, Rectangle};
-    ///
-    /// let g = LayeredKernel::scalar_confined(4.0, 0.5e-3);
-    /// let panel = Rectangle::new(1e-3, 1e-3);
-    /// let (px, py) = ([0.0, 3e-3, -2e-3], [0.0, 1e-3, 4e-3]);
-    /// let mut out = [0.0; 3];
-    /// g.panel_integral_batch(&px, &py, panel, &mut out);
-    /// for i in 0..3 {
-    ///     assert_eq!(out[i], g.panel_integral((px[i], py[i]), panel));
-    /// }
-    /// ```
-    pub fn panel_integral_batch(
-        &self,
-        obs_x: &[f64],
-        obs_y: &[f64],
-        panel: Rectangle,
-        out: &mut [f64],
-    ) {
-        assert_eq!(obs_x.len(), out.len(), "obs_x/out length mismatch");
-        assert_eq!(obs_y.len(), out.len(), "obs_y/out length mismatch");
-        let mut i = 0;
-        while i < out.len() {
-            let m = (out.len() - i).min(LANES);
-            let mut px = [1.0f64; LANES];
-            let mut py = [1.0f64; LANES];
-            px[..m].copy_from_slice(&obs_x[i..i + m]);
-            py[..m].copy_from_slice(&obs_y[i..i + m]);
-            let acc = self.panel_integral_group(&px, &py, panel);
-            out[i..i + m].copy_from_slice(&acc[..m]);
-            i += m;
-        }
-    }
-
-    /// Batched [`panel_galerkin`](Self::panel_galerkin): the Galerkin
-    /// double integral for every center-to-center offset `(off_x[i],
-    /// off_y[i])`, sharing one observation/source panel pair and quadrature
-    /// rule across the batch.
-    ///
-    /// The quadrature nodes are hoisted out of the batch loop (they do not
-    /// depend on the offset), and the inner closed-form integral runs
-    /// through the lane-group kernel; per-element results are
-    /// **bit-identical** to the scalar method.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths disagree.
-    pub fn panel_galerkin_batch(
-        &self,
-        off_x: &[f64],
-        off_y: &[f64],
-        obs_panel: Rectangle,
-        src_panel: Rectangle,
-        quad: &pdn_num::GaussLegendre,
-        out: &mut [f64],
-    ) {
-        assert_eq!(off_x.len(), out.len(), "off_x/out length mismatch");
-        assert_eq!(off_y.len(), out.len(), "off_y/out length mismatch");
-        let mut i = 0;
-        while i < out.len() {
-            let m = (out.len() - i).min(LANES);
-            let mut gx = [1.0f64; LANES];
-            let mut gy = [1.0f64; LANES];
-            gx[..m].copy_from_slice(&off_x[i..i + m]);
-            gy[..m].copy_from_slice(&off_y[i..i + m]);
-            let mut sum = [0.0f64; LANES];
-            let mut wsum = 0.0;
-            let mut px = [0.0f64; LANES];
-            let mut py = [0.0f64; LANES];
-            for (&xi, &wi) in quad.nodes().iter().zip(quad.weights()) {
-                for q in 0..LANES {
-                    px[q] = gx[q] + 0.5 * obs_panel.width * xi;
-                }
-                for (&yj, &wj) in quad.nodes().iter().zip(quad.weights()) {
-                    for q in 0..LANES {
-                        py[q] = gy[q] + 0.5 * obs_panel.height * yj;
-                    }
-                    let g = self.panel_integral_group(&px, &py, src_panel);
-                    let w = wi * wj;
-                    for q in 0..LANES {
-                        sum[q] += w * g[q];
-                    }
-                    wsum += w;
-                }
-            }
-            for q in 0..m {
-                out[i + q] = sum[q] / wsum;
-            }
-            i += m;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -481,28 +352,6 @@ mod tests {
         let coll = g.panel_integral((10e-3, 2e-3), p);
         let gal = g.panel_galerkin((10e-3, 2e-3), p, p, &quad);
         assert!(approx_eq(coll, gal, 1e-3));
-    }
-
-    #[test]
-    fn batch_integrals_bit_identical_to_scalar() {
-        let g = LayeredKernel::scalar_microstrip(4.5, 0.8e-3, 12);
-        let panel = Rectangle::new(1.1e-3, 0.6e-3);
-        // Odd length with self-term / on-axis adversaries.
-        let px: Vec<f64> = (0..13).map(|i| (i as f64 - 6.0) * 0.55e-3).collect();
-        let py: Vec<f64> = (0..13).map(|i| (i as f64 % 5.0 - 2.0) * 0.3e-3).collect();
-        let mut out = vec![0.0; 13];
-        g.panel_integral_batch(&px, &py, panel, &mut out);
-        for i in 0..13 {
-            let scalar = g.panel_integral((px[i], py[i]), panel);
-            assert_eq!(out[i].to_bits(), scalar.to_bits(), "lane {i}");
-        }
-        let quad = pdn_num::GaussLegendre::new(4);
-        let mut gal = vec![0.0; 13];
-        g.panel_galerkin_batch(&px, &py, panel, panel, &quad, &mut gal);
-        for i in 0..13 {
-            let scalar = g.panel_galerkin((px[i], py[i]), panel, panel, &quad);
-            assert_eq!(gal[i].to_bits(), scalar.to_bits(), "galerkin lane {i}");
-        }
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub mod planar2d;
 pub mod surface;
 
 pub use kernel::{ImageTerm, LayeredKernel};
-pub use panel::{rect_potential, rect_potential_batch, Rectangle, LANES};
+pub use panel::{rect_potential, Rectangle};
 pub use planar2d::Microstrip2d;
 pub use surface::SurfaceImpedance;

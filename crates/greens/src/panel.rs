@@ -92,137 +92,6 @@ pub fn rect_potential(px: f64, py: f64, z: f64, rect: Rectangle) -> f64 {
         + corner_term(x1, y1, z)
 }
 
-/// Fixed lane width of the batched corner kernel, shared with the dense
-/// GEMM microkernel so the whole hot path uses one SIMD shape.
-pub const LANES: usize = pdn_num::gemm::LANES;
-
-/// Batched corner antiderivative: one lane group of observation points
-/// against a shared out-of-plane depth `z`.
-///
-/// Per lane the arithmetic is **bit-identical** to [`corner_term`]: the
-/// square roots and divisions are evaluated lane-wise in a vectorizable
-/// pass (IEEE `sqrt`/`div` are exactly rounded, so SIMD and scalar agree
-/// bit for bit), while `asinh`/`atan2` stay scalar per lane in the same
-/// order as the scalar kernel. Lanes with a zero in-plane coordinate fall
-/// back to the scalar kernel to reproduce its guard branches exactly.
-fn corner_term_lanes(x: &[f64; LANES], y: &[f64; LANES], z: f64, out: &mut [f64; LANES]) {
-    let z = z.abs();
-    let mut rho_x = [0.0f64; LANES];
-    let mut rho_y = [0.0f64; LANES];
-    let mut ax = [0.0f64; LANES];
-    let mut ay = [0.0f64; LANES];
-    for q in 0..LANES {
-        rho_x[q] = (x[q] * x[q] + z * z).sqrt();
-        rho_y[q] = (y[q] * y[q] + z * z).sqrt();
-        ax[q] = y[q] / rho_x[q];
-        ay[q] = x[q] / rho_y[q];
-    }
-    if z != 0.0 {
-        let mut r = [0.0f64; LANES];
-        for q in 0..LANES {
-            r[q] = (x[q] * x[q] + y[q] * y[q] + z * z).sqrt();
-        }
-        for q in 0..LANES {
-            if x[q] != 0.0 && y[q] != 0.0 {
-                let mut f = 0.0;
-                f += x[q] * ax[q].asinh();
-                f += y[q] * ay[q].asinh();
-                f -= z * (x[q] * y[q]).atan2(z * r[q]);
-                out[q] = f;
-            } else {
-                out[q] = corner_term(x[q], y[q], z);
-            }
-        }
-    } else {
-        for q in 0..LANES {
-            if x[q] != 0.0 && y[q] != 0.0 {
-                let mut f = 0.0;
-                f += x[q] * ax[q].asinh();
-                f += y[q] * ay[q].asinh();
-                out[q] = f;
-            } else {
-                out[q] = corner_term(x[q], y[q], z);
-            }
-        }
-    }
-}
-
-/// One lane group of [`rect_potential`] evaluations: [`LANES`] observation
-/// points against a shared rectangle and depth. Bit-identical per lane to
-/// the scalar function (same corner combination order).
-pub(crate) fn rect_potential_lanes(
-    px: &[f64; LANES],
-    py: &[f64; LANES],
-    z: f64,
-    rect: Rectangle,
-    out: &mut [f64; LANES],
-) {
-    let mut x1 = [0.0f64; LANES];
-    let mut x2 = [0.0f64; LANES];
-    let mut y1 = [0.0f64; LANES];
-    let mut y2 = [0.0f64; LANES];
-    for q in 0..LANES {
-        x1[q] = -0.5 * rect.width - px[q];
-        x2[q] = 0.5 * rect.width - px[q];
-        y1[q] = -0.5 * rect.height - py[q];
-        y2[q] = 0.5 * rect.height - py[q];
-    }
-    let mut c22 = [0.0f64; LANES];
-    let mut c12 = [0.0f64; LANES];
-    let mut c21 = [0.0f64; LANES];
-    let mut c11 = [0.0f64; LANES];
-    corner_term_lanes(&x2, &y2, z, &mut c22);
-    corner_term_lanes(&x1, &y2, z, &mut c12);
-    corner_term_lanes(&x2, &y1, z, &mut c21);
-    corner_term_lanes(&x1, &y1, z, &mut c11);
-    for q in 0..LANES {
-        out[q] = c22[q] - c12[q] - c21[q] + c11[q];
-    }
-}
-
-/// Batched [`rect_potential`]: evaluates the panel potential at every
-/// `(px, py)` observation point (in [`LANES`]-wide groups, the final group
-/// padded with benign values) against one shared rectangle and depth.
-///
-/// Each output element is **bit-identical** to the corresponding scalar
-/// `rect_potential(px[i], py[i], z, rect)` call — the batch exists purely
-/// to expose lane-level parallelism to the compiler.
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree.
-///
-/// # Examples
-///
-/// ```
-/// use pdn_greens::{rect_potential, rect_potential_batch, Rectangle};
-///
-/// let rect = Rectangle::new(1.0, 2.0);
-/// let px = [0.0, 0.3, -1.7];
-/// let py = [0.0, 0.9, 0.4];
-/// let mut out = [0.0; 3];
-/// rect_potential_batch(&px, &py, 0.25, rect, &mut out);
-/// for i in 0..3 {
-///     assert_eq!(out[i], rect_potential(px[i], py[i], 0.25, rect));
-/// }
-/// ```
-pub fn rect_potential_batch(px: &[f64], py: &[f64], z: f64, rect: Rectangle, out: &mut [f64]) {
-    assert_eq!(px.len(), out.len(), "px/out length mismatch");
-    assert_eq!(py.len(), out.len(), "py/out length mismatch");
-    let mut i = 0;
-    while i < out.len() {
-        let m = (out.len() - i).min(LANES);
-        let mut gx = [1.0f64; LANES];
-        let mut gy = [1.0f64; LANES];
-        gx[..m].copy_from_slice(&px[i..i + m]);
-        gy[..m].copy_from_slice(&py[i..i + m]);
-        let mut g = [0.0f64; LANES];
-        rect_potential_lanes(&gx, &gy, z, rect, &mut g);
-        out[i..i + m].copy_from_slice(&g[..m]);
-        i += m;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,48 +187,5 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_rectangle_panics() {
         let _ = Rectangle::new(0.0, 1.0);
-    }
-
-    #[test]
-    fn batch_bit_identical_to_scalar() {
-        let rect = Rectangle::new(1.3e-3, 0.7e-3);
-        // Odd length (forces a padded tail group) with zero-coordinate
-        // adversaries: on-axis, on-corner, in-plane, and generic points.
-        let px = [
-            0.0, 0.65e-3, -0.65e-3, 1e-3, -2.3e-3, 0.0, 3.1e-3, 0.65e-3, -4e-3, 0.2e-3, 0.0,
-        ];
-        let py = [
-            0.0, 0.35e-3, 0.0, 2e-3, 0.35e-3, -0.35e-3, 0.9e-3, -0.35e-3, 0.0, -1.1e-3, 5e-3,
-        ];
-        for &z in &[0.0, 0.4e-3, -0.4e-3, 2.7e-3] {
-            let mut out = vec![0.0; px.len()];
-            rect_potential_batch(&px, &py, z, rect, &mut out);
-            for i in 0..px.len() {
-                let scalar = rect_potential(px[i], py[i], z, rect);
-                assert_eq!(
-                    out[i].to_bits(),
-                    scalar.to_bits(),
-                    "lane {i} z={z}: {} vs {}",
-                    out[i],
-                    scalar
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_grouping_does_not_change_values() {
-        // The same point must produce the same bits whether it lands in a
-        // full lane group or the padded tail.
-        let rect = Rectangle::new(1.0, 1.0);
-        let px: Vec<f64> = (0..19).map(|i| 0.3 * i as f64 - 2.0).collect();
-        let py: Vec<f64> = (0..19).map(|i| 0.1 * i as f64).collect();
-        let mut full = vec![0.0; 19];
-        rect_potential_batch(&px, &py, 0.2, rect, &mut full);
-        let mut tail = vec![0.0; 3];
-        rect_potential_batch(&px[16..], &py[16..], 0.2, rect, &mut tail);
-        for i in 0..3 {
-            assert_eq!(full[16 + i].to_bits(), tail[i].to_bits());
-        }
     }
 }

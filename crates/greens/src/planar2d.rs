@@ -115,77 +115,6 @@ impl Microstrip2d {
         }
         front * sum
     }
-
-    /// Batched [`segment_integral`](Self::segment_integral): evaluates the
-    /// segment integral at every observation point against one shared
-    /// source segment, in [`LANES`](crate::LANES)-wide groups with the
-    /// image-series weights hoisted out of the lane loop.
-    ///
-    /// Each output element is **bit-identical** to the corresponding scalar
-    /// call, so MoM matrix columns filled through this batch match the
-    /// scalar fill exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths disagree.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pdn_greens::Microstrip2d;
-    ///
-    /// let g = Microstrip2d::new(4.5, 1e-3);
-    /// let obs = [0.0, 1e-3, -3e-3];
-    /// let mut out = [0.0; 3];
-    /// g.segment_integral_batch(&obs, 0.0, 2e-3, &mut out);
-    /// for i in 0..3 {
-    ///     assert_eq!(out[i], g.segment_integral(obs[i], 0.0, 2e-3));
-    /// }
-    /// ```
-    pub fn segment_integral_batch(
-        &self,
-        obs_x: &[f64],
-        seg_center: f64,
-        width: f64,
-        out: &mut [f64],
-    ) {
-        assert_eq!(obs_x.len(), out.len(), "obs_x/out length mismatch");
-        const W: usize = crate::panel::LANES;
-        let k = (self.eps_r - 1.0) / (self.eps_r + 1.0);
-        let front = 1.0 / (2.0 * PI * EPS0 * (1.0 + self.eps_r));
-        let lo = seg_center + 0.5 * width;
-        let hi = seg_center - 0.5 * width;
-        let mut i = 0;
-        while i < out.len() {
-            let m = (out.len() - i).min(W);
-            let mut gx = [0.0f64; W];
-            gx[..m].copy_from_slice(&obs_x[i..i + m]);
-            let mut u1 = [0.0f64; W];
-            let mut u2 = [0.0f64; W];
-            for q in 0..W {
-                u1[q] = gx[q] - lo;
-                u2[q] = gx[q] - hi;
-            }
-            let mut sum = [0.0f64; W];
-            let mut w = 1.0;
-            for n in 0..self.n_terms {
-                let a = 2.0 * n as f64 * self.h;
-                let b = 2.0 * (n as f64 + 1.0) * self.h;
-                for q in 0..W {
-                    let ib =
-                        log_kernel_antiderivative(u2[q], b) - log_kernel_antiderivative(u1[q], b);
-                    let ia =
-                        log_kernel_antiderivative(u2[q], a) - log_kernel_antiderivative(u1[q], a);
-                    sum[q] += w * (ib - ia);
-                }
-                w *= -k;
-            }
-            for q in 0..m {
-                out[i + q] = front * sum[q];
-            }
-            i += m;
-        }
-    }
 }
 
 /// Antiderivative of `ln(u² + a²)`:
@@ -286,22 +215,5 @@ mod tests {
     #[should_panic(expected = "must be >= 1")]
     fn sub_unity_eps_rejected() {
         let _ = Microstrip2d::new(0.5, 1e-3);
-    }
-
-    #[test]
-    fn batch_bit_identical_to_scalar() {
-        let g = Microstrip2d::new(4.5, 0.7e-3);
-        // Odd length including the self term (obs on segment center and
-        // edge) to hit the u == 0 antiderivative branch.
-        let obs: Vec<f64> = vec![
-            0.0, 1e-3, -1e-3, 0.5e-3, 2.7e-3, -4e-3, 1.5e-3, 0.25e-3, 6e-3, -0.5e-3, 3.3e-3,
-        ];
-        let (c, w) = (0.5e-3, 1e-3);
-        let mut out = vec![0.0; obs.len()];
-        g.segment_integral_batch(&obs, c, w, &mut out);
-        for i in 0..obs.len() {
-            let scalar = g.segment_integral(obs[i], c, w);
-            assert_eq!(out[i].to_bits(), scalar.to_bits(), "lane {i}");
-        }
     }
 }

@@ -6,13 +6,15 @@
 //! independent dense solves. This module is the shared execution substrate
 //! for those loops:
 //!
-//! * [`par_map`] / [`par_map_indexed`] fan a closure out over
+//! * [`par_map_indexed`] fans a closure over `0..n` out to
 //!   [`std::thread::scope`] workers pulling indices from an atomic
 //!   counter (dynamic load balancing for skewed per-item cost, e.g.
 //!   upper-triangular assembly rows);
 //! * [`try_par_map_indexed`] is the fallible variant used by sweeps whose
 //!   per-point solve can fail — the error for the **lowest** failing index
 //!   is returned, independent of thread scheduling;
+//! * [`par_for_each_chunk_mut`] hands fixed chunks of one slice to the
+//!   workers (the blocked-LU trailing update);
 //! * results are always returned in input order, so output is
 //!   **bit-identical for any worker count**: each item is computed exactly
 //!   once by one thread, with no reduction-order ambiguity.
@@ -104,27 +106,6 @@ where
         .collect()
 }
 
-/// Maps `f` over a slice in parallel, preserving input order.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-///
-/// # Examples
-///
-/// ```
-/// let doubled = pdn_num::parallel::par_map(&[1.0, 2.0, 3.0], |x| 2.0 * x);
-/// assert_eq!(doubled, vec![2.0, 4.0, 6.0]);
-/// ```
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
 /// Fallible [`par_map_indexed`]: maps `f` over `0..n` in parallel and
 /// returns all results in order, or the error of the **lowest** failing
 /// index (deterministic regardless of thread scheduling).
@@ -166,33 +147,6 @@ where
         Some(e) => Err(e),
         None => Ok(out),
     }
-}
-
-/// Fallible [`par_map`]: maps `f` over a slice in parallel, preserving
-/// input order, or returns the error of the **lowest** failing index
-/// (deterministic regardless of thread scheduling).
-///
-/// # Errors
-///
-/// Returns the error produced at the smallest index for which `f` failed.
-///
-/// # Examples
-///
-/// ```
-/// let halves: Result<Vec<u32>, String> =
-///     pdn_num::parallel::try_par_map(&[2u32, 4, 7], |&x| {
-///         if x % 2 == 0 { Ok(x / 2) } else { Err(format!("{x} is odd")) }
-///     });
-/// assert_eq!(halves, Err("7 is odd".into()));
-/// ```
-pub fn try_par_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    try_par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
 /// Applies `f` to disjoint consecutive chunks of `data` (`chunk_len`
@@ -270,15 +224,6 @@ mod tests {
     fn ordering_matches_serial_map() {
         let serial: Vec<usize> = (0..1000).map(|i| i * 3 + 1).collect();
         assert_eq!(par_map_indexed(1000, |i| i * 3 + 1), serial);
-    }
-
-    #[test]
-    fn par_map_over_slice() {
-        let items: Vec<f64> = (0..257).map(|i| i as f64).collect();
-        let out = par_map(&items, |x| x.sqrt());
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i as f64).sqrt());
-        }
     }
 
     #[test]

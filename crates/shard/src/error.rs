@@ -8,8 +8,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardExtractError {
     /// The [`crate::ShardPlan`] is unusable: non-finite or non-increasing
-    /// cut positions, a cut outside the board outline, or a zero region
-    /// count.
+    /// cut positions, a cut outside the board outline, a zero region
+    /// count, or BEM options that set compression (regions assemble
+    /// densely).
     InvalidPlan(String),
     /// Meshing or port binding on the full board failed.
     Mesh(MeshPlaneError),

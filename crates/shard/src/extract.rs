@@ -4,8 +4,7 @@
 use crate::error::ShardExtractError;
 use crate::plan::ShardPlan;
 use pdn_bem::{
-    assemble_link_matrices, assemble_matrices, compress_link_matrices, cross_block_lumping,
-    BemOptions, BemSystem, CompressionSpec,
+    assemble_link_matrices, assemble_matrices, cross_block_lumping, BemOptions, BemSystem,
 };
 use pdn_extract::{capacitance_clusters, kron_reduce, EquivalentCircuit, NodeSelection};
 use pdn_geom::mesh::{Link, PlaneMesh};
@@ -30,7 +29,8 @@ pub struct ShardRequest<'a> {
     pub cell_size: f64,
     /// External ports: `(name, location)` in binding order.
     pub ports: &'a [(String, Point)],
-    /// BEM assembly options.
+    /// BEM assembly options. Regions assemble densely, so options that
+    /// set compression are an invalid plan.
     pub options: &'a BemOptions,
     /// Node retention policy for each regional reduction.
     pub selection: &'a NodeSelection,
@@ -207,7 +207,8 @@ struct RegionModel {
 ///
 /// # Errors
 ///
-/// [`ShardExtractError::InvalidPlan`] for an unusable plan,
+/// [`ShardExtractError::InvalidPlan`] for an unusable plan or for
+/// options that set compression (regions assemble densely),
 /// [`ShardExtractError::Mesh`] when meshing or external-port binding
 /// fails, [`ShardExtractError::Region`] when a regional solve fails
 /// (lowest region index wins, matching the workspace's parallel error
@@ -218,6 +219,12 @@ pub fn extract_sharded(
     plan: &ShardPlan,
 ) -> Result<ShardedExtraction, ShardExtractError> {
     let t0 = Instant::now();
+    if req.options.compression.is_some() {
+        return Err(ShardExtractError::InvalidPlan(
+            "sharded extraction does not take kernel compression: regions assemble densely"
+                .to_string(),
+        ));
+    }
 
     // Mesh the full board once and bind the external ports in request
     // order, so regional cell geometry and port snapping are bit-identical
@@ -414,78 +421,38 @@ pub fn extract_sharded(
             .map(|l| node_at(l.b))
             .collect::<Result<_, _>>()?;
         let mc = cut_links.len();
-        let r_cut: Vec<f64>;
-        if let Some(spec) = req.options.compression {
-            // Compressed stitch: the cut-link inductance becomes a
-            // certified low-rank kernel (diagonal lumping folded into its
-            // generator) and the columns of L_cut⁻¹ come from CG solves,
-            // scattered straight into B — no dense mc × mc inverse.
-            let lump: Vec<f64> = cut_index.iter().map(|&gl| l_lump[gl]).collect();
-            let (l_kernel, r) = compress_link_matrices(
-                &cut_links,
-                mesh.dx(),
-                mesh.dy(),
-                req.pair,
-                req.zs,
-                req.options,
-                &spec,
-                &lump,
-            )
-            .map_err(|e| {
-                ShardExtractError::Composition(format!("cut-link compression failed: {e}"))
-            })?;
-            r_cut = r;
-            let (tol, max_iter) = (spec.cg_tol(), CompressionSpec::cg_max_iter(mc));
-            let cols: Vec<Vec<f64>> = parallel::try_par_map_indexed(mc, |j| {
-                let mut ej = vec![0.0; mc];
-                ej[j] = 1.0;
-                l_kernel
-                    .solve(&ej, tol, max_iter)
-                    .map_err(|e| ShardExtractError::Composition(e.to_string()))
-            })?;
-            for (j, col) in cols.iter().enumerate() {
-                for (i, &v) in col.iter().enumerate() {
-                    b[(na[i], na[j])] += v;
-                    b[(na[i], nb[j])] -= v;
-                    b[(nb[i], na[j])] -= v;
-                    b[(nb[i], nb[j])] += v;
-                }
-            }
-        } else {
-            let (mut l_cut, r) = assemble_link_matrices(
-                &cut_links,
-                mesh.dx(),
-                mesh.dy(),
-                req.pair,
-                req.zs,
-                req.options,
-            );
-            r_cut = r;
-            for (k, &gl) in cut_index.iter().enumerate() {
-                l_cut[(k, k)] += l_lump[gl];
-            }
-            let ch = CholeskyDecomposition::new(&l_cut).map_err(|e| {
-                ShardExtractError::Composition(format!("cut-link inductance not SPD: {e}"))
-            })?;
-            let mut l_inv = Matrix::zeros(mc, mc);
-            for j in 0..mc {
-                let mut ej = vec![0.0; mc];
-                ej[j] = 1.0;
-                let col = ch
-                    .solve(&ej)
-                    .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
-                for i in 0..mc {
-                    l_inv[(i, j)] = col[i];
-                }
-            }
+        let (mut l_cut, r_cut) = assemble_link_matrices(
+            &cut_links,
+            mesh.dx(),
+            mesh.dy(),
+            req.pair,
+            req.zs,
+            req.options,
+        );
+        for (k, &gl) in cut_index.iter().enumerate() {
+            l_cut[(k, k)] += l_lump[gl];
+        }
+        let ch = CholeskyDecomposition::new(&l_cut).map_err(|e| {
+            ShardExtractError::Composition(format!("cut-link inductance not SPD: {e}"))
+        })?;
+        let mut l_inv = Matrix::zeros(mc, mc);
+        for j in 0..mc {
+            let mut ej = vec![0.0; mc];
+            ej[j] = 1.0;
+            let col = ch
+                .solve(&ej)
+                .map_err(|e| ShardExtractError::Composition(e.to_string()))?;
             for i in 0..mc {
-                for j in 0..mc {
-                    let v = l_inv[(i, j)];
-                    b[(na[i], na[j])] += v;
-                    b[(na[i], nb[j])] -= v;
-                    b[(nb[i], na[j])] -= v;
-                    b[(nb[i], nb[j])] += v;
-                }
+                l_inv[(i, j)] = col[i];
+            }
+        }
+        for i in 0..mc {
+            for j in 0..mc {
+                let v = l_inv[(i, j)];
+                b[(na[i], na[j])] += v;
+                b[(na[i], nb[j])] -= v;
+                b[(nb[i], na[j])] -= v;
+                b[(nb[i], nb[j])] += v;
             }
         }
         for (k, r) in r_cut.iter().enumerate() {
@@ -691,42 +658,6 @@ mod tests {
         let freqs: Vec<f64> = (1..=8).map(|k| k as f64 * 187.5e6).collect();
         let dev = max_port_impedance_deviation(sharded.equivalent(), &mono, &freqs).unwrap();
         assert!(dev < 0.05, "deviation {dev:.3e}");
-    }
-
-    #[test]
-    fn compressed_stitch_matches_dense_stitch() {
-        // Same two-region split with and without kernel compression: the
-        // regional models are identical (regions assemble densely either
-        // way), so any difference comes from the compressed cut-link
-        // stitch — which is certified to the compression tolerance.
-        let shapes = [Polygon::rectangle(mm(20.0), mm(10.0))];
-        let ports = [
-            ("P1".to_string(), Point::new(mm(2.0), mm(5.0))),
-            ("P2".to_string(), Point::new(mm(18.0), mm(5.0))),
-        ];
-        let pair = PlanePair::new(0.3e-3, 4.8).unwrap();
-        let zs = SurfaceImpedance::from_sheet_resistance(2e-3);
-        let dense_opts = BemOptions::default();
-        let comp_opts =
-            BemOptions::default().with_compression(pdn_bem::CompressionSpec::with_tol(1e-6));
-        let sel = NodeSelection::PortsOnly;
-        let plan = ShardPlan::grid(2, 1).unwrap();
-        let req_d = request(&shapes, &ports, &pair, &zs, &dense_opts, &sel, mm(1.0));
-        let req_c = request(&shapes, &ports, &pair, &zs, &comp_opts, &sel, mm(1.0));
-        let dense = extract_sharded(&req_d, &plan).unwrap();
-        let comp = extract_sharded(&req_c, &plan).unwrap();
-        assert_eq!(comp.report().cut_links, 10);
-        for f in [1e8, 1e9] {
-            let zd = dense.equivalent().impedance(f).unwrap();
-            let zc = comp.equivalent().impedance(f).unwrap();
-            let scale = zd.max_abs();
-            for i in 0..2 {
-                for j in 0..2 {
-                    let d = (zd[(i, j)] - zc[(i, j)]).norm();
-                    assert!(d <= 1e-5 * scale, "f={f} ({i},{j}): rel {:.3e}", d / scale);
-                }
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!    explicit branches between the composed interface nodes, with `L`
 //!    and `R` evaluated by the exact panel-integral formulas of the full
 //!    assembly ([`pdn_bem::assemble_link_matrices`]) — including mutuals
-//!    among the cut links themselves.
+//!    among the cut links themselves. Regions and stitch assemble
+//!    densely; [`extract_sharded`] rejects options that set compression.
 //! 4. **Schur composition.** The regional `B`/`G`/`C` blocks are summed
 //!    block-diagonally, the stitch branches stamped on top, and the
 //!    interface nodes eliminated by Schur complement

@@ -153,17 +153,10 @@ impl MicrostripArray {
             }
         }
         // Potential coefficients: V_i = Σ_j P_ij q_j, with q_j the charge
-        // per unit length on segment j. Columns share a source segment, so
-        // each is filled with one lane-batched kernel call (bit-identical
-        // per entry to the scalar fill).
-        let mut p = Matrix::zeros(total, total);
-        let mut col = vec![0.0; total];
-        for j in 0..total {
-            kernel.segment_integral_batch(&centers, centers[j], widths[j], &mut col);
-            for (i, &v) in col.iter().enumerate() {
-                p[(i, j)] = v / widths[j];
-            }
-        }
+        // per unit length on segment j.
+        let p = Matrix::from_fn(total, total, |i, j| {
+            kernel.segment_integral(centers[i], centers[j], widths[j]) / widths[j]
+        });
         let lu = LuDecomposition::new(p).map_err(|e| ExtractLineError::Singular(e.to_string()))?;
         let mut c = Matrix::<f64>::zeros(n_str, n_str);
         for exc in 0..n_str {

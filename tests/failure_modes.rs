@@ -5,6 +5,7 @@ use pdn::prelude::*;
 use pdn_circuit::tline_elem::BuildLineError;
 use pdn_core::flow::ExtractPlaneError;
 use pdn_geom::mesh::MeshPlaneError;
+use pdn_shard::ShardExtractError;
 
 #[test]
 fn port_off_the_conductor_is_a_mesh_error() {
@@ -190,6 +191,34 @@ fn non_passive_line_matrices_rejected() {
 }
 
 #[test]
+fn line_length_that_is_not_positive_and_finite_rejected() {
+    // An infinite or NaN length used to give a line whose DC settle never
+    // returned, and a negative one a misleading time-step error.
+    for len in [0.0, -0.1, f64::INFINITY, f64::NAN] {
+        let l = Matrix::from_rows(&[&[2.5e-7]]);
+        let c = Matrix::from_rows(&[&[1e-10]]);
+        match CoupledLineModel::new(l, c, len) {
+            Err(BuildLineError::InvalidLength(got)) => {
+                assert_eq!(got.to_bits(), len.to_bits())
+            }
+            other => panic!("length {len}: expected InvalidLength, got {other:?}"),
+        }
+    }
+    // Through a board, the line is a wiring error that names the value.
+    // The board is only wired: a transient with such a line used to run
+    // forever.
+    let mut board = boards::ssn_study_a_board(0.5).expect("valid board");
+    board.chips[0].line = Some(pdn_core::cosim::SignalLineSpec::z50(f64::INFINITY));
+    let model = board
+        .extract_model(&NodeSelection::PortsOnly)
+        .expect("extractable");
+    match board.wire(&model, 1) {
+        Err(BuildBoardError::Wiring(msg)) => assert!(msg.contains("inf"), "{msg}"),
+        other => panic!("expected a wiring error, got {:?}", other.err()),
+    }
+}
+
+#[test]
 fn fdtd_rejects_degenerate_grids_and_stray_ports() {
     let pair = PlanePair::new(0.5e-3, 4.5).expect("valid");
     assert!(PlaneFdtd::new(&Polygon::rectangle(1.0, 1.0), &pair, f64::NAN).is_err());
@@ -333,6 +362,34 @@ fn small_extracted_plane() -> pdn_core::ExtractedPlane {
     small_plane_spec()
         .extract(&NodeSelection::PortsOnly)
         .expect("extractable")
+}
+
+#[test]
+fn sharded_extraction_with_compression_is_an_invalid_plan() {
+    // Sharded regions assemble densely, so a compressed plane under a
+    // shard plan is refused before meshing, both directly and through a
+    // board.
+    let plan = ShardPlan::grid(2, 1).expect("valid plan");
+    let compression = pdn_bem::CompressionSpec::with_tol(1e-6);
+    let refused = |e: &ShardExtractError| match e {
+        ShardExtractError::InvalidPlan(msg) => msg.contains("densely"),
+        _ => false,
+    };
+    match small_plane_spec()
+        .with_compression(compression)
+        .extract_sharded(&plan, &NodeSelection::PortsOnly)
+    {
+        Err(ExtractPlaneError::Sharding(e)) if refused(&e) => {}
+        other => panic!("expected InvalidPlan, got {:?}", other.err()),
+    }
+    let mut board = boards::ssn_study_a_board(0.5)
+        .expect("valid board")
+        .with_extraction_strategy(ExtractionStrategy::Sharded { plan });
+    board.plane = board.plane.with_compression(compression);
+    match board.extract_model(&NodeSelection::PortsOnly) {
+        Err(BuildBoardError::Extraction(ExtractPlaneError::Sharding(e))) if refused(&e) => {}
+        other => panic!("expected InvalidPlan, got {:?}", other.err()),
+    }
 }
 
 #[test]
