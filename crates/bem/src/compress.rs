@@ -638,22 +638,6 @@ impl CompressedLinkKernel {
         y
     }
 
-    /// Solves `L·x = b` by CG on the compressed operator.
-    ///
-    /// # Errors
-    ///
-    /// [`AssembleBemError::NumericalBreakdown`] when CG fails.
-    pub fn solve(
-        &self,
-        b: &[f64],
-        tol: f64,
-        max_iter: usize,
-    ) -> Result<Vec<f64>, AssembleBemError> {
-        cg::solve_spd_op(self.m, &|x| self.matvec(x), &self.diag, b, tol, max_iter).map_err(|e| {
-            AssembleBemError::NumericalBreakdown(format!("compressed-L CG solve failed: {e}"))
-        })
-    }
-
     /// Densifies the operator — diagnostics and small-problem tests only.
     pub fn to_dense(&self) -> Matrix<f64> {
         let mut out = Matrix::zeros(self.m, self.m);

@@ -122,10 +122,14 @@ fn bem_aca_bench(c: &mut Criterion) {
         drop(dense_sys);
         let (t_xc, eq_comp) =
             timed(|| EquivalentCircuit::from_bem(&sys, &sel).expect("extractable"));
-        // Peak compressed-path working set: the kernels plus the four
-        // B-blocks held simultaneously during the block assembly (k² +
-        // 2·k·e + e² = n² doubles).
-        let peak = stored + 8 * n * n;
+        // Peak compressed-path working set: the kernels plus G's blocks
+        // during its dense Kron reduction — the kept block, the coupling
+        // block, its transpose, the eliminated block and the solved
+        // coupling (k² + 3·k·e + e² = n² + k·e doubles). The kept-node
+        // solves behind B hold far less: a band of n·(w + 1) doubles and
+        // the k × k potentials.
+        let (k, e) = (eq_comp.node_count(), n - eq_comp.node_count());
+        let peak = stored + 8 * (n * n + k * e);
         let extraction_ratio = dense_bytes as f64 / peak as f64;
         let zd = eq_dense.impedance_sweep(&freqs).expect("solvable");
         let zc = eq_comp.impedance_sweep(&freqs).expect("solvable");

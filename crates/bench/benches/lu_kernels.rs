@@ -129,16 +129,21 @@ fn naive_solve_matrix<T: Scalar>(lu: &Matrix<T>, perm: &[usize], b: &Matrix<T>) 
 
 const REPS: usize = 3;
 
+/// One wall-clock run.
+fn once<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = black_box(run());
+    (t0.elapsed().as_secs_f64(), out)
+}
+
 /// Best-of-[`REPS`] wall-clock — the shared-runner noise floor is well
 /// above the per-rep spread, so the minimum is the stable estimator.
 fn timed<T>(mut run: impl FnMut() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let mut out = black_box(run());
-    let mut best = t0.elapsed().as_secs_f64();
+    let (mut best, mut out) = once(&mut run);
     for _ in 1..REPS {
-        let t0 = Instant::now();
-        out = black_box(run());
-        best = best.min(t0.elapsed().as_secs_f64());
+        let (t, o) = once(&mut run);
+        best = best.min(t);
+        out = o;
     }
     (best, out)
 }
@@ -171,11 +176,22 @@ fn bench_lu_size<T: Scalar + pdn_num::GemmScalar>(
     let b = Matrix::from_fn(n, NRHS, |i, j| {
         T::from_f64(((i * 7 + j * 13) as f64 * 0.017).sin())
     });
-    let (t_sf, (nlu, nperm)) = timed(|| naive_factor(a.clone()));
-    let (t_ss, x_naive) = timed(|| naive_solve_matrix(&nlu, &nperm, &b));
-    let (t_bf, lu) = timed(|| LuDecomposition::new(a.clone()).expect("factorable"));
-    let (t_bs, x_blocked) = timed(|| lu.solve_matrix(&b).expect("solvable"));
-    let dev = max_rel_dev(&x_naive, &x_blocked);
+    // Naive and blocked alternate within each of the [`REPS`]
+    // repetitions, so a contended stretch of a shared runner slows both
+    // sides of a speedup rather than one; each timing keeps its best.
+    let mut best = [f64::INFINITY; 4];
+    let mut dev = 0.0;
+    for _ in 0..REPS {
+        let (t_sf, (nlu, nperm)) = once(|| naive_factor(a.clone()));
+        let (t_bf, lu) = once(|| LuDecomposition::new(a.clone()).expect("factorable"));
+        let (t_ss, x_naive) = once(|| naive_solve_matrix(&nlu, &nperm, &b));
+        let (t_bs, x_blocked) = once(|| lu.solve_matrix(&b).expect("solvable"));
+        for (best, t) in best.iter_mut().zip([t_sf, t_bf, t_ss, t_bs]) {
+            *best = best.min(t);
+        }
+        dev = max_rel_dev(&x_naive, &x_blocked);
+    }
+    let [t_sf, t_bf, t_ss, t_bs] = best;
     assert!(
         dev < 1e-9,
         "{label} n={n}: blocked and scalar solutions diverge ({dev:.3e})"

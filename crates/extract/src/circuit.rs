@@ -5,9 +5,11 @@ use pdn_bem::{BemSystem, CompressedKernels, CompressionSpec};
 use pdn_circuit::{Circuit, NodeId};
 use pdn_geom::mesh::Link;
 use pdn_geom::PlaneMesh;
+use pdn_num::cg::{solve_projected_op, Constraints, IterativeSolveError};
 use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{
-    c64, CholeskyDecomposition, LuDecomposition, Matrix, PoleResidueModel, PromError, PromOptions,
+    c64, BandedCholesky, CholeskyDecomposition, LuDecomposition, Matrix, PoleResidueModel,
+    PromError, PromOptions,
 };
 use std::error::Error;
 use std::f64::consts::PI;
@@ -259,15 +261,14 @@ impl EquivalentCircuit {
         keep.dedup();
 
         // One skeleton for both kernel stores (paper §4): the kept and
-        // eliminated cells, the sparse incidence behind B = AᵀL⁻¹A, and
-        // the link-resistance Laplacian G. A route only decides how it
-        // solves with L and P and how it takes the Schur complement.
+        // eliminated cells and the link-resistance Laplacian G, which
+        // both routes Kron-reduce densely. A route decides how it reduces
+        // B = AᵀL⁻¹A and how it solves with P.
         let part = Partition::new(n, keep);
-        let inc = Incidence::new(mesh);
         let lap = Laplacian::stamp(&part, mesh.links(), sys.link_resistances());
         let (b, g, c) = match (sys.compressed(), sys.inductance().zip(sys.capacitance())) {
-            (Some(ck), _) => compressed_route(ck, mesh, &part, &inc, &lap)?,
-            (None, Some((l, c_full))) => dense_route(l, c_full, mesh, &part, &inc, &lap)?,
+            (Some(ck), _) => compressed_route(ck, mesh, &part, &lap)?,
+            (None, Some((l, c_full))) => dense_route(l, c_full, mesh, &part, &lap)?,
             (None, None) => unreachable!("a BemSystem holds dense or compressed kernels"),
         };
         let (names, ports) = node_names_and_ports(mesh, &part.keep);
@@ -1190,12 +1191,11 @@ fn dense_route(
     c_full: &Matrix<f64>,
     mesh: &PlaneMesh,
     part: &Partition,
-    inc: &Incidence<'_>,
     lap: &Laplacian,
 ) -> Result<Reduced, ExtractCircuitError> {
     let ch = CholeskyDecomposition::new(l)
         .map_err(|e| ExtractCircuitError::NumericalBreakdown(format!("L not SPD: {e}")))?;
-    let bl = reluctance_blocks(part, inc, |a| ch.solve(a))?;
+    let bl = reluctance_blocks(part, &Incidence::new(mesh), |a| ch.solve(a))?;
     // B and G: Kron reduction (internal nodes carry no external
     // injection in the inductive/resistive sub-network).
     let b =
@@ -1217,41 +1217,236 @@ fn dense_route(
     Ok((b, g, c))
 }
 
-/// The compressed route: Jacobi CG on the compressed `L` and `P` stands
-/// in for the dense factorizations, one solve per column, then dense
-/// Schur complements of the symmetrized blocks by [`kron_reduce_blocks`].
+/// The compressed route: `B` through the kept nodes
+/// ([`kept_node_reluctance`]), `G` by the dense route's Kron reduction,
+/// and `C` by one Jacobi CG on the compressed `P` per cluster.
 fn compressed_route(
     ck: &CompressedKernels,
     mesh: &PlaneMesh,
     part: &Partition,
-    inc: &Incidence<'_>,
     lap: &Laplacian,
 ) -> Result<Reduced, ExtractCircuitError> {
-    let tol = ck.spec.cg_tol();
-    let (n, m) = (part.slot.len(), inc.links.len());
-    let solve_l = |a: &[f64]| ck.l.solve(a, tol, CompressionSpec::cg_max_iter(m));
-    let Blocks {
-        mut kk,
-        mut ke,
-        ek,
-        mut ee,
-    } = reluctance_blocks(part, inc, solve_l)?;
-    // B is symmetric up to the CG tolerance; symmetrize deterministically
-    // before the Schur reduction assumes it.
-    symmetrize(&mut kk);
-    symmetrize(&mut ee);
-    for p in 0..kk.nrows() {
-        for q in 0..ee.nrows() {
-            ke[(p, q)] = 0.5 * (ke[(p, q)] + ek[(q, p)]);
-        }
-    }
-    drop(ek);
-    let b = kron_reduce_blocks(&kk, &ke, ee).map_err(|err| no_node("Kron reduction of B", err))?;
-    drop((kk, ke));
+    let b = kept_node_reluctance(ck, mesh, &part.keep)?;
     let g = lap.reduce_dense()?;
+    let (tol, n) = (ck.spec.cg_tol(), part.slot.len());
     let solve_p = |s: &[f64]| ck.p.solve(s, tol, CompressionSpec::cg_max_iter(n));
     let c = cluster_capacitance(mesh, &part.keep, solve_p)?;
     Ok((b, g, c))
+}
+
+/// Each cell's net: the connected pieces of the link graph, numbered in
+/// order of their lowest cell. A split plane's islands are nets by
+/// construction, since links never join cells of different nets.
+fn link_nets(n: usize, links: &[Link]) -> Vec<usize> {
+    // Union–find with each root the lowest cell of its piece.
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..n).collect();
+    for link in links {
+        let (ra, rb) = (root(&mut parent, link.a), root(&mut parent, link.b));
+        parent[ra.max(rb)] = ra.min(rb);
+    }
+    let mut id = vec![usize::MAX; n];
+    let mut count = 0;
+    (0..n)
+        .map(|i| {
+            let r = root(&mut parent, i);
+            if id[r] == usize::MAX {
+                id[r] = count;
+                count += 1;
+            }
+            id[r]
+        })
+        .collect()
+}
+
+/// The link graph with the first kept cell of each net grounded: the
+/// constraint operator `Ãᵀ` of the kept-node solves (the incidence `A`
+/// without its ground columns) and the banded Cholesky factor of the
+/// grounded link Laplacian `M = ÃᵀD⁻¹Ã`, `D = diag(L)`.
+struct GroundedLinks<'a> {
+    links: &'a [Link],
+    /// Each cell's net ([`link_nets`]).
+    net: Vec<usize>,
+    /// Each cell's unknown (its column of `Ã`); `None` for a ground.
+    unknown: Vec<Option<usize>>,
+    /// Number of unknowns: the cells less one per net.
+    unknowns: usize,
+    normal: BandedCholesky,
+}
+
+impl<'a> GroundedLinks<'a> {
+    /// Grounds the first cell of `keep` (ascending) in each net, numbers
+    /// the other cells in ascending order, and factors `M`. Its bandwidth
+    /// is the widest link in that numbering: the raster width on a
+    /// rectangular plane.
+    fn new(mesh: &'a PlaneMesh, keep: &[usize], diag: &[f64]) -> Result<Self, ExtractCircuitError> {
+        let (n, links) = (mesh.cell_count(), mesh.links());
+        let net = link_nets(n, links);
+        let mut ground = vec![None; net.iter().max().map_or(0, |&s| s + 1)];
+        for &cell in keep {
+            ground[net[cell]].get_or_insert(cell);
+        }
+        if let Some(s) = ground.iter().position(Option::is_none) {
+            let cell = net.iter().position(|&t| t == s).unwrap_or(0);
+            return Err(no_node(
+                "kept-node reduction of B",
+                format!("the net of cell {cell} has no kept node"),
+            ));
+        }
+        let mut unknown = vec![None; n];
+        let mut unknowns = 0;
+        for (cell, u) in unknown.iter_mut().enumerate() {
+            if ground[net[cell]] != Some(cell) {
+                *u = Some(unknowns);
+                unknowns += 1;
+            }
+        }
+        let mut entries = Vec::with_capacity(3 * links.len());
+        for (link, &d) in links.iter().zip(diag) {
+            let (a, b) = (unknown[link.a], unknown[link.b]);
+            for u in [a, b].into_iter().flatten() {
+                entries.push((u, u, 1.0 / d));
+            }
+            if let (Some(a), Some(b)) = (a, b) {
+                entries.push((a, b, -1.0 / d));
+            }
+        }
+        let normal = BandedCholesky::new(unknowns, &entries).map_err(|e| {
+            breakdown(format!(
+                "banded Cholesky of the grounded link Laplacian failed: {e}"
+            ))
+        })?;
+        Ok(GroundedLinks {
+            links,
+            net,
+            unknown,
+            unknowns,
+            normal,
+        })
+    }
+}
+
+impl Constraints for GroundedLinks<'_> {
+    /// `Ãᵀ·y`: each link's current leaves cell `a` and enters cell `b`.
+    fn apply(&self, y: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.unknowns];
+        for (link, &v) in self.links.iter().zip(y) {
+            if let Some(a) = self.unknown[link.a] {
+                out[a] += v;
+            }
+            if let Some(b) = self.unknown[link.b] {
+                out[b] -= v;
+            }
+        }
+        out
+    }
+
+    /// `Ã·x`: each link's potential drop `x_a − x_b`, a ground at zero.
+    fn apply_transpose(&self, x: &[f64]) -> Vec<f64> {
+        let at = |cell: usize| self.unknown[cell].map_or(0.0, |u| x[u]);
+        self.links.iter().map(|l| at(l.a) - at(l.b)).collect()
+    }
+
+    fn solve_normal(&self, v: &[f64]) -> Result<Vec<f64>, IterativeSolveError> {
+        self.normal
+            .solve(v)
+            .map_err(|_| IterativeSolveError::BadShape)
+    }
+}
+
+/// `B` Kron-reduced onto `keep` through the kept nodes alone, never
+/// forming the eliminated blocks.
+///
+/// With the first kept cell of each net grounded, the grounded
+/// reluctance `B̃ = ÃᵀL⁻¹Ã` is positive definite, and by the
+/// Schur-complement identity its reduction onto the other kept cells
+/// `K` is `(E_Kᵀ·B̃⁻¹·E_K)⁻¹`. Column `k` of `Z_KK = E_Kᵀ·B̃⁻¹·E_K` is
+/// the multiplier of the minimum-energy link current
+/// `min ½yᵀLy subject to Ãᵀy = e_k`: one [`solve_projected_op`] on the
+/// compressed `L` per kept cell but the grounds, at
+/// [`CompressionSpec::cg_tol`] and
+/// [`CompressionSpec::cg_max_iter`] of the link count. The solves fan
+/// out in batches of [`batch_width`] and land by index, so `B` is
+/// bit-identical for any `PDN_THREADS`. `B = Z_KK⁻¹` is symmetrized,
+/// and each ground's row and column follow from `B`'s zero row sums per
+/// net.
+fn kept_node_reluctance(
+    ck: &CompressedKernels,
+    mesh: &PlaneMesh,
+    keep: &[usize],
+) -> Result<Matrix<f64>, ExtractCircuitError> {
+    let grounded = GroundedLinks::new(mesh, keep, ck.l.diag())?;
+    let (tol, max_iter) = (
+        ck.spec.cg_tol(),
+        CompressionSpec::cg_max_iter(mesh.link_count()),
+    );
+    // The kept cells other than the grounds: (position in keep, unknown).
+    let free: Vec<(usize, usize)> = keep
+        .iter()
+        .enumerate()
+        .filter_map(|(p, &cell)| grounded.unknown[cell].map(|u| (p, u)))
+        .collect();
+    let mut z = Matrix::zeros(free.len(), free.len());
+    let cols: Vec<usize> = (0..free.len()).collect();
+    for chunk in cols.chunks(batch_width()) {
+        let xs = pdn_num::parallel::try_par_map_indexed(chunk.len(), |t| {
+            let mut e = vec![0.0; grounded.unknowns];
+            e[free[chunk[t]].1] = 1.0;
+            let apply = |y: &[f64]| ck.l.matvec(y);
+            solve_projected_op(&apply, ck.l.diag(), &grounded, &e, tol, max_iter)
+        })
+        .map_err(|e| breakdown(format!("kept-node solve with L failed: {e}")))?;
+        for (&q, x) in chunk.iter().zip(&xs) {
+            for (p, &(_, u)) in free.iter().enumerate() {
+                z[(p, q)] = x.multiplier[u];
+            }
+        }
+    }
+    let mut b_free = LuDecomposition::new(z)
+        .and_then(|lu| lu.inverse())
+        .map_err(|e| breakdown(format!("inverting the kept-node potentials failed: {e}")))?;
+    symmetrize(&mut b_free);
+    let k = keep.len();
+    let mut b = Matrix::zeros(k, k);
+    for (p, &(i, _)) in free.iter().enumerate() {
+        for (q, &(j, _)) in free.iter().enumerate() {
+            b[(i, j)] = b_free[(p, q)];
+        }
+    }
+    // Each net's ground and its other kept cells, as positions in keep.
+    let net_of = |p: usize| grounded.net[keep[p]];
+    let grounds: Vec<usize> = (0..k)
+        .filter(|&p| grounded.unknown[keep[p]].is_none())
+        .collect();
+    let others = |g: usize| {
+        free.iter()
+            .map(|&(j, _)| j)
+            .filter(move |&j| net_of(j) == net_of(g))
+    };
+    // B·1 = 0 on every net: a ground's entry is minus the sum over its
+    // net's other kept cells, first against the free rows, then between
+    // grounds once those are in place.
+    for &g in &grounds {
+        for &(i, _) in &free {
+            let v = -others(g).map(|j| b[(i, j)]).sum::<f64>();
+            b[(i, g)] = v;
+            b[(g, i)] = v;
+        }
+    }
+    for (s, &gs) in grounds.iter().enumerate() {
+        for &gt in &grounds[s..] {
+            let v = -others(gt).map(|j| b[(gs, j)]).sum::<f64>();
+            b[(gs, gt)] = v;
+            b[(gt, gs)] = v;
+        }
+    }
+    Ok(b)
 }
 
 /// Spreads `count` equivalent-circuit retained nodes across a mesh —
@@ -1397,13 +1592,14 @@ mod tests {
         assert_eq!(keep_d, keep_c);
         assert_eq!(eq_d.names, eq_c.names);
         assert_eq!(eq_d.ports, eq_c.ports);
+        // Entrywise within the certified kernel tolerance (1e-6).
         let close = |a: &Matrix<f64>, b: &Matrix<f64>, what: &str| {
             let scale = a.max_abs().max(1e-300);
             for i in 0..a.nrows() {
                 for j in 0..a.ncols() {
                     let d = (a[(i, j)] - b[(i, j)]).abs();
                     assert!(
-                        d <= 1e-4 * scale,
+                        d <= 1e-6 * scale,
                         "{what}({i},{j}): dense {} vs compressed {} (rel {:.3e})",
                         a[(i, j)],
                         b[(i, j)],
@@ -1427,6 +1623,17 @@ mod tests {
                 }
             }
         }
+        // At 1 MHz max|Z| is the plate's capacitive reactance, thousands
+        // of times Re Z, so the bound above cannot see the loss term: it
+        // gets its own, relative to itself.
+        let (rd, rc) = (
+            eq_d.impedance(1e6).unwrap()[(0, 0)].re,
+            eq_c.impedance(1e6).unwrap()[(0, 0)].re,
+        );
+        assert!(
+            (rc - rd).abs() <= 0.01 * rd.abs(),
+            "Re Z(P1,P1) at 1 MHz: dense {rd:.6e} Ω vs compressed {rc:.6e} Ω"
+        );
     }
 
     #[test]
@@ -1615,6 +1822,33 @@ mod tests {
                 assert_matches_dense_formulas(sys, &sel);
             }
         }
+    }
+
+    #[test]
+    fn kept_node_route_with_only_grounds_has_no_inductive_branch() {
+        // One port per net: every kept cell is its net's ground, so
+        // there is no solve and B is exactly zero (a lone node of a net
+        // closes no inductive loop); G and C still come through.
+        let shapes = [
+            Polygon::rectangle(mm(10.0), mm(12.0)),
+            Polygon::rectangle_at(mm(12.0), 0.0, mm(8.0), mm(12.0)),
+        ];
+        let mut mesh = PlaneMesh::build_multi(&shapes, mm(2.0)).unwrap();
+        mesh.bind_port("A", Point::new(mm(3.0), mm(5.0))).unwrap();
+        mesh.bind_port("B", Point::new(mm(17.0), mm(7.0))).unwrap();
+        let pair = PlanePair::new(0.5e-3, 4.5).unwrap();
+        let zs = SurfaceImpedance::from_sheet_resistance(4e-3);
+        let opts = BemOptions::default().with_compression(CompressionSpec::default());
+        let sys = BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap();
+        let eq = EquivalentCircuit::from_bem(&sys, &NodeSelection::PortsOnly).unwrap();
+        assert_eq!(eq.node_count(), 2);
+        assert!(eq.reluctance().as_slice().iter().all(|&v| v == 0.0));
+        assert!(eq.capacitance()[(0, 0)] > 0.0 && eq.capacitance()[(1, 1)] > 0.0);
+        let z = eq.impedance(1e8).unwrap();
+        assert!(z
+            .as_slice()
+            .iter()
+            .all(|v| v.re.is_finite() && v.im.is_finite()));
     }
 
     #[test]

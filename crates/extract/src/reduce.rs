@@ -112,9 +112,8 @@ pub fn kron_reduce(m: &Matrix<f64>, keep: &[usize]) -> Result<Matrix<f64>, Solve
 /// [`kron_reduce`] from pre-extracted blocks of a symmetric matrix:
 /// returns `M_kk − M_ke · M_ee⁻¹ · M_keᵀ`.
 ///
-/// This is the reduction path for compressed extraction, where the full
-/// matrix is never materialized — its kept/eliminated blocks are
-/// assembled directly (iteratively) and handed here. `m_ee` is consumed
+/// Extraction reduces the DC conductance `G` through it from the blocks
+/// it stamps, so the full matrix is never materialized. `m_ee` is consumed
 /// by the factorization, so the eliminated block (the largest of the
 /// three) is not duplicated. The underlying matrix is assumed
 /// symmetric: the `(elim, keep)` block is taken as `M_keᵀ`.
@@ -157,7 +156,8 @@ pub(crate) fn schur(
 
 /// Restores exact symmetry deterministically: each off-diagonal pair of
 /// the square matrix `m` becomes its mean. Iterative solves leave an
-/// asymmetry at their tolerance, and the Schur steps assume symmetry.
+/// asymmetry at their tolerance in the compressed route's `B` and `C`,
+/// which are symmetric by construction.
 pub(crate) fn symmetrize(m: &mut Matrix<f64>) {
     let n = m.nrows();
     for i in 0..n {

@@ -7,7 +7,10 @@
 //! but the SPD operators (potential coefficients, inductance) remain well
 //! conditioned after diagonal preconditioning. [`solve_spd`] takes a
 //! matrix and [`solve_spd_op`] an operator (the compressed BEM kernels);
-//! the two are bit-identical on the same operator.
+//! the two are bit-identical on the same operator. [`solve_projected_op`]
+//! minimizes `½·yᵀ·H·y` under linear equality constraints, with the same
+//! diagonal preconditioner — the kept-node reduction of compressed
+//! extraction runs one per kept node.
 //!
 //! The recurrences are serial (the only parallelism is whatever the
 //! caller's `apply` closure does internally), so solutions are
@@ -206,6 +209,160 @@ pub fn solve_spd_op(
     })
 }
 
+/// Linear equality constraints `C·y = b` on the unknowns of a
+/// [`solve_projected_op`] solve, as operators: `C` is `k × n` of full row
+/// rank, and the solve never forms it.
+pub trait Constraints {
+    /// `C·y` (length `k`) for `y` of length `n`.
+    fn apply(&self, y: &[f64]) -> Vector<f64>;
+
+    /// `Cᵀ·λ` (length `n`) for `λ` of length `k`.
+    fn apply_transpose(&self, lambda: &[f64]) -> Vector<f64>;
+
+    /// `(C·D⁻¹·Cᵀ)⁻¹·v` for the preconditioner diagonal `D` handed to
+    /// [`solve_projected_op`] — typically one solve with a factor built
+    /// once, e.g. [`BandedCholesky`](crate::cholesky::BandedCholesky).
+    ///
+    /// # Errors
+    ///
+    /// [`IterativeSolveError::BadShape`] for a wrong-length `v`.
+    fn solve_normal(&self, v: &[f64]) -> Result<Vector<f64>, IterativeSolveError>;
+}
+
+/// The minimizer of a [`solve_projected_op`] problem and its Lagrange
+/// multiplier.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProjectedSolution {
+    /// The minimizer `y`, which satisfies `C·y = b` to rounding.
+    pub y: Vector<f64>,
+    /// The multiplier `λ` with `H·y = Cᵀ·λ` at the tolerance.
+    pub multiplier: Vector<f64>,
+}
+
+/// Solves the equality-constrained quadratic program
+/// `min ½·yᵀ·H·y  subject to  C·y = b` for symmetric `H` positive
+/// definite on the null space of `C`, by projected conjugate gradients
+/// with the diagonal preconditioner `D = diag` and the residual update
+/// of Gould, Hribar and Nocedal (SIAM J. Sci. Comput. 23, 2001).
+///
+/// The start is the `D`-weighted least-norm feasible point
+/// `y₀ = D⁻¹·Cᵀ·(C·D⁻¹·Cᵀ)⁻¹·b`. Each step projects the residual
+/// `r = H·y − Cᵀ·λ` by `v = (C·D⁻¹·Cᵀ)⁻¹·C·D⁻¹·r`, then *updates* it,
+/// `r ← r − Cᵀ·v`, and accumulates `λ ← λ + v`. The update keeps the
+/// search directions in the null space of `C` to rounding, so the
+/// iteration does not stall on the round-off a plain projection leaves
+/// behind, and `λ` converges with `r`. One step costs one `apply`, one
+/// [`Constraints::apply`], one [`Constraints::apply_transpose`] and one
+/// [`Constraints::solve_normal`].
+///
+/// Stops when `√(rᵀ·D⁻¹·r) ≤ tol · √(r₀ᵀ·D⁻¹·r₀)`, with `r₀` the
+/// projected starting residual, or fails after `max_iter` iterations.
+/// The recurrences are serial and each iteration adds one to
+/// [`cg_iteration_count`], as in [`solve_spd_op`].
+///
+/// # Errors
+///
+/// [`IterativeSolveError::BadShape`] when an operator returns the wrong
+/// length; [`IterativeSolveError::Breakdown`] for a non-positive or NaN
+/// `diag` entry (with its index) or negative curvature of `H` on the
+/// null space (without one); [`IterativeSolveError::NotConverged`] with
+/// the iteration count and the final relative residual when `max_iter`
+/// iterations do not reach `tol`.
+pub fn solve_projected_op(
+    apply: &dyn Fn(&[f64]) -> Vector<f64>,
+    diag: &[f64],
+    constraints: &dyn Constraints,
+    b: &[f64],
+    tol: f64,
+    max_iter: usize,
+) -> Result<ProjectedSolution, IterativeSolveError> {
+    let n = diag.len();
+    if let Some(index) = diag.iter().position(|&d| d.is_nan() || d <= 0.0) {
+        return Err(IterativeSolveError::Breakdown { index: Some(index) });
+    }
+    let inv: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
+    let checked = |v: Vector<f64>, len: usize| {
+        if v.len() == len {
+            Ok(v)
+        } else {
+            Err(IterativeSolveError::BadShape)
+        }
+    };
+    // r ← r − Cᵀ·v and λ ← λ + v, with v = (C·D⁻¹·Cᵀ)⁻¹·C·D⁻¹·r; returns
+    // the preconditioned residual g = D⁻¹·r of the updated r.
+    let project = |r: &mut [f64], lambda: &mut [f64]| -> Result<Vec<f64>, IterativeSolveError> {
+        let scaled: Vec<f64> = r.iter().zip(&inv).map(|(r, d)| r * d).collect();
+        let v = checked(
+            constraints.solve_normal(&checked(constraints.apply(&scaled), b.len())?)?,
+            b.len(),
+        )?;
+        let cv = checked(constraints.apply_transpose(&v), n)?;
+        for i in 0..n {
+            r[i] -= cv[i];
+        }
+        for (l, v) in lambda.iter_mut().zip(&v) {
+            *l += v;
+        }
+        Ok(r.iter().zip(&inv).map(|(r, d)| r * d).collect())
+    };
+    let w = checked(constraints.solve_normal(b)?, b.len())?;
+    let mut y = checked(constraints.apply_transpose(&w), n)?;
+    for (y, d) in y.iter_mut().zip(&inv) {
+        *y *= d;
+    }
+    let mut lambda = vec![0.0; b.len()];
+    let mut r = checked(apply(&y), n)?;
+    let mut g = project(&mut r, &mut lambda)?;
+    let mut rg: f64 = r.iter().zip(&g).map(|(a, b)| a * b).sum();
+    let rg0 = rg;
+    if rg0 == 0.0 {
+        return Ok(ProjectedSolution {
+            y,
+            multiplier: lambda,
+        });
+    }
+    let mut d: Vec<f64> = g.iter().map(|g| -g).collect();
+    for it in 0..max_iter {
+        CG_ITERATIONS.fetch_add(1, Ordering::Relaxed);
+        let hd = checked(apply(&d), n)?;
+        let d_hd: f64 = d.iter().zip(&hd).map(|(a, b)| a * b).sum();
+        if d_hd <= 0.0 {
+            return Err(IterativeSolveError::Breakdown { index: None });
+        }
+        let alpha = rg / d_hd;
+        for i in 0..n {
+            y[i] += alpha * d[i];
+            r[i] += alpha * hd[i];
+        }
+        g = project(&mut r, &mut lambda)?;
+        let rg_new: f64 = r.iter().zip(&g).map(|(a, b)| a * b).sum();
+        let residual = (rg_new / rg0).sqrt();
+        if residual <= tol {
+            return Ok(ProjectedSolution {
+                y,
+                multiplier: lambda,
+            });
+        }
+        if it + 1 == max_iter {
+            return Err(IterativeSolveError::NotConverged {
+                iterations: max_iter,
+                residual,
+                tol,
+            });
+        }
+        let beta = rg_new / rg;
+        rg = rg_new;
+        for i in 0..n {
+            d[i] = beta * d[i] - g[i];
+        }
+    }
+    Err(IterativeSolveError::NotConverged {
+        iterations: max_iter,
+        residual: 1.0,
+        tol,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +501,115 @@ mod tests {
         );
         assert_eq!(
             solve_spd_op(3, &|_| vec![0.0; 2], &[1.0; 3], &[1.0; 3], 1e-9, 10).unwrap_err(),
+            IterativeSolveError::BadShape
+        );
+    }
+
+    /// Dense constraints `C·y = b` with the normal matrix `C·D⁻¹·Cᵀ`
+    /// factored by the banded Cholesky (full bandwidth).
+    struct DenseConstraints {
+        c: Matrix<f64>,
+        normal: crate::cholesky::BandedCholesky,
+    }
+
+    impl DenseConstraints {
+        fn new(c: Matrix<f64>, diag: &[f64]) -> Self {
+            let mut entries = Vec::new();
+            for i in 0..c.nrows() {
+                for j in 0..=i {
+                    let v = (0..c.ncols())
+                        .map(|l| c[(i, l)] * c[(j, l)] / diag[l])
+                        .sum();
+                    entries.push((i, j, v));
+                }
+            }
+            let normal = crate::cholesky::BandedCholesky::new(c.nrows(), &entries).unwrap();
+            DenseConstraints { c, normal }
+        }
+    }
+
+    impl Constraints for DenseConstraints {
+        fn apply(&self, y: &[f64]) -> Vector<f64> {
+            self.c.matvec(y)
+        }
+        fn apply_transpose(&self, lambda: &[f64]) -> Vector<f64> {
+            self.c.transpose().matvec(lambda)
+        }
+        fn solve_normal(&self, v: &[f64]) -> Result<Vector<f64>, IterativeSolveError> {
+            self.normal
+                .solve(v)
+                .map_err(|_| IterativeSolveError::BadShape)
+        }
+    }
+
+    /// An 8-unknown SPD `H`, three constraints of full row rank and
+    /// their right-hand side.
+    fn constrained_problem() -> (Matrix<f64>, Matrix<f64>, Vec<f64>) {
+        let h = spd(8);
+        let c = Matrix::from_fn(3, 8, |i, j| {
+            if j == i || j == i + 4 {
+                1.0
+            } else if j == 7 - i {
+                -1.0
+            } else {
+                0.0
+            }
+        });
+        (h, c, vec![1.0, -2.0, 0.5])
+    }
+
+    #[test]
+    fn projected_cg_matches_direct_kkt_solve() {
+        let (h, c, b) = constrained_problem();
+        let (n, k) = (h.nrows(), c.nrows());
+        let diag: Vec<f64> = (0..n).map(|i| h[(i, i)]).collect();
+        let cons = DenseConstraints::new(c.clone(), &diag);
+        let sol = solve_projected_op(&|v| h.matvec(v), &diag, &cons, &b, 1e-12, 100).unwrap();
+        // [H −Cᵀ; C 0]·[y; λ] = [0; b], by LU.
+        let kkt = Matrix::from_fn(n + k, n + k, |i, j| match (i < n, j < n) {
+            (true, true) => h[(i, j)],
+            (true, false) => -c[(j - n, i)],
+            (false, true) => c[(i - n, j)],
+            (false, false) => 0.0,
+        });
+        let mut rhs = vec![0.0; n];
+        rhs.extend_from_slice(&b);
+        let x = crate::lu::solve(kkt, &rhs).unwrap();
+        let got = sol.y.iter().chain(&sol.multiplier);
+        for (i, (&got, &want)) in got.zip(&x).enumerate() {
+            assert!(approx_eq(got, want, 1e-10), "[y; λ][{i}]: {got} vs {want}");
+        }
+        let cy = c.matvec(&sol.y);
+        for i in 0..k {
+            assert!((cy[i] - b[i]).abs() < 1e-12, "constraint {i}: {}", cy[i]);
+        }
+    }
+
+    #[test]
+    fn projected_cg_reports_its_iteration_cap_and_bad_diagonals() {
+        let (h, c, b) = constrained_problem();
+        let diag: Vec<f64> = (0..8).map(|i| h[(i, i)]).collect();
+        let cons = DenseConstraints::new(c, &diag);
+        match solve_projected_op(&|v| h.matvec(v), &diag, &cons, &b, 1e-14, 1) {
+            Err(IterativeSolveError::NotConverged {
+                iterations,
+                residual,
+                tol,
+            }) => {
+                assert_eq!(iterations, 1);
+                assert!(residual > 1e-14 && residual.is_finite(), "{residual}");
+                assert_eq!(tol, 1e-14);
+            }
+            other => panic!("expected NotConverged, got {other:?}"),
+        }
+        let mut bad = diag.clone();
+        bad[5] = 0.0;
+        assert_eq!(
+            solve_projected_op(&|v| h.matvec(v), &bad, &cons, &b, 1e-12, 100).unwrap_err(),
+            IterativeSolveError::Breakdown { index: Some(5) }
+        );
+        assert_eq!(
+            solve_projected_op(&|v| h.matvec(v), &diag, &cons, &b[..2], 1e-12, 100).unwrap_err(),
             IterativeSolveError::BadShape
         );
     }

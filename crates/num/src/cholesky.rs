@@ -246,6 +246,138 @@ impl CholeskyDecomposition {
     }
 }
 
+/// A Cholesky factorization `A = L·Lᵀ` of a sparse symmetric
+/// positive-definite band matrix, stored by its lower band.
+///
+/// The half-bandwidth `w` is read from the entries (the largest
+/// `|i − j|` among them), so a grid Laplacian numbered row by row gets
+/// its raster width. Factoring costs `O(n·w²)` and a solve `O(n·w)`,
+/// against `O(n³)` and `O(n²)` for [`CholeskyDecomposition`]. The
+/// arithmetic is serial, so the factor is bit-identical for any
+/// `PDN_THREADS`.
+///
+/// # Examples
+///
+/// ```
+/// use pdn_num::cholesky::BandedCholesky;
+///
+/// # fn main() -> Result<(), pdn_num::SolveMatrixError> {
+/// // The tridiagonal [2 −1 0; −1 2 −1; 0 −1 2].
+/// let entries = [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0), (1, 0, -1.0), (2, 1, -1.0)];
+/// let ch = BandedCholesky::new(3, &entries)?;
+/// assert_eq!(ch.bandwidth(), 1);
+/// let x = ch.solve(&[1.0, 0.0, 1.0])?;
+/// assert!(x.iter().all(|&v| (v - 1.0).abs() < 1e-12));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct BandedCholesky {
+    n: usize,
+    w: usize,
+    /// Row `i` holds columns `i − w ..= i` at offsets `0 ..= w`; offsets
+    /// before column 0 stay zero.
+    band: Vec<f64>,
+}
+
+impl BandedCholesky {
+    /// Factors the symmetric `n × n` matrix with the given entries.
+    ///
+    /// Each `(i, j, v)` adds `v` at `(i, j)` and, when `i ≠ j`, at
+    /// `(j, i)` too, so each off-diagonal pair is listed once; repeated
+    /// positions are summed in list order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveMatrixError::DimensionMismatch`] for an entry
+    /// outside `n × n` (`got` is one past its larger index),
+    /// [`SolveMatrixError::NonFinite`] for a non-finite value, and
+    /// [`SolveMatrixError::Singular`] with the pivot's column when the
+    /// matrix is not positive definite.
+    pub fn new(n: usize, entries: &[(usize, usize, f64)]) -> Result<Self, SolveMatrixError> {
+        let mut w = 0;
+        for &(i, j, v) in entries {
+            if i.max(j) >= n {
+                return Err(SolveMatrixError::DimensionMismatch {
+                    expected: n,
+                    got: i.max(j) + 1,
+                });
+            }
+            if !v.is_finite() {
+                return Err(SolveMatrixError::NonFinite { row: i, col: j });
+            }
+            w = w.max(i.abs_diff(j));
+        }
+        let stride = w + 1;
+        let mut band = vec![0.0; n * stride];
+        for &(i, j, v) in entries {
+            let (r, c) = (i.max(j), i.min(j));
+            band[r * stride + c + w - r] += v;
+        }
+        for i in 0..n {
+            let lo = i.saturating_sub(w);
+            for j in lo..=i {
+                // L[i][j] = (A[i][j] − Σₖ L[i][k]·L[j][k]) / L[j][j] over
+                // the columns k both rows hold, which start at `lo`.
+                let mut s = band[i * stride + j + w - i];
+                for k in lo..j {
+                    s -= band[i * stride + k + w - i] * band[j * stride + k + w - j];
+                }
+                if j < i {
+                    band[i * stride + j + w - i] = s / band[j * stride + w];
+                } else if s > 0.0 && s.is_finite() {
+                    band[i * stride + w] = s.sqrt();
+                } else {
+                    return Err(SolveMatrixError::Singular { column: i });
+                }
+            }
+        }
+        Ok(BandedCholesky { n, w, band })
+    }
+
+    /// Half-bandwidth `w`: entry `(i, j)` is zero whenever `|i − j| > w`.
+    pub fn bandwidth(&self) -> usize {
+        self.w
+    }
+
+    /// Solves `A·x = b` by forward and backward substitution in the band.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveMatrixError::DimensionMismatch`] for a wrong-length
+    /// right-hand side.
+    pub fn solve(&self, b: &[f64]) -> Result<Vector<f64>, SolveMatrixError> {
+        let (n, w, stride) = (self.n, self.w, self.w + 1);
+        if b.len() != n {
+            return Err(SolveMatrixError::DimensionMismatch {
+                expected: n,
+                got: b.len(),
+            });
+        }
+        let mut x = b.to_vec();
+        for i in 0..n {
+            let row = &self.band[i * stride..(i + 1) * stride];
+            let lo = i.saturating_sub(w);
+            let mut s = x[i];
+            for k in lo..i {
+                s -= row[k + w - i] * x[k];
+            }
+            x[i] = s / row[w];
+        }
+        // Lᵀ·x = y, column by column: once x[i] is final, remove it from
+        // the rows above that row i of L reaches.
+        for i in (0..n).rev() {
+            let row = &self.band[i * stride..(i + 1) * stride];
+            x[i] /= row[w];
+            let xi = x[i];
+            for k in i.saturating_sub(w)..i {
+                x[k] -= row[k + w - i] * xi;
+            }
+        }
+        Ok(x)
+    }
+}
+
 /// Returns `true` when the symmetric matrix is positive definite.
 ///
 /// # Examples
@@ -387,6 +519,94 @@ mod tests {
                 assert!(approx_eq(back[(i, j)], a[(i, j)], 1e-9), "({i},{j})");
             }
         }
+    }
+
+    /// A banded SPD matrix of half-bandwidth `w` as dense and as an
+    /// entry list: each diagonal entry in two parts, each off-diagonal
+    /// pair once, at its upper or its lower position.
+    fn banded_spd(n: usize, w: usize) -> (Matrix<f64>, Vec<(usize, usize, f64)>) {
+        let mut a = Matrix::zeros(n, n);
+        let mut entries = Vec::new();
+        for i in 0..n {
+            for j in i.saturating_sub(w)..=i {
+                let v = if i == j {
+                    2.0 * w as f64 + 1.0 + (i % 3) as f64
+                } else {
+                    -1.0 + 0.1 * ((i * 7 + j) % 5) as f64
+                };
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+                if i == j {
+                    entries.push((i, i, 0.25 * v));
+                    entries.push((i, i, 0.75 * v));
+                } else {
+                    // Upper or lower position: both stand for the pair.
+                    entries.push(if (i + j) % 2 == 0 {
+                        (i, j, v)
+                    } else {
+                        (j, i, v)
+                    });
+                }
+            }
+        }
+        (a, entries)
+    }
+
+    #[test]
+    fn banded_factor_matches_dense_cholesky() {
+        let (n, w) = (40, 6);
+        let (a, entries) = banded_spd(n, w);
+        let banded = BandedCholesky::new(n, &entries).unwrap();
+        assert_eq!(banded.bandwidth(), w);
+        let dense = CholeskyDecomposition::new(&a).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin()).collect();
+        let (xb, xd) = (banded.solve(&b).unwrap(), dense.solve(&b).unwrap());
+        for i in 0..n {
+            assert!(
+                approx_eq(xb[i], xd[i], 1e-12),
+                "x[{i}]: {} vs {}",
+                xb[i],
+                xd[i]
+            );
+            for j in i.saturating_sub(w)..=i {
+                let lb = banded.band[i * (w + 1) + j + w - i];
+                assert!(approx_eq(lb, dense.l()[(i, j)], 1e-12), "L({i},{j})");
+            }
+        }
+        assert!(matches!(
+            banded.solve(&b[1..]),
+            Err(SolveMatrixError::DimensionMismatch {
+                expected: 40,
+                got: 39
+            })
+        ));
+    }
+
+    #[test]
+    fn banded_factor_rejects_indefinite_and_bad_entries() {
+        // [2 3; 3 2] is indefinite: the second pivot is 2 − 4.5 < 0.
+        let indefinite = [(0, 0, 2.0), (1, 1, 2.0), (1, 0, 3.0)];
+        assert_eq!(
+            BandedCholesky::new(2, &indefinite).unwrap_err(),
+            SolveMatrixError::Singular { column: 1 }
+        );
+        // A grounded-nowhere Laplacian is singular at its last pivot.
+        let floating = [(0, 0, 1.0), (1, 1, 1.0), (1, 0, -1.0)];
+        assert!(matches!(
+            BandedCholesky::new(2, &floating),
+            Err(SolveMatrixError::Singular { column: 1 })
+        ));
+        assert_eq!(
+            BandedCholesky::new(2, &[(2, 0, 1.0)]).unwrap_err(),
+            SolveMatrixError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+        assert_eq!(
+            BandedCholesky::new(2, &[(0, 0, f64::NAN)]).unwrap_err(),
+            SolveMatrixError::NonFinite { row: 0, col: 0 }
+        );
     }
 
     #[test]

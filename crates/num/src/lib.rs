@@ -44,7 +44,7 @@ pub mod rational;
 pub mod scalar;
 
 pub use aca::LowRank;
-pub use cholesky::CholeskyDecomposition;
+pub use cholesky::{BandedCholesky, CholeskyDecomposition};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use complex::c64;
 pub use eigen::{

@@ -1,6 +1,7 @@
 //! Helpers shared across the integration-test binaries: the serialized
-//! `PDN_THREADS` harness and the HP test-plane (paper Figure 6/7)
-//! builders that several suites previously each carried a copy of.
+//! `PDN_THREADS` harness, the HP test-plane (paper Figure 6/7) builders
+//! that several suites previously each carried a copy of, and the
+//! `ssn_cold` study-A plane.
 //!
 //! Each test binary compiles its own copy via `mod common;`, so the
 //! mutex still serializes within one binary — exactly the scope that
@@ -62,4 +63,28 @@ pub fn hp_board(cell: f64) -> BoardSpec {
     BoardSpec::new(plane, 3.3, Point::new(mm(4.0), mm(8.0)))
         .with_chip(ChipSpec::cmos("U1", Point::new(mm(20.0), mm(8.0)), 2))
         .with_chip(ChipSpec::cmos("U2", Point::new(mm(36.0), mm(8.0)), 2))
+}
+
+/// Study A (`pdn_core::boards::ssn_study_a_board`) at `cell_inch` with
+/// the `ssn_cold` port set bound in `BoardSpec::extract_model` order:
+/// VRM, the chip's supply pin and four decap sites on the ring around
+/// the chip.
+pub fn study_a_ssn_plane(cell_inch: f64) -> PlaneSpec {
+    let board = boards::ssn_study_a_board(cell_inch).expect("valid board");
+    let mut plane =
+        board
+            .plane
+            .clone()
+            .with_port("VRM", board.supply_location.x, board.supply_location.y);
+    for chip in &board.chips {
+        plane = plane.with_port(
+            format!("{}_vcc", chip.name),
+            chip.location.x,
+            chip.location.y,
+        );
+    }
+    for (k, d) in boards::ssn_study_a_decaps(4).iter().enumerate() {
+        plane = plane.with_port(format!("decap{k}"), d.location.x, d.location.y);
+    }
+    plane
 }

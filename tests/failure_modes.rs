@@ -48,12 +48,17 @@ fn split_net_without_a_port_fails_with_guidance() {
         .expect("valid pair")
         .with_cell_size(mm(2.0))
         .with_port("P", mm(2.0), mm(2.0));
-    let err = spec.extract(&NodeSelection::PortsOnly).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("net"),
-        "error should mention the floating net: {msg}"
-    );
+    // The compressed route grounds one kept cell per net, and finds none
+    // on the second.
+    let compressed = spec.clone().with_compression(CompressionSpec::default());
+    for spec in [spec, compressed] {
+        let err = spec.extract(&NodeSelection::PortsOnly).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("net"),
+            "error should mention the floating net: {msg}"
+        );
+    }
 }
 
 #[test]
