@@ -61,4 +61,4 @@ pub use compress::{
     assemble_compressed, kernel_matvec_count, reset_kernel_matvec_count, CompressedKernel,
     CompressedKernels, CompressedLinkKernel, CompressionSpec, CompressionStats,
 };
-pub use system::BemSystem;
+pub use system::{BemSystem, InductanceOperator};

@@ -15,12 +15,72 @@
 //! equivalent circuit of `pdn-extract` is checked against.
 
 use crate::assembly::{assemble_matrices, AssembleBemError, BemOptions, RawMatrices};
-use crate::compress::{assemble_compressed, CompressedKernels};
+use crate::compress::{
+    assemble_compressed, CompressedKernels, CompressedLinkKernel, CompressionSpec,
+};
 use pdn_geom::{PlaneMesh, PlanePair};
 use pdn_greens::SurfaceImpedance;
 use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{c64, LuDecomposition, Matrix};
+use std::borrow::Cow;
 use std::f64::consts::PI;
+
+/// Relative residual tolerance of iterative solves with a dense system's
+/// `L`. Its entries are exact, so the solves run to four decades above
+/// round-off rather than to a compression tolerance.
+const DENSE_CG_TOL: f64 = 1e-12;
+
+/// A plan whose cluster tree is one leaf per link direction: no block is
+/// admissible, so [`CompressedLinkKernel::build`] stores each direction's
+/// block of `L` densely and exactly, and `tol` (the default's) certifies
+/// nothing.
+const ONE_LEAF: CompressionSpec = CompressionSpec {
+    tol: 1e-6,
+    leaf_size: usize::MAX,
+    eta: 2.0,
+};
+
+/// The partial-inductance matrix `L` of a [`BemSystem`] as an operator
+/// for iterative solves, whatever its kernel store: the matvec, the
+/// exact diagonal, and the relative tolerance a CG solve with it should
+/// reach.
+///
+/// A dense system's `L` is applied as one dense block per current
+/// direction, skipping the orthogonal blocks, which are structurally
+/// zero; a compressed system's is its [`CompressedLinkKernel`], solved to
+/// [`CompressionSpec::cg_tol`].
+#[derive(Debug)]
+pub struct InductanceOperator<'a> {
+    kernel: Cow<'a, CompressedLinkKernel>,
+    cg_tol: f64,
+}
+
+impl InductanceOperator<'_> {
+    /// `y = L·x` over the mesh links.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not match the link count.
+    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        self.kernel.matvec(x)
+    }
+
+    /// The exact diagonal of `L`.
+    pub fn diag(&self) -> &[f64] {
+        self.kernel.diag()
+    }
+
+    /// Relative residual tolerance of a CG solve with `L`.
+    pub fn cg_tol(&self) -> f64 {
+        self.cg_tol
+    }
+
+    /// Iteration cap of a CG solve with `L`
+    /// ([`CompressionSpec::cg_max_iter`] of the link count).
+    pub fn cg_max_iter(&self) -> usize {
+        CompressionSpec::cg_max_iter(self.kernel.len())
+    }
+}
 
 /// Dense kernel storage: the assembled matrices plus the incidence,
 /// built in complex form once at assembly (every per-frequency solve
@@ -105,8 +165,11 @@ impl BemSystem {
     ///
     /// [`AssembleBemError::EmptyMesh`] for an empty mesh,
     /// [`AssembleBemError::InvalidInput`] when a matrix dimension does not
-    /// match the mesh, and [`AssembleBemError::NumericalBreakdown`] when
-    /// `P` cannot be inverted.
+    /// match the mesh or `L` couples two orthogonal links (the
+    /// quasi-static `L` is zero there, and
+    /// [`inductance_operator`](Self::inductance_operator) skips those
+    /// blocks), and [`AssembleBemError::NumericalBreakdown`] when `P`
+    /// cannot be inverted.
     pub fn from_raw(
         mesh: PlaneMesh,
         pair: &PlanePair,
@@ -133,6 +196,16 @@ impl BemSystem {
                 l.ncols(),
                 r_link.len()
             )));
+        }
+        let links = mesh.links();
+        for (i, a) in links.iter().enumerate() {
+            if let Some(j) = (0..m).find(|&j| links[j].direction != a.direction && l[(i, j)] != 0.0)
+            {
+                return Err(AssembleBemError::InvalidInput(format!(
+                    "L({i},{j}) = {:e} couples orthogonal links",
+                    l[(i, j)]
+                )));
+            }
         }
         let c = pdn_num::lu::invert(p_coef)
             .map_err(|e| AssembleBemError::NumericalBreakdown(e.to_string()))?;
@@ -186,6 +259,35 @@ impl BemSystem {
         match &self.kernels {
             KernelStore::Dense(_) => None,
             KernelStore::Compressed(ck) => Some(ck),
+        }
+    }
+
+    /// `L` as an operator for iterative solves on either kernel store
+    /// (see [`InductanceOperator`]). A dense system copies the two
+    /// per-direction blocks of its `L`, half of the matrix.
+    pub fn inductance_operator(&self) -> InductanceOperator<'_> {
+        match &self.kernels {
+            KernelStore::Dense(d) => {
+                let links = self.mesh.links();
+                let centers: Vec<_> = links.iter().map(|l| (l.center.x, l.center.y)).collect();
+                let directions: Vec<_> = links.iter().map(|l| l.direction).collect();
+                let entries = |i: usize, cols: &[usize], out: &mut [f64]| {
+                    for (o, &j) in out.iter_mut().zip(cols) {
+                        *o = d.l[(i, j)];
+                    }
+                };
+                let kernel =
+                    CompressedLinkKernel::build(&centers, &directions, &ONE_LEAF, &entries)
+                        .expect("a plan with no admissible block has nothing to certify");
+                InductanceOperator {
+                    kernel: Cow::Owned(kernel),
+                    cg_tol: DENSE_CG_TOL,
+                }
+            }
+            KernelStore::Compressed(ck) => InductanceOperator {
+                kernel: Cow::Borrowed(&ck.l),
+                cg_tol: ck.spec.cg_tol(),
+            },
         }
     }
 
@@ -507,6 +609,27 @@ mod tests {
         // 1/f scaling.
         let z10 = sys.port_impedance(10.0 * f).unwrap()[(0, 0)];
         assert!(approx_eq(z.norm() / z10.norm(), 10.0, 0.05));
+    }
+
+    #[test]
+    fn from_raw_rejects_an_orthogonal_coupling() {
+        let mesh = PlaneMesh::build(&Polygon::rectangle(mm(10.0), mm(10.0)), mm(2.5)).unwrap();
+        let pair = PlanePair::new(0.5e-3, 4.5).unwrap();
+        let zs = SurfaceImpedance::from_sheet_resistance(2e-3);
+        let opts = BemOptions::default();
+        let raw = assemble_matrices(&mesh, &pair, &zs, &opts).unwrap();
+        assert!(BemSystem::from_raw(mesh.clone(), &pair, &zs, raw.clone()).is_ok());
+        let links = mesh.links();
+        let j = (0..links.len())
+            .find(|&j| links[j].direction != links[0].direction)
+            .unwrap();
+        let mut bad = raw;
+        bad.l[(0, j)] = 1e-15;
+        bad.l[(j, 0)] = 1e-15;
+        assert!(matches!(
+            BemSystem::from_raw(mesh, &pair, &zs, bad),
+            Err(AssembleBemError::InvalidInput(_))
+        ));
     }
 
     #[test]

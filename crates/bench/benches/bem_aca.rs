@@ -7,6 +7,9 @@
 //! 1120-cell size. Dense assembly is skipped (and logged) at the
 //! largest size, where its kernels alone would need ~23 GB.
 //!
+//! At the largest size it also extracts the compressed board with
+//! `PortsOnly` and records the extraction's time and peak working set.
+//!
 //! Acceptance bar (the `docs/COMPRESSION.md` contract): at the
 //! 1120-cell board and `tol = 1e-6`, the compressed extraction's peak
 //! kernel + working-set storage must undercut the dense kernel storage
@@ -45,6 +48,17 @@ fn zs() -> SurfaceImpedance {
 /// (n × n each), `L` (m × m), and the incidence matrix (m × n).
 fn dense_kernel_bytes(n: usize, m: usize) -> usize {
     8 * (3 * n * n + m * m + m * n)
+}
+
+/// Peak bytes of a compressed extraction keeping `k` of the mesh's
+/// cells: the `stored` kernels plus the reduction's working set — the
+/// band of the grounded link Laplacian behind `B` (about `n` rows), the
+/// band of `G`'s eliminated block (`n − k` rows), each `w + 1` doubles
+/// wide with `w` the raster width, and the `k × k` kept-node potentials.
+/// No dense `n × n` or `k × (n − k)` block is formed.
+fn extraction_peak_bytes(stored: usize, mesh: &PlaneMesh, k: usize) -> usize {
+    let (n, w) = (mesh.cell_count(), mesh.grid_shape().0);
+    stored + 8 * ((2 * n - k) * (w + 1) + k * k)
 }
 
 fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
@@ -108,8 +122,26 @@ fn bem_aca_bench(c: &mut Criterion) {
             ratio >= 4.0,
             "n={n}: kernel storage reduction {ratio:.1}x below the 4x bar"
         );
+        if si == cells_per_size.len() - 1 {
+            // The largest board through the compressed route alone.
+            let (t_x, eq) = timed(|| {
+                EquivalentCircuit::from_bem(&sys, &NodeSelection::PortsOnly).expect("extractable")
+            });
+            let peak = extraction_peak_bytes(stored, &mesh, eq.node_count());
+            println!(
+                "  n={n:6} PortsOnly extraction: compressed {:8.1} ms, peak ~{:7.2} MB",
+                t_x * 1e3,
+                peak as f64 / 1e6,
+            );
+            writeln!(
+                json,
+                "  {{\"cells\": {n}, \"extraction\": true, \"selection\": \"PortsOnly\", \
+                 \"compressed_seconds\": {t_x:.6}, \"compressed_peak_bytes\": {peak}}},",
+            )
+            .unwrap();
+        }
         if si > 0 {
-            continue; // extraction comparison runs at the 1120-cell size only
+            continue; // the dense comparison runs at the 1120-cell size only
         }
 
         // Full extraction + sweep through both paths at the bench board.
@@ -122,14 +154,7 @@ fn bem_aca_bench(c: &mut Criterion) {
         drop(dense_sys);
         let (t_xc, eq_comp) =
             timed(|| EquivalentCircuit::from_bem(&sys, &sel).expect("extractable"));
-        // Peak compressed-path working set: the kernels plus G's blocks
-        // during its dense Kron reduction — the kept block, the coupling
-        // block, its transpose, the eliminated block and the solved
-        // coupling (k² + 3·k·e + e² = n² + k·e doubles). The kept-node
-        // solves behind B hold far less: a band of n·(w + 1) doubles and
-        // the k × k potentials.
-        let (k, e) = (eq_comp.node_count(), n - eq_comp.node_count());
-        let peak = stored + 8 * (n * n + k * e);
+        let peak = extraction_peak_bytes(stored, &mesh, eq_comp.node_count());
         let extraction_ratio = dense_bytes as f64 / peak as f64;
         let zd = eq_dense.impedance_sweep(&freqs).expect("solvable");
         let zc = eq_comp.impedance_sweep(&freqs).expect("solvable");

@@ -1,15 +1,14 @@
 //! The distributed R–L‖C equivalent circuit (paper Figure 2, eqs. 20–27).
 
-use crate::reduce::{kron_reduce_blocks, schur, symmetrize, Partition, Slot};
-use pdn_bem::{BemSystem, CompressedKernels, CompressionSpec};
+use crate::reduce::{symmetrize, Partition, Slot};
+use pdn_bem::{BemSystem, CompressionSpec, InductanceOperator};
 use pdn_circuit::{Circuit, NodeId};
 use pdn_geom::mesh::Link;
 use pdn_geom::PlaneMesh;
 use pdn_num::cg::{solve_projected_op, Constraints, IterativeSolveError};
 use pdn_num::rational::{self, SweepAccuracy, SweepOutcome};
 use pdn_num::{
-    c64, BandedCholesky, CholeskyDecomposition, LuDecomposition, Matrix, PoleResidueModel,
-    PromError, PromOptions,
+    c64, BandedCholesky, LuDecomposition, Matrix, PoleResidueModel, PromError, PromOptions,
 };
 use std::error::Error;
 use std::f64::consts::PI;
@@ -260,15 +259,23 @@ impl EquivalentCircuit {
         keep.sort_unstable();
         keep.dedup();
 
-        // One skeleton for both kernel stores (paper §4): the kept and
-        // eliminated cells and the link-resistance Laplacian G, which
-        // both routes Kron-reduce densely. A route decides how it reduces
-        // B = AᵀL⁻¹A and how it solves with P.
+        // One Kron reduction for both kernel stores (paper §4, eqs.
+        // 20–27): every connected piece of the link graph grounds its
+        // first kept cell (a piece with none fails here, before any
+        // factorization), B = AᵀL⁻¹A is reduced through the kept nodes on
+        // the store's L operator, and G = AᵀZs⁻¹A by its banded Schur
+        // complement. Only C depends on the store.
         let part = Partition::new(n, keep);
-        let lap = Laplacian::stamp(&part, mesh.links(), sys.link_resistances());
-        let (b, g, c) = match (sys.compressed(), sys.inductance().zip(sys.capacitance())) {
-            (Some(ck), _) => compressed_route(ck, mesh, &part, &lap)?,
-            (None, Some((l, c_full))) => dense_route(l, c_full, mesh, &part, &lap)?,
+        let l = sys.inductance_operator();
+        let grounded = GroundedLinks::new(mesh, &part.keep, l.diag())?;
+        let b = kept_node_reluctance(&l, &grounded, &part.keep)?;
+        let g = reduce_conductance(&part, mesh.links(), sys.link_resistances())?;
+        let c = match (sys.compressed(), sys.capacitance()) {
+            (Some(ck), _) => {
+                let (tol, max_iter) = (ck.spec.cg_tol(), CompressionSpec::cg_max_iter(n));
+                cluster_capacitance(mesh, &part.keep, |s| ck.p.solve(s, tol, max_iter))?
+            }
+            (None, Some(c_full)) => cluster_sums(c_full, mesh, &part.keep)?,
             (None, None) => unreachable!("a BemSystem holds dense or compressed kernels"),
         };
         let (names, ports) = node_names_and_ports(mesh, &part.keep);
@@ -966,53 +973,6 @@ fn node_names_and_ports(mesh: &PlaneMesh, keep: &[usize]) -> (Vec<String>, Vec<u
     (names, ports)
 }
 
-/// The `B`, `G` and `C` matrices an extraction route returns, on the
-/// kept cells.
-type Reduced = (Matrix<f64>, Matrix<f64>, Matrix<f64>);
-
-/// The sparse cell–link incidence `A` (links × cells): `+1` where a link
-/// leaves a cell and `−1` where it enters, as in
-/// [`PlaneMesh::incidence`](pdn_geom::PlaneMesh::incidence).
-struct Incidence<'a> {
-    links: &'a [Link],
-    /// Each cell's `(link, sign)` entries, in link order.
-    by_cell: Vec<Vec<(usize, f64)>>,
-}
-
-impl<'a> Incidence<'a> {
-    fn new(mesh: &'a PlaneMesh) -> Self {
-        let mut by_cell = vec![Vec::new(); mesh.cell_count()];
-        for (l, cell, sign) in mesh.incidence() {
-            by_cell[cell].push((l, sign));
-        }
-        Incidence {
-            links: mesh.links(),
-            by_cell,
-        }
-    }
-
-    /// Column `AᵀL⁻¹A·e_j` of the full-grid reluctance, from one solve
-    /// with `L`.
-    fn reluctance_column<E>(
-        &self,
-        j: usize,
-        solve_l: &impl Fn(&[f64]) -> Result<Vec<f64>, E>,
-    ) -> Result<Vec<f64>, E> {
-        let mut a = vec![0.0; self.links.len()];
-        for &(l, s) in &self.by_cell[j] {
-            a[l] += s;
-        }
-        let x = solve_l(&a)?;
-        // Aᵀx, accumulated in ascending link order.
-        let mut y = vec![0.0; self.by_cell.len()];
-        for (link, &v) in self.links.iter().zip(&x) {
-            y[link.a] += v;
-            y[link.b] -= v;
-        }
-        Ok(y)
-    }
-}
-
 /// Columns solved per batch: enough to keep every
 /// [`pdn_num::parallel`] worker busy, few enough to bound the in-flight
 /// column memory. Each column is solved serially and lands by index, so
@@ -1021,120 +981,108 @@ fn batch_width() -> usize {
     (pdn_num::parallel::worker_count() * 4).max(16)
 }
 
-/// The four blocks of a full-grid matrix over a [`Partition`].
-struct Blocks {
-    kk: Matrix<f64>,
-    ke: Matrix<f64>,
-    ek: Matrix<f64>,
-    ee: Matrix<f64>,
-}
-
-/// Every column of the full-grid reluctance `B = AᵀL⁻¹A`, solved in
-/// batches of [`batch_width`] cells in index order and placed straight
-/// into the partition's four blocks; the full matrix and its submatrix
-/// copies are never held.
-fn reluctance_blocks<E: fmt::Display + Send>(
+/// `G = AᵀZs⁻¹A` Kron-reduced onto the kept cells by its direct Schur
+/// complement `G_kk − G_ke·G_ee⁻¹·G_ek`, without a dense eliminated or
+/// coupling block.
+///
+/// Each link with a finite positive resistance `r` stamps `g = 1/r`:
+/// into the dense kept block `G_kk`, into the band of the eliminated
+/// block `G_ee` (cells in ascending order, so its half-bandwidth is the
+/// widest link: the raster width on a rectangular plane), or as one of
+/// the at most four coupling entries `G_ke` of a kept cell. `G_ee` is
+/// factored once by [`BandedCholesky`], and each kept cell with a
+/// coupling takes one banded solve; the solves fan out in batches of
+/// [`batch_width`] and land by index, so `G` is bit-identical for any
+/// `PDN_THREADS`. The result is symmetrized. A lossless system has an
+/// identically zero `G`.
+///
+/// `G` is an M-matrix, and this form keeps its signs in floating point:
+/// the factor of `G_ee` has no positive off-diagonal, its substitutions
+/// keep the solution of a non-positive coupling non-positive, and so
+/// every off-diagonal of the result is ≤ 0, the tiny far ones included.
+/// (Inverting `B`'s grounded potentials instead leaves round-off of
+/// either sign there, which the branch form turns into branches of the
+/// opposite kind.)
+fn reduce_conductance(
     part: &Partition,
-    inc: &Incidence<'_>,
-    solve_l: impl Fn(&[f64]) -> Result<Vec<f64>, E> + Sync,
-) -> Result<Blocks, ExtractCircuitError> {
+    links: &[Link],
+    r: &[f64],
+) -> Result<Matrix<f64>, ExtractCircuitError> {
     let (k, e) = (part.keep.len(), part.elim.len());
-    let mut bl = Blocks {
-        kk: Matrix::zeros(k, k),
-        ke: Matrix::zeros(k, e),
-        ek: Matrix::zeros(e, k),
-        ee: Matrix::zeros(e, e),
-    };
-    let cells: Vec<usize> = (0..k + e).collect();
-    for chunk in cells.chunks(batch_width()) {
-        let cols = pdn_num::parallel::try_par_map_indexed(chunk.len(), |t| {
-            inc.reluctance_column(chunk[t], &solve_l)
-        })
-        .map_err(breakdown)?;
-        for (&j, y) in chunk.iter().zip(&cols) {
-            for (i, &v) in y.iter().enumerate() {
-                match (part.slot[i], part.slot[j]) {
-                    (Slot::Kept(p), Slot::Kept(q)) => bl.kk[(p, q)] = v,
-                    (Slot::Kept(p), Slot::Elim(q)) => bl.ke[(p, q)] = v,
-                    (Slot::Elim(p), Slot::Kept(q)) => bl.ek[(p, q)] = v,
-                    (Slot::Elim(p), Slot::Elim(q)) => bl.ee[(p, q)] = v,
+    let mut g_red = Matrix::zeros(k, k);
+    let mut band = Vec::new();
+    let mut coupling: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
+    for (link, &r) in links.iter().zip(r) {
+        if !(r > 0.0 && r.is_finite()) {
+            continue;
+        }
+        let g = 1.0 / r;
+        match (part.slot[link.a], part.slot[link.b]) {
+            (Slot::Kept(p), Slot::Kept(q)) => {
+                g_red[(p, p)] += g;
+                g_red[(q, q)] += g;
+                g_red[(p, q)] -= g;
+                g_red[(q, p)] -= g;
+            }
+            (Slot::Kept(p), Slot::Elim(q)) | (Slot::Elim(q), Slot::Kept(p)) => {
+                g_red[(p, p)] += g;
+                band.push((q, q, g));
+                coupling[p].push((q, -g));
+            }
+            (Slot::Elim(p), Slot::Elim(q)) => band.extend([(p, p, g), (q, q, g), (p, q, -g)]),
+        }
+    }
+    let coupled: Vec<usize> = (0..k).filter(|&p| !coupling[p].is_empty()).collect();
+    if !coupled.is_empty() {
+        let g_ee =
+            BandedCholesky::new(e, &band).map_err(|err| no_node("Kron reduction of G", err))?;
+        for chunk in coupled.chunks(batch_width()) {
+            // Per solved column p: G_ke[q, :]·G_ee⁻¹·G_ek[:, p] for every
+            // coupled q.
+            let cols = pdn_num::parallel::try_par_map_indexed(chunk.len(), |t| {
+                let mut rhs = vec![0.0; e];
+                for &(i, v) in &coupling[chunk[t]] {
+                    rhs[i] += v;
+                }
+                let x = g_ee.solve(&rhs)?;
+                Ok(coupled
+                    .iter()
+                    .map(|&q| coupling[q].iter().map(|&(i, v)| v * x[i]).sum::<f64>())
+                    .collect::<Vec<f64>>())
+            })
+            .map_err(|err: pdn_num::SolveMatrixError| no_node("Kron reduction of G", err))?;
+            for (&p, col) in chunk.iter().zip(&cols) {
+                for (&q, &v) in coupled.iter().zip(col) {
+                    g_red[(q, p)] -= v;
                 }
             }
         }
     }
-    Ok(bl)
+    symmetrize(&mut g_red);
+    Ok(g_red)
 }
 
-/// The DC link-resistance Laplacian `G` over a partition: the kept and
-/// coupling blocks dense, the eliminated block as its diagonal plus its
-/// few off-diagonal entries. It is stamped exactly symmetric, so the
-/// coupling block's transpose is never stored.
-struct Laplacian {
-    kk: Matrix<f64>,
-    ke: Matrix<f64>,
-    ee_diag: Vec<f64>,
-    /// Off-diagonal eliminated entries `(i, j, v)` with `i < j`, in link
-    /// order; each stands for both `(i, j)` and `(j, i)`.
-    ee_off: Vec<(usize, usize, f64)>,
-    /// Whether any link has a finite positive resistance. A lossless
-    /// system has an identically zero `G` and skips its reduction.
-    lossy: bool,
-}
-
-impl Laplacian {
-    /// Stamps `1/r` of every resistive link: `+g` on the diagonals of its
-    /// two cells, `−g` between them.
-    fn stamp(part: &Partition, links: &[Link], r: &[f64]) -> Self {
-        let (k, e) = (part.keep.len(), part.elim.len());
-        let mut lap = Laplacian {
-            kk: Matrix::zeros(k, k),
-            ke: Matrix::zeros(k, e),
-            ee_diag: vec![0.0; e],
-            ee_off: Vec::new(),
-            lossy: false,
-        };
-        for (link, &r) in links.iter().zip(r) {
-            if !(r > 0.0 && r.is_finite()) {
-                continue;
-            }
-            lap.lossy = true;
-            let g = 1.0 / r;
-            let (a, b) = (link.a, link.b);
-            for (i, j, v) in [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)] {
-                match (part.slot[i], part.slot[j]) {
-                    (Slot::Kept(p), Slot::Kept(q)) => lap.kk[(p, q)] += v,
-                    (Slot::Kept(p), Slot::Elim(q)) => lap.ke[(p, q)] += v,
-                    // The transpose of a coupling entry.
-                    (Slot::Elim(_), Slot::Kept(_)) => {}
-                    (Slot::Elim(p), Slot::Elim(q)) if p == q => lap.ee_diag[p] += v,
-                    (Slot::Elim(p), Slot::Elim(q)) => {
-                        if p < q {
-                            lap.ee_off.push((p, q, v));
-                        }
-                    }
-                }
-            }
+/// `C` of the dense store: the dense `C` summed over the capacitance
+/// clusters ([`capacitance_clusters`]), `C_red = SᵀCS`.
+///
+/// Cluster aggregation, not Kron: eliminated cells are still plane metal,
+/// locally equipotential with the nearest retained cell through the tiny
+/// link inductance, so their charge aggregates onto that node. (Kron on
+/// `C` would leave them floating and lose most of the plate
+/// capacitance.) Clusters never cross nets.
+fn cluster_sums(
+    c_full: &Matrix<f64>,
+    mesh: &PlaneMesh,
+    keep: &[usize],
+) -> Result<Matrix<f64>, ExtractCircuitError> {
+    let cluster = capacitance_clusters(mesh, keep)?;
+    let mut c = Matrix::zeros(keep.len(), keep.len());
+    for (i, &ci) in cluster.iter().enumerate() {
+        for (j, &cj) in cluster.iter().enumerate() {
+            c[(ci, cj)] += c_full[(i, j)];
         }
-        lap
     }
-
-    /// `G` Kron-reduced by a dense LU of the eliminated block.
-    fn reduce_dense(&self) -> Result<Matrix<f64>, ExtractCircuitError> {
-        let (k, e) = (self.kk.nrows(), self.ee_diag.len());
-        if !self.lossy {
-            return Ok(Matrix::zeros(k, k));
-        }
-        let mut ee = Matrix::zeros(e, e);
-        for (i, &d) in self.ee_diag.iter().enumerate() {
-            ee[(i, i)] = d;
-        }
-        for &(i, j, v) in &self.ee_off {
-            ee[(i, j)] += v;
-            ee[(j, i)] += v;
-        }
-        kron_reduce_blocks(&self.kk, &self.ke, ee)
-            .map_err(|err| no_node("Kron reduction of G", err))
-    }
+    Ok(c)
 }
 
 /// `C = SᵀP⁻¹S` with `S` the indicator matrix of the capacitance
@@ -1184,56 +1132,6 @@ fn no_node(what: &str, err: impl fmt::Display) -> ExtractCircuitError {
     ))
 }
 
-/// The dense route: Cholesky solves with `L`, LU Schur complements of
-/// the unsymmetrized blocks, and the cluster sums of the dense `C`.
-fn dense_route(
-    l: &Matrix<f64>,
-    c_full: &Matrix<f64>,
-    mesh: &PlaneMesh,
-    part: &Partition,
-    lap: &Laplacian,
-) -> Result<Reduced, ExtractCircuitError> {
-    let ch = CholeskyDecomposition::new(l)
-        .map_err(|e| ExtractCircuitError::NumericalBreakdown(format!("L not SPD: {e}")))?;
-    let bl = reluctance_blocks(part, &Incidence::new(mesh), |a| ch.solve(a))?;
-    // B and G: Kron reduction (internal nodes carry no external
-    // injection in the inductive/resistive sub-network).
-    let b =
-        schur(&bl.kk, &bl.ke, &bl.ek, bl.ee).map_err(|err| no_node("Kron reduction of B", err))?;
-    let g = lap.reduce_dense()?;
-    // C: cluster aggregation, NOT Kron. Eliminated cells are still plane
-    // metal, locally equipotential with the nearest retained cell through
-    // the tiny link inductance, so their charge must aggregate onto that
-    // node. (Kron on C would leave them floating and lose most of the
-    // plate capacitance.) Clusters never cross nets.
-    let cluster = capacitance_clusters(mesh, &part.keep)?;
-    let k = part.keep.len();
-    let mut c = Matrix::zeros(k, k);
-    for (i, &ci) in cluster.iter().enumerate() {
-        for (j, &cj) in cluster.iter().enumerate() {
-            c[(ci, cj)] += c_full[(i, j)];
-        }
-    }
-    Ok((b, g, c))
-}
-
-/// The compressed route: `B` through the kept nodes
-/// ([`kept_node_reluctance`]), `G` by the dense route's Kron reduction,
-/// and `C` by one Jacobi CG on the compressed `P` per cluster.
-fn compressed_route(
-    ck: &CompressedKernels,
-    mesh: &PlaneMesh,
-    part: &Partition,
-    lap: &Laplacian,
-) -> Result<Reduced, ExtractCircuitError> {
-    let b = kept_node_reluctance(ck, mesh, &part.keep)?;
-    let g = lap.reduce_dense()?;
-    let (tol, n) = (ck.spec.cg_tol(), part.slot.len());
-    let solve_p = |s: &[f64]| ck.p.solve(s, tol, CompressionSpec::cg_max_iter(n));
-    let c = cluster_capacitance(mesh, &part.keep, solve_p)?;
-    Ok((b, g, c))
-}
-
 /// Each cell's net: the connected pieces of the link graph, numbered in
 /// order of their lowest cell. A split plane's islands are nets by
 /// construction, since links never join cells of different nets.
@@ -1268,7 +1166,9 @@ fn link_nets(n: usize, links: &[Link]) -> Vec<usize> {
 /// The link graph with the first kept cell of each net grounded: the
 /// constraint operator `Ãᵀ` of the kept-node solves (the incidence `A`
 /// without its ground columns) and the banded Cholesky factor of the
-/// grounded link Laplacian `M = ÃᵀD⁻¹Ã`, `D = diag(L)`.
+/// grounded link Laplacian `M = ÃᵀD⁻¹Ã`, `D = diag(L)`. Here a net is a
+/// connected piece of the link graph ([`link_nets`]), so a slot that cuts
+/// one copper net in two makes two.
 struct GroundedLinks<'a> {
     links: &'a [Link],
     /// Each cell's net ([`link_nets`]).
@@ -1284,7 +1184,8 @@ impl<'a> GroundedLinks<'a> {
     /// Grounds the first cell of `keep` (ascending) in each net, numbers
     /// the other cells in ascending order, and factors `M`. Its bandwidth
     /// is the widest link in that numbering: the raster width on a
-    /// rectangular plane.
+    /// rectangular plane. A net with no kept cell fails before the
+    /// factorization: neither `B` nor `G` can be reduced onto it.
     fn new(mesh: &'a PlaneMesh, keep: &[usize], diag: &[f64]) -> Result<Self, ExtractCircuitError> {
         let (n, links) = (mesh.cell_count(), mesh.links());
         let net = link_nets(n, links);
@@ -1295,7 +1196,7 @@ impl<'a> GroundedLinks<'a> {
         if let Some(s) = ground.iter().position(Option::is_none) {
             let cell = net.iter().position(|&t| t == s).unwrap_or(0);
             return Err(no_node(
-                "kept-node reduction of B",
+                "kept-node reduction",
                 format!("the net of cell {cell} has no kept node"),
             ));
         }
@@ -1368,24 +1269,19 @@ impl Constraints for GroundedLinks<'_> {
 /// Schur-complement identity its reduction onto the other kept cells
 /// `K` is `(E_Kᵀ·B̃⁻¹·E_K)⁻¹`. Column `k` of `Z_KK = E_Kᵀ·B̃⁻¹·E_K` is
 /// the multiplier of the minimum-energy link current
-/// `min ½yᵀLy subject to Ãᵀy = e_k`: one [`solve_projected_op`] on the
-/// compressed `L` per kept cell but the grounds, at
-/// [`CompressionSpec::cg_tol`] and
-/// [`CompressionSpec::cg_max_iter`] of the link count. The solves fan
-/// out in batches of [`batch_width`] and land by index, so `B` is
-/// bit-identical for any `PDN_THREADS`. `B = Z_KK⁻¹` is symmetrized,
-/// and each ground's row and column follow from `B`'s zero row sums per
-/// net.
+/// `min ½yᵀLy subject to Ãᵀy = e_k`: one [`solve_projected_op`] with `l`
+/// per kept cell but the grounds, at the tolerance and iteration cap the
+/// kernel store supplies ([`InductanceOperator::cg_tol`],
+/// [`InductanceOperator::cg_max_iter`]). The solves fan out in batches
+/// of [`batch_width`] and land by index, so `B` is bit-identical for any
+/// `PDN_THREADS`. `B = Z_KK⁻¹` is symmetrized, and each ground's row and
+/// column follow from `B`'s zero row sums per net.
 fn kept_node_reluctance(
-    ck: &CompressedKernels,
-    mesh: &PlaneMesh,
+    l: &InductanceOperator<'_>,
+    grounded: &GroundedLinks<'_>,
     keep: &[usize],
 ) -> Result<Matrix<f64>, ExtractCircuitError> {
-    let grounded = GroundedLinks::new(mesh, keep, ck.l.diag())?;
-    let (tol, max_iter) = (
-        ck.spec.cg_tol(),
-        CompressionSpec::cg_max_iter(mesh.link_count()),
-    );
+    let (tol, max_iter) = (l.cg_tol(), l.cg_max_iter());
     // The kept cells other than the grounds: (position in keep, unknown).
     let free: Vec<(usize, usize)> = keep
         .iter()
@@ -1398,8 +1294,8 @@ fn kept_node_reluctance(
         let xs = pdn_num::parallel::try_par_map_indexed(chunk.len(), |t| {
             let mut e = vec![0.0; grounded.unknowns];
             e[free[chunk[t]].1] = 1.0;
-            let apply = |y: &[f64]| ck.l.matvec(y);
-            solve_projected_op(&apply, ck.l.diag(), &grounded, &e, tol, max_iter)
+            let apply = |y: &[f64]| l.matvec(y);
+            solve_projected_op(&apply, l.diag(), grounded, &e, tol, max_iter)
         })
         .map_err(|e| breakdown(format!("kept-node solve with L failed: {e}")))?;
         for (&q, x) in chunk.iter().zip(&xs) {
@@ -1759,12 +1655,16 @@ mod tests {
         );
     }
 
-    /// The dense route against the formulas it replaced, recomputed here:
-    /// `B` as `Aᵀ·X` from the dense incidence `A` and `X = L⁻¹A`, `G` from
-    /// the full link Laplacian, each Kron-reduced by [`kron_reduce`]. The
-    /// extracted matrices must match them bit for bit.
+    /// The dense store against the formulas, recomputed here: `B` as
+    /// `Aᵀ·X` from the dense incidence `A` and `X = L⁻¹A` by Cholesky
+    /// solves, `G` from the full link Laplacian, each Kron-reduced by
+    /// [`kron_reduce`](crate::kron_reduce), and `C` as the cluster sums
+    /// of the dense `C`. Extraction reduces `B` and `G` by other
+    /// algorithms, so they match to round-off: `B` within 1e-11 and `G`
+    /// within 1e-12 of their largest entry. `C` matches bit for bit.
     fn assert_matches_dense_formulas(sys: &BemSystem, selection: &NodeSelection) {
         use crate::reduce::kron_reduce;
+        use pdn_num::CholeskyDecomposition;
         let (eq, keep) = EquivalentCircuit::from_bem_detailed(sys, selection).unwrap();
         let mesh = sys.mesh();
         let (n, m) = (mesh.cell_count(), mesh.link_count());
@@ -1791,15 +1691,34 @@ mod tests {
             g_full[(link.b, link.a)] -= g;
         }
         let g = kron_reduce(&g_full, &keep).unwrap();
+        let close = |got: &Matrix<f64>, want: &Matrix<f64>, tol: f64, what: &str| {
+            let worst = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            let rel = worst / want.max_abs();
+            assert!(rel <= tol, "{what} under {selection:?}: {rel:.3e} of max");
+        };
+        close(eq.reluctance(), &b, 1e-11, "B");
+        close(eq.conductance(), &g, 1e-12, "G");
+        let (c_full, k) = (sys.capacitance().unwrap(), keep.len());
+        let cluster = capacitance_clusters(mesh, &keep).unwrap();
+        let mut c = Matrix::zeros(k, k);
+        for (i, &ci) in cluster.iter().enumerate() {
+            for (j, &cj) in cluster.iter().enumerate() {
+                c[(ci, cj)] += c_full[(i, j)];
+            }
+        }
         let bits = |mat: &Matrix<f64>| -> Vec<u64> {
             mat.as_slice().iter().map(|v| v.to_bits()).collect()
         };
-        assert_eq!(bits(eq.reluctance()), bits(&b), "B under {selection:?}");
-        assert_eq!(bits(eq.conductance()), bits(&g), "G under {selection:?}");
+        assert_eq!(bits(eq.capacitance()), bits(&c), "C under {selection:?}");
     }
 
     #[test]
-    fn dense_route_is_bit_identical_to_the_dense_formulas() {
+    fn dense_store_matches_the_dense_formulas() {
         let single = bem(true, &[(mm(2.0), mm(2.0)), (mm(17.0), mm(17.0))]);
         let split = {
             let shapes = [
@@ -1808,7 +1727,9 @@ mod tests {
             ];
             let mut mesh = PlaneMesh::build_multi(&shapes, mm(2.0)).unwrap();
             mesh.bind_port("A", Point::new(mm(3.0), mm(5.0))).unwrap();
+            mesh.bind_port("A2", Point::new(mm(9.0), mm(11.0))).unwrap();
             mesh.bind_port("B", Point::new(mm(17.0), mm(7.0))).unwrap();
+            mesh.bind_port("B2", Point::new(mm(13.0), mm(1.0))).unwrap();
             let pair = PlanePair::new(0.5e-3, 4.5).unwrap();
             let zs = SurfaceImpedance::from_sheet_resistance(4e-3);
             BemSystem::assemble(mesh, &pair, &zs, &BemOptions::default()).unwrap()
@@ -1827,8 +1748,9 @@ mod tests {
     #[test]
     fn kept_node_route_with_only_grounds_has_no_inductive_branch() {
         // One port per net: every kept cell is its net's ground, so
-        // there is no solve and B is exactly zero (a lone node of a net
-        // closes no inductive loop); G and C still come through.
+        // there is no solve and B is exactly zero on both kernel stores
+        // (a lone node of a net closes no inductive loop); G and C still
+        // come through.
         let shapes = [
             Polygon::rectangle(mm(10.0), mm(12.0)),
             Polygon::rectangle_at(mm(12.0), 0.0, mm(8.0), mm(12.0)),
@@ -1838,17 +1760,22 @@ mod tests {
         mesh.bind_port("B", Point::new(mm(17.0), mm(7.0))).unwrap();
         let pair = PlanePair::new(0.5e-3, 4.5).unwrap();
         let zs = SurfaceImpedance::from_sheet_resistance(4e-3);
-        let opts = BemOptions::default().with_compression(CompressionSpec::default());
-        let sys = BemSystem::assemble(mesh, &pair, &zs, &opts).unwrap();
-        let eq = EquivalentCircuit::from_bem(&sys, &NodeSelection::PortsOnly).unwrap();
-        assert_eq!(eq.node_count(), 2);
-        assert!(eq.reluctance().as_slice().iter().all(|&v| v == 0.0));
-        assert!(eq.capacitance()[(0, 0)] > 0.0 && eq.capacitance()[(1, 1)] > 0.0);
-        let z = eq.impedance(1e8).unwrap();
-        assert!(z
-            .as_slice()
-            .iter()
-            .all(|v| v.re.is_finite() && v.im.is_finite()));
+        for compression in [None, Some(CompressionSpec::default())] {
+            let opts = BemOptions {
+                compression,
+                ..BemOptions::default()
+            };
+            let sys = BemSystem::assemble(mesh.clone(), &pair, &zs, &opts).unwrap();
+            let eq = EquivalentCircuit::from_bem(&sys, &NodeSelection::PortsOnly).unwrap();
+            assert_eq!(eq.node_count(), 2);
+            assert!(eq.reluctance().as_slice().iter().all(|&v| v == 0.0));
+            assert!(eq.capacitance()[(0, 0)] > 0.0 && eq.capacitance()[(1, 1)] > 0.0);
+            let z = eq.impedance(1e8).unwrap();
+            assert!(z
+                .as_slice()
+                .iter()
+                .all(|v| v.re.is_finite() && v.im.is_finite()));
+        }
     }
 
     #[test]

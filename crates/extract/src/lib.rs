@@ -51,4 +51,4 @@ pub use circuit::{
     capacitance_clusters, Branch, EquivalentCircuit, ExtractCircuitError, NodeSelection,
     Realization, RomSpec,
 };
-pub use reduce::{kron_reduce, kron_reduce_blocks};
+pub use reduce::kron_reduce;

@@ -7,12 +7,13 @@
 //! M_red = M_kk − M_ke · M_ee⁻¹ · M_ek
 //! ```
 //!
-//! on the kept nodes. Applied separately to the reluctance `B`, the DC
-//! conductance `G`, and the capacitance `C`, this is how the paper's
-//! N-node macromodels are produced from the full BEM cell grid. (For `C`
-//! the Schur complement corresponds exactly to leaving the eliminated
-//! cells floating: it equals the inverse of the kept-block of the
-//! potential-coefficient matrix.)
+//! on the kept nodes. Applied to the reluctance `B` and the DC
+//! conductance `G`, this is how the paper's N-node macromodels are
+//! produced from the full BEM cell grid. Extraction reduces both without
+//! forming a dense eliminated block (`B` through the kept nodes, `G`
+//! through a banded factor, in [`crate::circuit`]); [`kron_reduce`] is the
+//! dense form, which the sharded composition applies to its interface
+//! nodes.
 
 use pdn_num::{LuDecomposition, Matrix, SolveMatrixError};
 
@@ -54,15 +55,24 @@ impl Partition {
     }
 }
 
+/// Smallest pivot magnitude of the eliminated block's LU factor,
+/// relative to the block's largest entry, that [`kron_reduce`] accepts.
+/// A numerically singular block (a floating island) leaves its last
+/// pivot at round-off, `1.4e-16` of that entry for the island of
+/// `floating_island_is_singular`; the sharded composition's interface
+/// blocks keep every pivot above `0.15` of it in `tests/shard_equivalence.rs`.
+const MIN_RELATIVE_PIVOT: f64 = 1e-10;
+
 /// Reduces a symmetric nodal matrix onto the `keep` node set.
 ///
 /// `keep` must be strictly increasing and in range; eliminated nodes are
-/// everything else.
+/// everything else. The eliminated block is factored by a dense LU.
 ///
 /// # Errors
 ///
-/// Returns an error when the eliminated block is singular — typically a
-/// floating island with no retained node.
+/// Returns [`SolveMatrixError::Singular`] when the eliminated block is
+/// numerically singular — a pivot at or below `1e-10` of its largest
+/// entry, typically a floating island with no retained node.
 ///
 /// # Panics
 ///
@@ -100,64 +110,26 @@ pub fn kron_reduce(m: &Matrix<f64>, keep: &[usize]) -> Result<Matrix<f64>, Solve
     if let Some(&last) = keep.last() {
         assert!(last < n, "keep index out of range");
     }
+    let m_kk = m.submatrix(keep, keep);
     let elim = Partition::new(n, keep.to_vec()).elim;
-    schur(
-        &m.submatrix(keep, keep),
-        &m.submatrix(keep, &elim),
-        &m.submatrix(&elim, keep),
-        m.submatrix(&elim, &elim),
-    )
-}
-
-/// [`kron_reduce`] from pre-extracted blocks of a symmetric matrix:
-/// returns `M_kk − M_ke · M_ee⁻¹ · M_keᵀ`.
-///
-/// Extraction reduces the DC conductance `G` through it from the blocks
-/// it stamps, so the full matrix is never materialized. `m_ee` is consumed
-/// by the factorization, so the eliminated block (the largest of the
-/// three) is not duplicated. The underlying matrix is assumed
-/// symmetric: the `(elim, keep)` block is taken as `M_keᵀ`.
-///
-/// # Errors
-///
-/// Returns an error when the eliminated block is singular.
-///
-/// # Panics
-///
-/// Panics on inconsistent block dimensions.
-pub fn kron_reduce_blocks(
-    m_kk: &Matrix<f64>,
-    m_ke: &Matrix<f64>,
-    m_ee: Matrix<f64>,
-) -> Result<Matrix<f64>, SolveMatrixError> {
-    assert!(m_kk.is_square(), "kept block must be square");
-    assert!(m_ee.is_square(), "eliminated block must be square");
-    assert_eq!(m_ke.nrows(), m_kk.nrows(), "coupling block row count");
-    assert_eq!(m_ke.ncols(), m_ee.nrows(), "coupling block column count");
-    schur(m_kk, m_ke, &m_ke.transpose(), m_ee)
-}
-
-/// The dense Schur complement `M_kk − M_ke · M_ee⁻¹ · M_ek` from all four
-/// blocks, by an LU factorization of `M_ee` (consumed). With no
-/// eliminated rows it is `M_kk`.
-pub(crate) fn schur(
-    m_kk: &Matrix<f64>,
-    m_ke: &Matrix<f64>,
-    m_ek: &Matrix<f64>,
-    m_ee: Matrix<f64>,
-) -> Result<Matrix<f64>, SolveMatrixError> {
-    if m_ee.nrows() == 0 {
-        return Ok(m_kk.clone());
+    if elim.is_empty() {
+        return Ok(m_kk);
     }
+    let m_ee = m.submatrix(&elim, &elim);
+    let floor = MIN_RELATIVE_PIVOT * m_ee.max_abs();
     let lu = LuDecomposition::new(m_ee)?;
-    let x = lu.solve_matrix(m_ek)?; // M_ee⁻¹ M_ek
-    Ok(m_kk - &m_ke.matmul(&x))
+    if let Some(column) = lu.pivots().iter().position(|p| p.abs() <= floor) {
+        return Err(SolveMatrixError::Singular { column });
+    }
+    let x = lu.solve_matrix(&m.submatrix(&elim, keep))?; // M_ee⁻¹ M_ek
+    Ok(&m_kk - &m.submatrix(keep, &elim).matmul(&x))
 }
 
 /// Restores exact symmetry deterministically: each off-diagonal pair of
-/// the square matrix `m` becomes its mean. Iterative solves leave an
-/// asymmetry at their tolerance in the compressed route's `B` and `C`,
-/// which are symmetric by construction.
+/// the square matrix `m` becomes its mean. Column-by-column solves leave
+/// an asymmetry in the reduced `B`, `G` and `C` — at the CG tolerance
+/// for iterative ones, at round-off for banded ones — although each is
+/// symmetric by construction.
 pub(crate) fn symmetrize(m: &mut Matrix<f64>) {
     let n = m.nrows();
     for i in 0..n {
@@ -240,6 +212,25 @@ mod tests {
             m[(b, a)] -= 1.0;
         }
         assert!(kron_reduce(&m, &[0, 1]).is_err());
+        // A kept chain 0–1 and a floating island 2–3–4. With conductances
+        // 0.1 and 0.3 the island's last pivot is round-off, not zero; an
+        // absolute pivot floor accepts it and returns noise.
+        for (g1, g2) in [(1.0, 1.0), (0.1, 0.7), (0.3, 0.7), (0.1, 0.3)] {
+            let mut m = Matrix::zeros(5, 5);
+            for (a, b, g) in [(0usize, 1usize, 1.0), (2, 3, g1), (3, 4, g2)] {
+                m[(a, a)] += g;
+                m[(b, b)] += g;
+                m[(a, b)] -= g;
+                m[(b, a)] -= g;
+            }
+            assert!(
+                matches!(
+                    kron_reduce(&m, &[0, 1]),
+                    Err(SolveMatrixError::Singular { .. })
+                ),
+                "island ({g1}, {g2})"
+            );
+        }
     }
 
     #[test]
@@ -270,33 +261,5 @@ mod tests {
     fn unsorted_keep_panics() {
         let m = chain_laplacian(3, 1.0);
         let _ = kron_reduce(&m, &[2, 0]);
-    }
-
-    #[test]
-    fn blocks_form_matches_full_reduction() {
-        let mut m = chain_laplacian(6, 1.0);
-        m[(0, 4)] -= 0.5;
-        m[(4, 0)] -= 0.5;
-        m[(0, 0)] += 0.5;
-        m[(4, 4)] += 0.5;
-        m[(3, 3)] += 0.2;
-        let keep = [0usize, 2, 5];
-        let elim = [1usize, 3, 4];
-        let full = kron_reduce(&m, &keep).unwrap();
-        let blocks = kron_reduce_blocks(
-            &m.submatrix(&keep, &keep),
-            &m.submatrix(&keep, &elim),
-            m.submatrix(&elim, &elim),
-        )
-        .unwrap();
-        // Same block extraction, same factorization: bit-identical.
-        assert_eq!(full, blocks);
-    }
-
-    #[test]
-    fn blocks_form_with_empty_elimination_is_kept_block() {
-        let m = chain_laplacian(3, 1.0);
-        let r = kron_reduce_blocks(&m, &Matrix::zeros(3, 0), Matrix::zeros(0, 0)).unwrap();
-        assert_eq!(r, m);
     }
 }

@@ -379,6 +379,11 @@ impl<T: GemmScalar> LuDecomposition<T> {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
 
+    /// The pivots: the diagonal of `U`, in elimination order.
+    pub fn pivots(&self) -> Vector<T> {
+        (0..self.dim()).map(|i| self.lu[(i, i)]).collect()
+    }
+
     /// Determinant, as the product of pivots times the permutation sign.
     pub fn det(&self) -> T {
         let mut d = T::from_f64(self.sign);

@@ -88,3 +88,69 @@ pub fn study_a_ssn_plane(cell_inch: f64) -> PlaneSpec {
     }
     plane
 }
+
+/// The full-grid DC conductance `G = AᵀZs⁻¹A` of a system, stamped link
+/// by link: `+1/r` on the diagonals of a link's two cells, `−1/r` between
+/// them.
+pub fn stamped_conductance(sys: &pdn_bem::BemSystem) -> pdn_num::Matrix<f64> {
+    let n = sys.mesh().cell_count();
+    let mut g_full = pdn_num::Matrix::zeros(n, n);
+    for (link, &r) in sys.mesh().links().iter().zip(sys.link_resistances()) {
+        let g = 1.0 / r;
+        g_full[(link.a, link.a)] += g;
+        g_full[(link.b, link.b)] += g;
+        g_full[(link.a, link.b)] -= g;
+        g_full[(link.b, link.a)] -= g;
+    }
+    g_full
+}
+
+/// `G` Kron-reduced onto `keep` by the formula: [`stamped_conductance`]
+/// through `pdn_extract::kron_reduce` (a dense LU of the eliminated
+/// block).
+pub fn kron_formula_conductance(sys: &pdn_bem::BemSystem, keep: &[usize]) -> pdn_num::Matrix<f64> {
+    pdn_extract::kron_reduce(&stamped_conductance(sys), keep).expect("grounded eliminated block")
+}
+
+/// `B` Kron-reduced onto `keep` by the formula, on a dense system: the
+/// full-grid reluctance `AᵀL⁻¹A` from one Cholesky solve with `L` per
+/// cell, through `pdn_extract::kron_reduce`. The reference for the
+/// kept-node reduction, which reaches the same matrix without forming an
+/// eliminated block.
+pub fn kron_formula_reluctance(sys: &pdn_bem::BemSystem, keep: &[usize]) -> pdn_num::Matrix<f64> {
+    let mesh = sys.mesh();
+    let (n, m) = (mesh.cell_count(), mesh.link_count());
+    let l = sys.inductance().expect("a dense system");
+    let ch = pdn_num::CholeskyDecomposition::new(l).expect("L is positive definite");
+    let mut by_cell = vec![Vec::new(); n];
+    for (link, cell, sign) in mesh.incidence() {
+        by_cell[cell].push((link, sign));
+    }
+    let mut b_full = pdn_num::Matrix::zeros(n, n);
+    for (j, entries) in by_cell.iter().enumerate() {
+        // Column j: x = L⁻¹·A·e_j, then Aᵀ·x.
+        let mut a = vec![0.0; m];
+        for &(link, sign) in entries {
+            a[link] += sign;
+        }
+        let x = ch.solve(&a).expect("matching dimension");
+        for (link, &v) in mesh.links().iter().zip(&x) {
+            b_full[(link.a, j)] += v;
+            b_full[(link.b, j)] -= v;
+        }
+    }
+    pdn_extract::kron_reduce(&b_full, keep).expect("grounded eliminated block")
+}
+
+/// The largest entry deviation of `got` from `want`, relative to
+/// max|want|.
+pub fn relative_deviation(got: &pdn_num::Matrix<f64>, want: &pdn_num::Matrix<f64>) -> f64 {
+    assert_eq!(got.shape(), want.shape());
+    let worst = got
+        .as_slice()
+        .iter()
+        .zip(want.as_slice())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    worst / want.max_abs()
+}

@@ -48,15 +48,15 @@ fn split_net_without_a_port_fails_with_guidance() {
         .expect("valid pair")
         .with_cell_size(mm(2.0))
         .with_port("P", mm(2.0), mm(2.0));
-    // The compressed route grounds one kept cell per net, and finds none
-    // on the second.
+    // Both kernel stores ground one kept cell per net before any
+    // factorization, and find none on the second.
     let compressed = spec.clone().with_compression(CompressionSpec::default());
     for spec in [spec, compressed] {
         let err = spec.extract(&NodeSelection::PortsOnly).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("net"),
-            "error should mention the floating net: {msg}"
+            msg.contains("has no kept node"),
+            "error should name the floating net: {msg}"
         );
     }
 }

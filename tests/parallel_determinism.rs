@@ -14,7 +14,7 @@ use pdn_circuit::{AcSweep, Waveform};
 use pdn_num::c64;
 
 mod common;
-use common::{with_thread_counts, ENV_LOCK};
+use common::{hp_plane_coarse, with_thread_counts, ENV_LOCK};
 
 fn small_bem() -> pdn_bem::BemSystem {
     let mut mesh =
@@ -136,6 +136,36 @@ fn extracted_macromodel_sweeps_are_thread_count_invariant() {
                 assert_eq!(&z, zr, "impedance_sweep with {n} workers");
                 assert_eq!(Some(s), s_ref.clone(), "s_parameter_sweep with {n} workers");
                 assert_eq!(Some(r), r_ref.clone(), "find_resonances with {n} workers");
+            }
+        }
+    });
+}
+
+#[test]
+fn dense_extraction_is_thread_count_invariant() {
+    // The assembly rows, the kept-node solves behind B and the banded
+    // solves behind G fan out and land by index: the reduced matrices
+    // must not depend on the worker count.
+    let bits = |m: &pdn_num::Matrix<f64>| -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    let mut reference: Option<[Vec<u64>; 3]> = None;
+    with_thread_counts(|n| {
+        let extracted = hp_plane_coarse()
+            .extract(&NodeSelection::PortsAndGrid { stride: 2 })
+            .unwrap();
+        let eq = extracted.equivalent();
+        let got = [
+            bits(eq.reluctance()),
+            bits(eq.conductance()),
+            bits(eq.capacitance()),
+        ];
+        match &reference {
+            None => reference = Some(got),
+            Some(r) => {
+                for (what, (a, b)) in ["B", "G", "C"].iter().zip(r.iter().zip(&got)) {
+                    assert_eq!(a, b, "{what} with {n} workers");
+                }
             }
         }
     });
